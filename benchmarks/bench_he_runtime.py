@@ -5,14 +5,17 @@ Measures, against the retained big-integer reference path
 
 * per-opcode microbenchmark latencies (µs) of the RNS-native BFV runtime,
   single-ciphertext and batched (amortized per ciphertext),
-* per-kernel NTT row counts with the tape-level domain planner on and
-  off (deterministic: the plan is an exact simulation of the executor),
+* per-kernel NTT row counts of the tape-level domain plan versus the
+  lazy policy (deterministic: the plan is an exact simulation of the
+  executor, and the planned count is re-measured live),
 * end-to-end ``HEExecutor.run`` wall times on the seed kernels' baseline
   programs,
-* ``run_many`` batch throughput — legacy single runs versus the tuned
-  batched path (domain planner + scratch arenas + ``--exec-workers``),
-  with both configurations recorded in the report, and
-* multicore lockstep scaling of the sharded ``run_many`` batch axis.
+* ``run_many`` batch throughput — sequential single runs versus one
+  batched pass (domain plan + scratch arenas + the executor's automatic
+  shard count), and
+* multicore lockstep sharding: the automatic shard count against the
+  ``workers=1`` single pass, on ``n4096-depth1`` in full mode (the
+  evidence for the executor's shard-count rule).
 
 Everything is recorded into ``BENCH_runtime.json`` (schema 2) at the
 repository root.  Run it after touching anything in ``repro.he`` or the
@@ -57,7 +60,7 @@ from harness import (  # noqa: E402
 from repro.baselines import BASELINE_BUILDERS, baseline_for  # noqa: E402
 from repro.he import BFVContext  # noqa: E402
 from repro.he.params import small_params, toy_params  # noqa: E402
-from repro.runtime.executor import HEExecutor  # noqa: E402
+from repro.runtime.executor import HEExecutor, shard_count  # noqa: E402
 from repro.spec import get_spec  # noqa: E402
 
 E2E_KERNELS = ("box_blur", "gx")
@@ -168,23 +171,21 @@ def _kernel_envs(spec, batch: int, seed: int = 2) -> list[dict]:
 
 
 def bench_ntt_counts(params) -> dict:
-    """Per-kernel NTT row counts, domain planner on vs off.
+    """Per-kernel NTT row counts, domain plan vs the lazy policy.
 
     Counts are deterministic (the plan simulates the executor's domain
-    state machine exactly), and each planned count is re-measured
-    against the live counters so a simulation drift shows up here
-    before it shows up as a wrong floor entry.
+    state machine exactly); the lazy column is the plan's own count of
+    the rows an unplanned replay performs.  Each planned count is
+    re-measured against the live counters so a simulation drift shows
+    up here before it shows up as a wrong floor entry.
     """
     out: dict[str, dict] = {}
     for kernel in sorted(BASELINE_BUILDERS):
         spec = get_spec(kernel)
         program = baseline_for(kernel)
-        planned = HEExecutor(spec, params=params, seed=7, domain_plan=True)
-        plan = planned.compile(program).plan
-        env = _kernel_envs(spec, 1)[0]
-        planned.run(program, env)
-        lazy = HEExecutor(spec, params=params, seed=7)
-        lazy.run(program, env)
+        executor = HEExecutor(spec, params=params, seed=7)
+        plan = executor.compile(program).plan
+        executor.run(program, _kernel_envs(spec, 1)[0])
         out[kernel] = {
             "ntt_rows_lazy": plan.ntts_lazy,
             "ntt_rows_planned": plan.ntts_planned,
@@ -195,34 +196,39 @@ def bench_ntt_counts(params) -> dict:
                 else 0.0
             ),
             "measured_matches_plan": bool(
-                planned.stats.ntts_performed == plan.ntts_planned
-                and lazy.stats.ntts_performed == plan.ntts_lazy
+                executor.stats.ntts_performed == plan.ntts_planned
             ),
         }
     return out
 
 
-def bench_multicore(
-    kernel: str, params, batch: int, workers_list: tuple[int, ...]
-) -> dict:
-    """Lockstep sharding scale-up: one batch, increasing worker counts.
+def bench_multicore(kernel: str, params, batch: int, repeats: int) -> dict:
+    """Lockstep sharding: the automatic shard count vs one pass.
 
-    Outputs must be identical at every worker count (sharding is a pure
-    partition of the batch axis); wall-clock gains need real cores — on
-    a single-CPU host the per-shard tape overhead makes workers>1 a
-    wash, which the recorded numbers will show honestly.
+    Outputs must be identical at every shard count (sharding is a pure
+    partition of the batch axis).  Wall-clock gains need real cores and
+    a ring large enough for the NTT kernels to run with the GIL
+    released; :func:`shard_count` only shards where that holds, and
+    these rows are its evidence.
     """
     spec = get_spec(kernel)
     program = baseline_for(kernel)
     envs = _kernel_envs(spec, batch)
-    executor = HEExecutor(spec, params=params, seed=7, domain_plan=True)
+    executor = HEExecutor(spec, params=params, seed=7)
     executor.compile(program)
+    auto = shard_count(params, batch)
     rows: dict[str, dict] = {}
     baseline_outputs = None
     base_total = None
-    for workers in workers_list:
-        report = executor.run_many(program, envs, workers=workers)
-        report = executor.run_many(program, envs, workers=workers)  # warm
+    for workers in sorted({1, auto}):
+        executor.run_many(program, envs, workers=workers)  # warm arenas
+        report = min(
+            (
+                executor.run_many(program, envs, workers=workers)
+                for _ in range(repeats)
+            ),
+            key=lambda r: r.total_seconds,
+        )
         outputs = [r.model_output for r in report.reports]
         if baseline_outputs is None:
             baseline_outputs = outputs
@@ -243,24 +249,21 @@ def bench_multicore(
             "outputs_identical_to_workers1": bool(identical),
             "all_match": bool(report.all_match),
         }
-    return {"kernel": kernel, "batch_size": batch, "workers": rows}
+    return {
+        "kernel": kernel,
+        "params": params.name,
+        "batch_size": batch,
+        "auto_shards": auto,
+        "workers": rows,
+    }
 
 
-def bench_end_to_end(
-    kernel: str,
-    params,
-    repeats: int,
-    batch: int,
-    exec_workers: int,
-    domain_plan: bool,
-) -> dict:
+def bench_end_to_end(kernel: str, params, repeats: int, batch: int) -> dict:
     """End-to-end executor runs: reference vs RNS vs batched run_many.
 
-    The single-run side uses the legacy default flags (no planner, one
-    worker); the batched side is the tuned serving configuration
-    (planner + arenas + ``exec_workers``).  Both configurations are
-    recorded in the row, so ``batch_vs_single_speedup`` is transparently
-    "tuned batched path vs legacy sequential singles".
+    ``batch_vs_single_speedup`` is one batched pass (with the executor's
+    automatic shard count, recorded in the row) against the same number
+    of sequential single runs.
     """
     spec = get_spec(kernel)
     program = baseline_for(kernel)
@@ -268,17 +271,9 @@ def bench_end_to_end(
 
     fast = HEExecutor(spec, params=params, seed=7)
     slow = HEExecutor(spec, params=params, seed=7, slow_reference=True)
-    tuned = HEExecutor(
-        spec,
-        params=params,
-        seed=7,
-        domain_plan=domain_plan,
-        exec_workers=exec_workers,
-    )
-    # compile outside timing on all sides (keys/tape are one-time setup)
+    # compile outside timing on both sides (keys/tape are one-time setup)
     fast.compile(program)
     slow.compile(program)
-    tuned.compile(program)
 
     def run_fast():
         report = fast.run(program, envs[0])
@@ -291,13 +286,13 @@ def bench_end_to_end(
         return report
 
     def run_batch():
-        report = tuned.run_many(program, envs)
+        report = fast.run_many(program, envs)
         assert report.all_match
         return report
 
     rns_s = _best(run_fast, repeats)
     ref_s = _best(run_slow, repeats)
-    run_batch()  # warm the arenas/worker pool out of the timed runs
+    run_batch()  # warm the shard arenas out of the timed runs
     batch_seconds = _best(run_batch, repeats)
     sequential = rns_s * batch
     return {
@@ -307,11 +302,7 @@ def bench_end_to_end(
         "rns_seconds": round(rns_s, 4),
         "speedup": round(ref_s / rns_s, 2) if rns_s else None,
         "batch_size": batch,
-        "single_config": {"domain_plan": False, "exec_workers": 1},
-        "batch_config": {
-            "domain_plan": domain_plan,
-            "exec_workers": exec_workers,
-        },
+        "batch_shards": shard_count(fast.params, batch),
         "batch_total_seconds": round(batch_seconds, 4),
         "batch_seconds_per_run": round(batch_seconds / batch, 4),
         "batch_vs_single_speedup": (
@@ -390,23 +381,16 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--batch", type=int, default=16, metavar="N",
                         help="batch size for the end-to-end and multicore "
                              "sections (default 16)")
-    parser.add_argument("--exec-workers", type=int, default=4, metavar="W",
-                        help="worker count for the tuned batched "
-                             "configuration (default 4)")
-    parser.add_argument("--no-domain-plan", action="store_true",
-                        help="ablation: run the tuned batched side without "
-                             "the NTT-domain planner")
     args = parser.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
     params = toy_params() if args.quick else small_params()
     repeats = 3 if args.quick else 7
-    # the end-to-end/multicore sections measure executor overhead
-    # (dispatch amortization, planning, sharding), which the toy preset
-    # exposes; opcode latencies above track the secure preset in full
-    # mode.  Each e2e row records the params it ran on.
+    # the end-to-end section measures executor overhead (dispatch
+    # amortization, planning), which the toy preset exposes; opcode
+    # latencies above and the multicore section track the secure preset
+    # in full mode.  Each row records the params it ran on.
     e2e_params = toy_params()
-    domain_plan = not args.no_domain_plan
 
     print(f"opcode microbenchmarks on {params.name} ...", flush=True)
     opcodes = bench_opcodes(params, repeats, BATCH_SIZE)
@@ -448,8 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     for kernel in E2E_KERNELS:
         print(f"end-to-end {kernel} ...", flush=True)
         end_to_end[kernel] = bench_end_to_end(
-            kernel, e2e_params, repeats, args.batch,
-            args.exec_workers, domain_plan,
+            kernel, e2e_params, repeats, args.batch
         )
         row = end_to_end[kernel]
         print(
@@ -460,12 +443,13 @@ def main(argv: list[str] | None = None) -> int:
             f"{row['batch_vs_reference_speedup']}x vs ref)"
         )
 
-    print(f"multicore lockstep scaling ({MULTICORE_KERNEL}) ...", flush=True)
+    print(
+        f"multicore lockstep sharding ({MULTICORE_KERNEL} on "
+        f"{params.name}) ...",
+        flush=True,
+    )
     multicore = bench_multicore(
-        MULTICORE_KERNEL,
-        toy_params(),
-        args.batch,
-        tuple(sorted({1, 2, args.exec_workers})),
+        MULTICORE_KERNEL, params, args.batch, repeats
     )
     for workers, row in multicore["workers"].items():
         print(

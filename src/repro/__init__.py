@@ -32,9 +32,6 @@ Typical entry points::
     from repro.api import Porcupine          # the session API (preferred)
     from repro.runtime import HEExecutor     # low-level encrypted execution
     from repro.spec import get_spec          # raw kernel specifications
-
-(``repro.core.compile_kernel`` still works but is a deprecated shim over
-``repro.api``.)
 """
 
 __version__ = "1.1.0"

@@ -150,14 +150,21 @@ def _print_executor_timings(session) -> None:
     print(format_executor_stats(session.executor_stats()), file=sys.stderr)
 
 
-def _noise_guard(value):
-    """Parse ``--noise-guard``: off/output/mul or an every-N-ops int."""
-    if value is None:
-        return None
+def _exec_options(args, escalate: bool):
+    """``--noise-guard`` (off/output/mul or an every-N-ops int) and
+    ``--noise-margin-bits`` as the one HE execution config."""
+    from repro.api import ExecOptions
+
+    guard = args.noise_guard
     try:
-        return int(value)
+        guard = int(guard)
     except (TypeError, ValueError):
-        return value
+        pass
+    return ExecOptions(
+        guard=guard,
+        noise_margin_bits=args.noise_margin_bits,
+        escalate=escalate,
+    )
 
 
 def _cmd_run(args) -> int:
@@ -171,12 +178,10 @@ def _cmd_run(args) -> int:
         p.name: rng.integers(0, spec.backend_bound + 1, p.shape)
         for p in spec.layout.inputs
     }
+    options = _exec_options(args, escalate=not args.no_escalate)
     report = session.run(
         args.kernel, logical, backend=args.backend, seed=args.seed,
-        domain_plan=args.domain_plan, exec_workers=args.exec_workers,
-        guard=_noise_guard(args.noise_guard),
-        noise_margin_bits=args.noise_margin_bits,
-        escalate=not args.no_escalate,
+        options=options,
     )
     if args.timings:
         _print_executor_timings(session)
@@ -198,17 +203,9 @@ def _cmd_run(args) -> int:
     print(f"reference          = {np.asarray(report.expected_output).ravel().tolist()}")
     print(f"matches reference: {report.matches_reference}")
     if report.backend == "he":
-        from repro.api import Porcupine
         from repro.runtime.estimator import estimate_noise_budget
 
-        he_kwargs = Porcupine.he_backend_kwargs(
-            args.seed, domain_plan=args.domain_plan,
-            exec_workers=args.exec_workers,
-            guard=_noise_guard(args.noise_guard),
-            noise_margin_bits=args.noise_margin_bits,
-            escalate=not args.no_escalate,
-        )
-        engine = session.backend("he", **he_kwargs)
+        engine = session.backend("he", seed=args.seed, options=options)
         executor = engine._executor_for(spec)
         predicted = estimate_noise_budget(compiled.program, executor.params)
         print(
@@ -233,10 +230,7 @@ def _run_batch(args, session, compiled) -> int:
     """``run --batch N``: one lockstep batched execution of N inputs."""
     batch = session.run_many(
         args.kernel, args.batch, backend=args.backend, seed=args.seed,
-        domain_plan=args.domain_plan, exec_workers=args.exec_workers,
-        guard=_noise_guard(args.noise_guard),
-        noise_margin_bits=args.noise_margin_bits,
-        escalate=not args.no_escalate,
+        options=_exec_options(args, escalate=not args.no_escalate),
     )
     if args.timings:
         _print_executor_timings(session)
@@ -463,8 +457,6 @@ def _cmd_serve(args) -> int:
         seed=args.seed,
         max_batch=args.max_batch,
         linger_ms=args.linger_ms,
-        domain_plan=args.domain_plan,
-        exec_workers=args.exec_workers,
         compile_workers=args.compile_workers,
         cache_dir=args.cache_dir,
         precompile=tuple(
@@ -473,9 +465,9 @@ def _cmd_serve(args) -> int:
         default_timeout_ms=args.default_timeout_ms,
         max_backlog=args.max_backlog if args.max_backlog > 0 else None,
         pool_max_restarts=args.pool_max_restarts,
-        noise_guard=_noise_guard(args.noise_guard),
-        noise_margin_bits=args.noise_margin_bits,
-        noise_escalation=not args.no_noise_escalation,
+        exec_options=_exec_options(
+            args, escalate=not args.no_noise_escalation
+        ),
         shadow_verify=args.shadow_verify,
     )
     server = PorcupineServer(config=config)
@@ -582,15 +574,6 @@ def main(argv: list[str] | None = None) -> int:
                              help="execute N random inputs as one lockstep "
                                   "encrypted batch (amortizes keys, "
                                   "encoding, and program setup)")
-            cmd.add_argument("--domain-plan", action="store_true",
-                             help="enable the tape-level NTT-domain "
-                                  "planner (bit-identical outputs; fewer "
-                                  "NTT transforms)")
-            cmd.add_argument("--exec-workers", type=int, default=1,
-                             metavar="W",
-                             help="shard the lockstep batch axis across W "
-                                  "threads with per-worker scratch arenas "
-                                  "(bit-identical to W=1; HE backend only)")
             cmd.add_argument("--timings", action="store_true",
                              help="print the executor's NTT/arena counter "
                                   "table (NTT rows performed and elided, "
@@ -636,12 +619,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="execution-backend key seed")
     serve.add_argument("--max-batch", type=int, default=8, metavar="N",
                        help="max coalesced requests per lockstep batch")
-    serve.add_argument("--domain-plan", action="store_true",
-                       help="enable the HE executor's tape-level NTT-domain "
-                            "planner (bit-identical responses)")
-    serve.add_argument("--exec-workers", type=int, default=1, metavar="W",
-                       help="shard each coalesced lockstep batch across W "
-                            "executor threads (bit-identical to W=1)")
     serve.add_argument("--linger-ms", type=float, default=2.0, metavar="MS",
                        help="max wait for co-batchable requests")
     serve.add_argument("--compile-workers", type=int, default=0, metavar="N",

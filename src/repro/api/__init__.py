@@ -44,6 +44,7 @@ from repro.api.passes import (
 )
 from repro.api.registry import KernelDefinition, KernelRegistry
 from repro.api.session import CompiledKernel, Porcupine
+from repro.runtime.options import ExecOptions
 
 __all__ = [
     "BackendResult",
@@ -52,6 +53,7 @@ __all__ = [
     "CompiledKernel",
     "CompileCache",
     "CompositionError",
+    "ExecOptions",
     "ExecutionBackend",
     "HEBackend",
     "InterpreterBackend",

@@ -27,6 +27,7 @@ import numpy as np
 from repro.he.errors import NoiseBudgetExhausted
 from repro.quill.interpreter import evaluate
 from repro.quill.ir import Program
+from repro.runtime.options import ExecOptions
 from repro.spec.reference import Spec
 
 
@@ -135,10 +136,9 @@ class HEBackend:
     spec's parameter preset by name (``"toy"``/``"small"``/``"large"``) —
     the serving benchmark's quick mode runs on toy parameters this way.
 
-    Noise safety: ``guard`` turns on runtime noise-budget guards (see
-    :class:`~repro.runtime.executor.NoiseGuardPolicy`),
-    ``noise_margin_bits`` enables predictive admission at tape-compile
-    time, and with ``escalate`` (the default) a
+    ``options`` (:class:`~repro.runtime.options.ExecOptions`) sets the
+    runtime noise guards and predictive admission of every executor the
+    backend builds; with ``options.escalate`` (the default) a
     :class:`~repro.he.errors.NoiseBudgetExhausted` from either is
     recovered transparently by recompiling and re-running on the
     next-larger preset up the :data:`~repro.he.params.PRESET_LADDER`.
@@ -151,22 +151,12 @@ class HEBackend:
         seed: int | None = None,
         slow_reference: bool = False,
         params: str | None = None,
-        domain_plan: bool = False,
-        exec_workers: int = 1,
-        guard=None,
-        noise_margin_bits: float | None = None,
-        escalate: bool = True,
-        max_escalations: int | None = None,
+        options: ExecOptions | None = None,
     ):
         self.seed = seed
         self.slow_reference = slow_reference
         self.params_preset = params
-        self.domain_plan = domain_plan
-        self.exec_workers = exec_workers
-        self.guard = guard
-        self.noise_margin_bits = noise_margin_bits
-        self.escalate = escalate
-        self.max_escalations = max_escalations
+        self.options = options or ExecOptions()
         self._executors: dict[tuple[str, str], object] = {}
         # escalations not yet collected by drain_escalations() (the
         # serving tier folds them into its MetricsRegistry per batch)
@@ -182,10 +172,7 @@ class HEBackend:
             params=params,
             seed=self.seed,
             slow_reference=self.slow_reference,
-            domain_plan=self.domain_plan,
-            exec_workers=self.exec_workers,
-            guard=self.guard,
-            noise_margin_bits=self.noise_margin_bits,
+            options=self.options,
         )
 
     def _executor_for(self, spec: Spec, params=None):
@@ -227,8 +214,6 @@ class HEBackend:
                 break
             if spec.layout.vector_size <= current.row_size:
                 ladder.append(current)
-        if self.max_escalations is not None:
-            ladder = ladder[: self.max_escalations]
         return ladder
 
     def _run_escalated(self, spec: Spec, base_executor, attempt, error):
@@ -261,7 +246,7 @@ class HEBackend:
         every executor this backend has built."""
         from repro.runtime.profiler import ExecutorStats
 
-        merged = ExecutorStats(exec_workers=self.exec_workers)
+        merged = ExecutorStats()
         for executor in self._executors.values():
             merged = merged.merge(executor.stats)
         return merged
@@ -292,7 +277,7 @@ class HEBackend:
         try:
             return attempt(executor)
         except NoiseBudgetExhausted as error:
-            if not self.escalate:
+            if not self.options.escalate:
                 raise
             return self._run_escalated(spec, executor, attempt, error)
 
@@ -322,7 +307,7 @@ class HEBackend:
         try:
             return attempt(executor)
         except NoiseBudgetExhausted as error:
-            if not self.escalate:
+            if not self.options.escalate:
                 raise
             return self._run_escalated(spec, executor, attempt, error)
 

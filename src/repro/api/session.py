@@ -46,6 +46,7 @@ from repro.core.cegis import SynthesisConfig, SynthesisResult
 from repro.core.sketch import Sketch
 from repro.quill.ir import Program
 from repro.quill.noise import multiplicative_depth
+from repro.runtime.options import ExecOptions
 from repro.spec.reference import Spec
 
 
@@ -470,13 +471,25 @@ class Porcupine:
 
     # -- execution --------------------------------------------------------
 
-    def backend(self, name: str | None = None, **kwargs) -> ExecutionBackend:
+    def backend(
+        self,
+        name: str | None = None,
+        *,
+        seed: int | None = None,
+        options: ExecOptions | None = None,
+        **kwargs,
+    ) -> ExecutionBackend:
         """The session's backend instance for ``name``.
 
-        Instances are cached per (name, construction kwargs), so e.g.
-        HE backends with different seeds never alias each other.
+        Instances are cached per ``(name, seed, options)`` plus any
+        other construction kwargs (e.g. an HE ``params`` preset), so HE
+        backends with different seeds or execution options never alias
+        each other.  ``seed`` and ``options`` configure the ``he``
+        backend only; other backends receive just ``kwargs``.
         """
         name = name or self.default_backend
+        if name == "he":
+            kwargs.update(seed=seed, options=options or ExecOptions())
         key = (name, tuple(sorted(kwargs.items())))
         instance = self._backends.get(key)
         if instance is None:
@@ -491,25 +504,16 @@ class Porcupine:
         *,
         backend: str | ExecutionBackend | None = None,
         seed: int = 0,
-        domain_plan: bool = False,
-        exec_workers: int = 1,
-        guard=None,
-        noise_margin_bits: float | None = None,
-        escalate: bool = True,
+        options: ExecOptions | None = None,
         **compile_kwargs,
     ) -> BackendResult:
         """Compile (cached) and execute a kernel on a named backend.
 
         Without explicit ``inputs``, random in-range inputs are drawn
         from ``seed`` (bounded by the spec's backend bound so nothing
-        overflows the plaintext modulus).  ``domain_plan`` and
-        ``exec_workers`` select the HE executor's NTT-domain planner and
-        lockstep thread count (both bit-identical to the defaults).
-
-        ``guard``/``noise_margin_bits`` enable the HE backend's runtime
-        noise guards and predictive admission; with ``escalate`` (the
-        default) a tripped guard transparently recompiles and re-runs on
-        the next-larger parameter preset instead of failing.
+        overflows the plaintext modulus).  ``options`` sets the HE
+        backend's noise guards, admission margin, and escalation (see
+        :class:`~repro.runtime.options.ExecOptions`).
         """
         compiled = self.compile(kernel, **compile_kwargs)
         spec = self._resolve(kernel).spec()
@@ -517,9 +521,7 @@ class Porcupine:
             inputs = self._random_inputs(spec, seed)
         return self.execute(
             compiled, inputs, backend=backend, seed=seed, spec=spec,
-            domain_plan=domain_plan, exec_workers=exec_workers,
-            guard=guard, noise_margin_bits=noise_margin_bits,
-            escalate=escalate,
+            options=options,
         )
 
     def execute(
@@ -530,11 +532,7 @@ class Porcupine:
         backend: str | ExecutionBackend | None = None,
         seed: int = 0,
         spec: Spec | None = None,
-        domain_plan: bool = False,
-        exec_workers: int = 1,
-        guard=None,
-        noise_margin_bits: float | None = None,
-        escalate: bool = True,
+        options: ExecOptions | None = None,
     ) -> BackendResult:
         """Execute an already-compiled kernel (no compile step).
 
@@ -546,11 +544,7 @@ class Porcupine:
         """
         if spec is None:
             spec = self.spec(compiled.name)
-        engine = self._resolve_backend(
-            backend, seed, domain_plan=domain_plan, exec_workers=exec_workers,
-            guard=guard, noise_margin_bits=noise_margin_bits,
-            escalate=escalate,
-        )
+        engine = self._resolve_backend(backend, seed, options)
         return engine.execute(compiled.program, spec, inputs)
 
     def execute_batch(
@@ -561,11 +555,7 @@ class Porcupine:
         backend: str | ExecutionBackend | None = None,
         seed: int = 0,
         spec: Spec | None = None,
-        domain_plan: bool = False,
-        exec_workers: int = 1,
-        guard=None,
-        noise_margin_bits: float | None = None,
-        escalate: bool = True,
+        options: ExecOptions | None = None,
     ) -> BatchResult:
         """Execute one compiled kernel over a batch of environments.
 
@@ -576,11 +566,7 @@ class Porcupine:
         """
         if spec is None:
             spec = self.spec(compiled.name)
-        engine = self._resolve_backend(
-            backend, seed, domain_plan=domain_plan, exec_workers=exec_workers,
-            guard=guard, noise_margin_bits=noise_margin_bits,
-            escalate=escalate,
-        )
+        engine = self._resolve_backend(backend, seed, options)
         execute_many = getattr(engine, "execute_many", None)
         if execute_many is not None:
             return execute_many(compiled.program, spec, list(envs))
@@ -602,63 +588,17 @@ class Porcupine:
         self,
         backend: str | ExecutionBackend | None,
         seed: int,
-        *,
-        domain_plan: bool = False,
-        exec_workers: int = 1,
-        guard=None,
-        noise_margin_bits: float | None = None,
-        escalate: bool = True,
+        options: ExecOptions | None,
     ) -> ExecutionBackend:
-        """Name-or-instance backend dispatch shared by run/run_many."""
+        """Name-or-instance backend dispatch shared by the run methods."""
         if isinstance(backend, str) or backend is None:
-            name = backend or self.default_backend
-            kwargs = (
-                self.he_backend_kwargs(
-                    seed, domain_plan=domain_plan, exec_workers=exec_workers,
-                    guard=guard, noise_margin_bits=noise_margin_bits,
-                    escalate=escalate,
-                )
-                if name == "he"
-                else {}
-            )
-            return self.backend(name, **kwargs)
+            return self.backend(backend, seed=seed, options=options)
         return backend
-
-    @staticmethod
-    def he_backend_kwargs(
-        seed: int,
-        *,
-        domain_plan: bool = False,
-        exec_workers: int = 1,
-        guard=None,
-        noise_margin_bits: float | None = None,
-        escalate: bool = True,
-        max_escalations: int | None = None,
-    ) -> dict:
-        """Construction kwargs for the session's cached HE backend.
-
-        Default flags are omitted so legacy call sites keep aliasing the
-        same backend instance (the cache keys on the kwargs tuple).
-        """
-        kwargs: dict = {"seed": seed}
-        if domain_plan:
-            kwargs["domain_plan"] = True
-        if exec_workers != 1:
-            kwargs["exec_workers"] = exec_workers
-        if guard is not None:
-            kwargs["guard"] = guard
-        if noise_margin_bits is not None:
-            kwargs["noise_margin_bits"] = noise_margin_bits
-        if not escalate:
-            kwargs["escalate"] = False
-        if max_escalations is not None:
-            kwargs["max_escalations"] = max_escalations
-        return kwargs
 
     def executor_stats(self):
         """Merged HE :class:`~repro.runtime.profiler.ExecutorStats`
         across every backend this session has built (NTT rows performed
-        and elided, arena high-water bytes, lockstep worker count)."""
+        and elided, arena high-water bytes, widest shard count)."""
         from repro.runtime.profiler import ExecutorStats
 
         merged = ExecutorStats()
@@ -684,11 +624,7 @@ class Porcupine:
         *,
         backend: str | ExecutionBackend | None = None,
         seed: int = 0,
-        domain_plan: bool = False,
-        exec_workers: int = 1,
-        guard=None,
-        noise_margin_bits: float | None = None,
-        escalate: bool = True,
+        options: ExecOptions | None = None,
         **compile_kwargs,
     ) -> BatchResult:
         """Compile once and execute a batch of inputs in lockstep.
@@ -723,9 +659,7 @@ class Porcupine:
                 )
         return self.execute_batch(
             compiled, inputs, backend=backend, seed=seed, spec=spec,
-            domain_plan=domain_plan, exec_workers=exec_workers,
-            guard=guard, noise_margin_bits=noise_margin_bits,
-            escalate=escalate,
+            options=options,
         )
 
     def run_all(

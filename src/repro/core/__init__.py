@@ -16,7 +16,6 @@ from importlib import import_module
 
 _EXPORTS = {
     "ComponentChoice": "repro.core.sketch",
-    "CompileResult": "repro.core.compiler",
     "CompositionGraph": "repro.core.multistep",
     "ConstStep": "repro.core.multistep",
     "CtHole": "repro.core.sketch",
@@ -30,7 +29,6 @@ _EXPORTS = {
     "SynthesisConfig": "repro.core.cegis",
     "SynthesisError": "repro.core.cegis",
     "SynthesisResult": "repro.core.cegis",
-    "compile_kernel": "repro.core.compiler",
     "compose": "repro.core.multistep",
     "compose_harris": "repro.core.multistep",
     "compose_sobel": "repro.core.multistep",

@@ -23,6 +23,8 @@ are all amortized across the batch.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -44,6 +46,7 @@ from repro.quill.ir import (
     Wire,
 )
 from repro.quill.noise import multiplicative_depth
+from repro.runtime.options import ExecOptions, NoiseGuardPolicy
 from repro.runtime.planner import DomainPlan, plan_tape
 from repro.runtime.profiler import ExecutorStats
 from repro.spec.reference import Spec
@@ -141,53 +144,6 @@ def check_displacement(program: Program, spec: Spec) -> DisplacementReport:
 TapeStep = tuple[Opcode, tuple, tuple | None, int, int, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class NoiseGuardPolicy:
-    """Where and how an executor samples noise budgets at runtime.
-
-    BFV noise exhaustion decrypts to garbage, not an error (paper section
-    2.2), so without guards a dead ciphertext silently propagates to the
-    caller.  Guards trade a budget measurement (one decrypt-cost pass per
-    check) for a typed :class:`NoiseBudgetExhausted` naming the tape step
-    and batch element the moment the budget bottoms out.
-
-    Attributes:
-        after_multiplies: sample after every ct-ct multiply, the only
-            opcode with multiplicative noise growth.
-        every_n_ops: additionally sample after every N tape steps.
-        check_output: also gate the output decrypt on a positive budget
-            instead of returning garbage.
-        min_budget_bits: trip threshold; budgets at or below this raise.
-    """
-
-    after_multiplies: bool = False
-    every_n_ops: int | None = None
-    check_output: bool = True
-    min_budget_bits: int = 0
-
-    @classmethod
-    def coerce(
-        cls, guard: "NoiseGuardPolicy | str | int | None"
-    ) -> "NoiseGuardPolicy | None":
-        """Normalize the user-facing knob: off | output | mul | every-N."""
-        if guard is None or guard == "off":
-            return None
-        if isinstance(guard, cls):
-            return guard
-        if guard == "output":
-            return cls()
-        if guard == "mul":
-            return cls(after_multiplies=True)
-        if isinstance(guard, int) and not isinstance(guard, bool):
-            if guard < 1:
-                raise ValueError("guard interval must be >= 1")
-            return cls(every_n_ops=guard)
-        raise ValueError(
-            f"unknown noise guard {guard!r}; expected 'off', 'output', "
-            "'mul', an op interval, or a NoiseGuardPolicy"
-        )
-
-
 @dataclass
 class CompiledProgram:
     """A Quill program lowered onto one executor: checked, keyed, encoded.
@@ -213,8 +169,8 @@ class CompiledProgram:
     galois_elements: tuple[int, ...]
     constants: dict[str, object]
     extra_outputs: tuple[tuple, ...] = ()  # fetch descriptors, extras only
-    # NTT-domain residency plan for the tape (None on the slow-reference
-    # oracle); executed only when the executor's domain_plan flag is set
+    # NTT-domain residency plan for the tape; None on the slow-reference
+    # oracle, which therefore executes lazily
     plan: DomainPlan | None = None
     # worst-case predicted output budget under this executor's params
     # (Fan-Vercauteren bounds, bits); the admission margin gates on it
@@ -267,11 +223,56 @@ class BatchExecutionReport:
         return self.batch_size / self.total_seconds if self.total_seconds else 0.0
 
 
+#: smallest ring degree at which lockstep sharding pays: from n=4096 the
+#: numpy NTT kernels run long enough with the GIL released for shards to
+#: overlap (2 shards of a batch of 8 on a 2-CPU host: 1.47-1.87x at
+#: n4096/n8192), while on the toy ring per-shard tape overhead mostly
+#: dominates (0.92-1.07x)
+SHARD_MIN_DEGREE = 4096
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where supported)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def shard_count(params: BFVParams, batch: int) -> int:
+    """Lockstep shards :meth:`HEExecutor.run_many` uses for ``batch``.
+
+    One shard per usable CPU (never more than one per element) at ring
+    degrees of :data:`SHARD_MIN_DEGREE` and up, a single pass below.
+    """
+    if params.poly_degree < SHARD_MIN_DEGREE:
+        return 1
+    return min(batch, usable_cpus())
+
+
+@dataclass
+class _Replay:
+    """One tape replay over a (shard of a) batch, decrypted."""
+
+    per_opcode: dict[str, float]
+    counters: ExecCounters
+    tape_seconds: float
+    guard_checks: int
+    trip: NoiseBudgetExhausted | None = None
+    decrypted: np.ndarray | None = None
+    budgets: list[int] = field(default_factory=list)
+    extras: list[np.ndarray] = field(default_factory=list)
+
+
 class HEExecutor:
     """Runs Quill programs under real BFV encryption.
 
-    ``slow_reference=True`` builds the executor on the retained big-int
-    BFV paths (the seed implementation) — the baseline the runtime
+    Tapes always execute their compiled NTT-domain plan, and
+    :meth:`run_many` picks its own lockstep shard count
+    (:func:`shard_count`); both are bit-identical to the lazy
+    single-pass execution.  ``slow_reference=True`` builds the executor
+    on the retained big-int BFV paths (the seed implementation) — it has
+    no plan, so it executes lazily and is the baseline the runtime
     benchmarks and equivalence tests compare against.
     """
 
@@ -283,21 +284,16 @@ class HEExecutor:
         params: BFVParams | None = None,
         seed: int | None = None,
         slow_reference: bool = False,
-        domain_plan: bool = False,
-        exec_workers: int = 1,
-        guard: NoiseGuardPolicy | str | int | None = None,
-        noise_margin_bits: float | None = None,
+        options: ExecOptions | None = None,
     ):
-        if exec_workers < 1:
-            raise ValueError("exec_workers must be >= 1")
+        options = options or ExecOptions()
         self.spec = spec
-        self.domain_plan = domain_plan
-        self.exec_workers = exec_workers
-        self.guard = NoiseGuardPolicy.coerce(guard)
+        self.guard = NoiseGuardPolicy.coerce(options.guard)
         # predictive admission: compile() rejects programs whose predicted
         # budget falls below this margin (None disables admission)
-        self.noise_margin_bits = noise_margin_bits
+        self.noise_margin_bits = options.noise_margin_bits
         self._tape_fault: tuple | None = None
+        self._tape_fault_lock = threading.Lock()
         if params is None:
             from repro.he.params import large_params, small_params
 
@@ -317,12 +313,7 @@ class HEExecutor:
         self._pinned: set[int] = set()
         self._arena = ScratchArena()
         self._worker_arenas: dict[int, ScratchArena] = {}
-        self.stats = ExecutorStats(exec_workers=exec_workers)
-
-    @property
-    def _planning(self) -> bool:
-        """Domain plans apply only on the fast path (the oracle stays lazy)."""
-        return self.domain_plan and not self.ctx.slow_reference
+        self.stats = ExecutorStats()
 
     # ------------------------------------------------------------------
     # Compilation: program -> tape
@@ -496,11 +487,12 @@ class HEExecutor:
 
     def _trip_tape_fault(self, value, index: int):
         """Apply the armed fault if this tape step is its trigger."""
-        fault = self._tape_fault
-        step = int(fault[1]) if len(fault) > 1 else 0
-        if index != step:
-            return value
-        self._tape_fault = None  # one-shot
+        with self._tape_fault_lock:  # one-shot, even across shards
+            fault = self._tape_fault
+            step = int(fault[1]) if fault and len(fault) > 1 else 0
+            if fault is None or index != step:
+                return value
+            self._tape_fault = None
         return self._corrupt_ciphertext(value, fault)
 
     def _corrupt_ciphertext(self, ct: Ciphertext, fault: tuple) -> Ciphertext:
@@ -542,22 +534,24 @@ class HEExecutor:
         compiled: CompiledProgram,
         encrypted: dict,
         plain: dict,
-        planned: bool = False,
     ):
-        """Replay the instruction tape; returns (output ct, per-op seconds).
+        """Replay the instruction tape under the compiled domain plan.
 
-        ``planned=True`` executes the compiled domain plan: per-step
-        residency hints plus planned rotation routing.  Transforms are
-        exact bijections, so both modes are bit-identical.
+        The plan supplies per-step residency hints and rotation routing;
+        without one (the slow-reference oracle) every step runs lazily.
+        Transforms are exact bijections, so both are bit-identical.
 
-        Returns ``(output ct, extra cts, per-op seconds, guard checks)``.
+        Returns ``(output ct, extra cts, per-op seconds, guard checks,
+        guard trip)``.  A tripped guard stops the replay and is returned
+        unraised (with no outputs), so that shard threads never write the
+        executor's shared stats.
         """
         ctx = self.ctx
         guard = self.guard
         guard_checks = 0
         slots: list = [None] * compiled.slot_count
         per_opcode: dict[str, float] = {}
-        plan = compiled.plan if planned else None
+        plan = compiled.plan
         # explicit-relin programs defer the fold to their RELIN steps;
         # eager programs keep the historical relinearize-every-multiply
         eager = not compiled.program.is_explicit_relin
@@ -614,19 +608,18 @@ class HEExecutor:
                 budgets = ctx.noise_budgets(value)
                 low = min(budgets)
                 if low <= guard.min_budget_bits:
-                    # the run aborts here, so account the checks that
-                    # _record_stats will never see
-                    self.stats.guard_checks += guard_checks
-                    self.stats.guard_trips += 1
                     worst = budgets.index(low)
-                    raise NoiseBudgetExhausted(
-                        f"noise guard tripped at tape step {index} "
-                        f"({opcode.value}): budget {low} bits at batch "
-                        f"element {worst} under params {self.params.name!r}",
-                        min_budget=low,
-                        batch_index=worst,
-                        op_index=index,
-                        params_name=self.params.name,
+                    return None, [], per_opcode, guard_checks, (
+                        NoiseBudgetExhausted(
+                            f"noise guard tripped at tape step {index} "
+                            f"({opcode.value}): budget {low} bits at batch "
+                            f"element {worst} under params "
+                            f"{self.params.name!r}",
+                            min_budget=low,
+                            batch_index=worst,
+                            op_index=index,
+                            params_name=self.params.name,
+                        )
                     )
             for slot in frees:
                 if slot != out_slot:
@@ -634,56 +627,135 @@ class HEExecutor:
             if out_slot >= 0:
                 slots[out_slot] = value
         extras = [resolve(desc) for desc in compiled.extra_outputs]
-        return resolve(compiled.output), extras, per_opcode, guard_checks
+        return resolve(compiled.output), extras, per_opcode, guard_checks, None
 
-    def run(
+    def _replay(
         self,
-        program: Program,
-        logical_env: dict[str, np.ndarray],
-        check: bool = True,
-    ) -> ExecutionReport:
-        """Encrypt, evaluate homomorphically, decrypt, and compare.
+        compiled: CompiledProgram,
+        encrypted: dict,
+        plain: dict,
+        arena: ScratchArena,
+        shard: tuple[int, int] | None = None,
+    ) -> _Replay:
+        """Replay the tape over one (shard of a) batch and decrypt it.
 
-        ``check`` is kept for backwards compatibility; the displacement
-        check always runs, but only once per program at compile time.
+        Writes only its own counters and ``arena``, never the executor's
+        stats, so it is safe on a shard thread.  ``shard`` is the
+        ``(lo, hi)`` batch range a sharded replay covers; a tripped
+        guard's batch index is rebased from it to whole-batch coordinates.
         """
-        compiled = self.compile(program)
-        layout = self.spec.layout
-        encrypted, plain = self._encrypt_env(logical_env)
-        plain.update(compiled.constants)
-
-        planned = self._planning
         counters = ExecCounters()
         start = time.perf_counter()
-        with execution_scope(self._arena, counters):
-            output_ct, extra_cts, per_opcode, guard_checks = (
-                self._execute_tape(compiled, encrypted, plain, planned=planned)
+        with execution_scope(arena, counters):
+            output_ct, extra_cts, per_opcode, guard_checks, trip = (
+                self._execute_tape(compiled, encrypted, plain)
             )
-        wall = time.perf_counter() - start
-        self._record_stats(
-            compiled, counters, batch=1, planned=planned,
-            guard_checks=guard_checks,
-        )
-
-        plaintext, budgets = self.ctx.decrypt_with_budgets(
+        tape_seconds = time.perf_counter() - start
+        replay = _Replay(per_opcode, counters, tape_seconds, guard_checks)
+        if trip is not None:
+            if shard is not None:
+                lo, hi = shard
+                trip = NoiseBudgetExhausted(
+                    f"{trip} [shard covering batch elements {lo}:{hi}]",
+                    min_budget=trip.min_budget,
+                    batch_index=lo + trip.batch_index,
+                    op_index=trip.op_index,
+                    params_name=trip.params_name,
+                )
+            replay.trip = trip
+            return replay
+        plaintext, replay.budgets = self.ctx.decrypt_with_budgets(
             output_ct, check_budget=False
         )
-        self._note_output_budgets(budgets)
-        budget = min(budgets)
-        decrypted = self.ctx.decode(plaintext)
+        replay.decrypted = self.ctx.decode(plaintext)
+        replay.extras = [
+            self.ctx.decode(self.ctx.decrypt(ct, check_budget=False))
+            for ct in extra_cts
+        ]
+        return replay
+
+    def _replay_sharded(
+        self,
+        compiled: CompiledProgram,
+        encrypted: dict,
+        plain: dict,
+        batch: int,
+        shards: int,
+    ) -> list[_Replay]:
+        """Replay the tape over ``shards`` contiguous slices of the batch.
+
+        The whole batch is already encrypted (one RNG stream, identical
+        to the single-pass path); shards are views of the ``(batch, k,
+        N)`` stacks, so no ciphertext bytes are copied.  Shard threads
+        share the read-only tape/keys/plaintexts and own a private arena
+        and counters; replays come back in batch order.  Every
+        homomorphic op is elementwise along the batch axis, so shard
+        boundaries cannot change any output bit.
+        """
+        if shards == 1:
+            return [self._replay(compiled, encrypted, plain, self._arena)]
+        # shards <= batch, so every slice is non-empty
+        bounds = [(batch * w) // shards for w in range(shards + 1)]
+        for w in range(shards):
+            self._worker_arenas.setdefault(w, ScratchArena())
+
+        def run_shard(w: int) -> _Replay:
+            lo, hi = bounds[w], bounds[w + 1]
+            shard_cts = {
+                name: Ciphertext(
+                    [part.batch_slice(lo, hi) for part in ct.parts]
+                )
+                for name, ct in encrypted.items()
+            }
+            return self._replay(
+                compiled, shard_cts, plain, self._worker_arenas[w], (lo, hi)
+            )
+
+        with ThreadPoolExecutor(max_workers=shards) as pool:
+            return list(pool.map(run_shard, range(shards)))
+
+    def _record_stats(
+        self, compiled: CompiledProgram, replays: list[_Replay], batch: int
+    ) -> None:
+        """Fold replays into the running counters on the calling thread.
+
+        A tripped guard is raised here, after its checks are counted: the
+        earliest tape step, then the lowest budget, which is the element
+        one unsharded pass would have named.
+        """
+        stats = self.stats
+        stats.guard_checks += sum(r.guard_checks for r in replays)
+        trips = [r.trip for r in replays if r.trip is not None]
+        if trips:
+            stats.guard_trips += len(trips)
+            raise min(trips, key=lambda e: (e.op_index, e.min_budget))
+        stats.runs += 1
+        stats.ntts_performed += sum(r.counters.ntt_rows for r in replays)
+        if compiled.plan is not None:
+            stats.ntts_planned += compiled.plan.ntts_planned * batch
+            stats.ntts_elided += compiled.plan.ntts_elided * batch
+        arena_bytes = self._arena.bytes_held + sum(
+            arena.bytes_held for arena in self._worker_arenas.values()
+        )
+        stats.arena_bytes = max(stats.arena_bytes, arena_bytes)
+        stats.max_shards = max(stats.max_shards, len(replays))
+
+    def _report(
+        self,
+        env: dict[str, np.ndarray],
+        decrypted: np.ndarray,
+        extras: list[np.ndarray],
+        budget: int,
+        wall: float,
+        per_opcode: dict[str, float],
+    ) -> ExecutionReport:
+        """Unpack one decrypted element and compare it to the reference."""
+        layout = self.spec.layout
         model_output = decrypted[: layout.vector_size]
         logical_output = layout.unpack_output(model_output)
         expected = np.array(
-            self.spec.reference_output(logical_env), dtype=np.int64
+            self.spec.reference_output(env), dtype=np.int64
         ).reshape(layout.output_shape)
-        # extras mirror the primary's epilogue: no budget gate (the
-        # report carries the primary's budget) and no budget scan
-        extra_model_outputs = [
-            self.ctx.decode(self.ctx.decrypt(ct, check_budget=False))[
-                : layout.vector_size
-            ]
-            for ct in extra_cts
-        ]
         return ExecutionReport(
             model_output=model_output,
             logical_output=logical_output,
@@ -692,14 +764,36 @@ class HEExecutor:
             output_noise_budget=budget,
             wall_time=wall,
             instruction_seconds=per_opcode,
-            extra_model_outputs=extra_model_outputs,
+            # extras mirror the primary's epilogue: no budget gate (the
+            # report carries the primary's budget)
+            extra_model_outputs=[
+                vec[: layout.vector_size] for vec in extras
+            ],
+        )
+
+    def run(
+        self, program: Program, logical_env: dict[str, np.ndarray]
+    ) -> ExecutionReport:
+        """Encrypt, evaluate homomorphically, decrypt, and compare."""
+        compiled = self.compile(program)
+        encrypted, plain = self._encrypt_env(logical_env)
+        plain.update(compiled.constants)
+        replay = self._replay(compiled, encrypted, plain, self._arena)
+        self._record_stats(compiled, [replay], batch=1)
+        self._note_output_budgets(replay.budgets)
+        return self._report(
+            logical_env,
+            replay.decrypted,
+            replay.extras,
+            min(replay.budgets),
+            replay.tape_seconds,
+            replay.per_opcode,
         )
 
     def run_many(
         self,
         program: Program,
         logical_envs: list[dict[str, np.ndarray]],
-        check: bool = True,
         workers: int | None = None,
     ) -> BatchExecutionReport:
         """Execute one program over a batch of inputs in lockstep.
@@ -710,13 +804,12 @@ class HEExecutor:
         setup, and numpy dispatch overhead are all paid once for the
         whole batch.
 
-        With ``workers > 1`` (argument or the executor's ``exec_workers``)
-        the encrypted batch axis is sharded across a thread pool after
-        the single batched encryption — every worker replays the same
-        tape over its contiguous slice with a private scratch arena, so
-        outputs, parts, and noise budgets are bit-identical to the
-        single-worker pass (the numpy/NTT hot loops release the GIL, so
-        shards genuinely overlap on multicore hosts).
+        After the single batched encryption the batch axis is sharded
+        across :func:`shard_count` threads, each replaying the same tape
+        over its contiguous slice with a private scratch arena; outputs,
+        parts, and noise budgets are bit-identical to one pass.
+        ``workers`` overrides the shard count (tests and benchmarks pin
+        ``workers=1`` as the single-pass reference).
         """
         if not logical_envs:
             raise ValueError(
@@ -726,13 +819,11 @@ class HEExecutor:
         self._validate_envs(logical_envs)
         t_start = time.perf_counter()
         compiled = self.compile(program)
-        layout = self.spec.layout
         batch = len(logical_envs)
         if workers is None:
-            workers = self.exec_workers
-        if workers < 1:
+            workers = shard_count(self.params, batch)
+        elif workers < 1:
             raise ValueError("workers must be >= 1")
-        workers = min(workers, batch)
 
         # pack every environment, stack per input name, encrypt batched
         ct_rows: dict[str, list[np.ndarray]] = {}
@@ -761,188 +852,45 @@ class HEExecutor:
         plain.update(compiled.constants)
         t_setup = time.perf_counter()
 
-        planned = self._planning
-        counters = ExecCounters()
-        if workers == 1:
-            with execution_scope(self._arena, counters):
-                output_ct, extra_cts, per_opcode, guard_checks = (
-                    self._execute_tape(
-                        compiled, encrypted, plain, planned=planned
-                    )
-                )
-            t_eval = time.perf_counter()
-            plaintext, budgets = self.ctx.decrypt_with_budgets(
-                output_ct, check_budget=False
-            )
-            decrypted = self.ctx.decode(plaintext)
-            extra_decrypted = [
-                self.ctx.decode(self.ctx.decrypt(ct, check_budget=False))
-                for ct in extra_cts
-            ]
-            t_done = time.perf_counter()
-        else:
-            decrypted, budgets, extra_decrypted, per_opcode, guard_checks = (
-                self._run_sharded(
-                    compiled, encrypted, plain, batch, workers, counters,
-                    planned,
-                )
-            )
-            # workers decrypt their own shards, so evaluation and
-            # decryption share the pool's wall time
-            t_eval = t_done = time.perf_counter()
-        self._record_stats(
-            compiled, counters, batch=batch, planned=planned, workers=workers,
-            guard_checks=guard_checks,
+        replays = self._replay_sharded(
+            compiled, encrypted, plain, batch, min(workers, batch)
         )
+        t_done = time.perf_counter()
+        self._record_stats(compiled, replays, batch=batch)
+        budgets = [b for r in replays for b in r.budgets]
         self._note_output_budgets(budgets)
 
-        share = (t_eval - t_setup) / batch
-        reports = []
-        for i, env in enumerate(logical_envs):
-            model_output = decrypted[i][: layout.vector_size]
-            logical_output = layout.unpack_output(model_output)
-            expected = np.array(
-                self.spec.reference_output(env), dtype=np.int64
-            ).reshape(layout.output_shape)
-            reports.append(
-                ExecutionReport(
-                    model_output=model_output,
-                    logical_output=logical_output,
-                    expected_output=expected,
-                    matches_reference=bool(
-                        np.array_equal(logical_output, expected)
-                    ),
-                    output_noise_budget=budgets[i],
-                    wall_time=share,
-                    instruction_seconds={
-                        k: v / batch for k, v in per_opcode.items()
-                    },
-                    extra_model_outputs=[
-                        vecs[i][: layout.vector_size]
-                        for vecs in extra_decrypted
-                    ],
-                )
+        decrypted = np.concatenate([r.decrypted for r in replays])
+        extras = [
+            np.concatenate([r.extras[j] for r in replays])
+            for j in range(len(compiled.extra_outputs))
+        ]
+        per_opcode: dict[str, float] = {}
+        for r in replays:
+            for key, seconds in r.per_opcode.items():
+                per_opcode[key] = per_opcode.get(key, 0.0) + seconds
+        per_run = {key: seconds / batch for key, seconds in per_opcode.items()}
+        # shards overlap: the slowest one is the batch's evaluation time
+        evaluate = max(r.tape_seconds for r in replays)
+        reports = [
+            self._report(
+                env,
+                decrypted[i],
+                [vecs[i] for vecs in extras],
+                budgets[i],
+                evaluate / batch,
+                dict(per_run),
             )
+            for i, env in enumerate(logical_envs)
+        ]
         return BatchExecutionReport(
             reports=reports,
             batch_size=batch,
             setup_seconds=t_setup - t_start,
-            evaluate_seconds=t_eval - t_setup,
-            decrypt_seconds=t_done - t_eval,
+            evaluate_seconds=evaluate,
+            decrypt_seconds=t_done - t_setup - evaluate,
             total_seconds=t_done - t_start,
         )
-
-    def _run_sharded(
-        self,
-        compiled: CompiledProgram,
-        encrypted: dict,
-        plain: dict,
-        batch: int,
-        workers: int,
-        counters: ExecCounters,
-        planned: bool,
-    ):
-        """Shard the encrypted batch axis across a lockstep thread pool.
-
-        The whole batch is already encrypted (one RNG stream, identical
-        to the single-worker path); shards are contiguous views of the
-        ``(batch, k, N)`` stacks, so no ciphertext bytes are copied.
-        Workers share the read-only tape/keys/plaintexts and own a
-        private arena + counters; results are stitched back in batch
-        order.  Every homomorphic op is elementwise along the batch
-        axis, so shard boundaries cannot change any output bit.
-        """
-        bounds = [
-            (batch * w) // workers for w in range(workers + 1)
-        ]
-        shards = [
-            (w, bounds[w], bounds[w + 1])
-            for w in range(workers)
-            if bounds[w] < bounds[w + 1]
-        ]
-        for w, _lo, _hi in shards:
-            self._worker_arenas.setdefault(w, ScratchArena())
-
-        def run_shard(shard):
-            w, lo, hi = shard
-            shard_cts = {
-                name: Ciphertext(
-                    [part.batch_slice(lo, hi) for part in ct.parts]
-                )
-                for name, ct in encrypted.items()
-            }
-            shard_counters = ExecCounters()
-            try:
-                with execution_scope(self._worker_arenas[w], shard_counters):
-                    output_ct, extra_cts, per_opcode, guard_checks = (
-                        self._execute_tape(
-                            compiled, shard_cts, plain, planned=planned
-                        )
-                    )
-            except NoiseBudgetExhausted as error:
-                # re-raise with the batch index rebased from shard-local
-                # to global, so the caller can name the offending element
-                index = error.batch_index
-                raise NoiseBudgetExhausted(
-                    f"{error} [shard covering batch elements {lo}:{hi}]",
-                    min_budget=error.min_budget,
-                    batch_index=None if index is None else lo + index,
-                    op_index=error.op_index,
-                    params_name=error.params_name,
-                ) from error
-            plaintext, budgets = self.ctx.decrypt_with_budgets(
-                output_ct, check_budget=False
-            )
-            decrypted = self.ctx.decode(plaintext)
-            extra_decrypted = [
-                self.ctx.decode(self.ctx.decrypt(ct, check_budget=False))
-                for ct in extra_cts
-            ]
-            return decrypted, budgets, extra_decrypted, per_opcode, (
-                shard_counters
-            ), guard_checks
-
-        with ThreadPoolExecutor(max_workers=len(shards)) as pool:
-            results = list(pool.map(run_shard, shards))
-
-        decrypted = np.concatenate([r[0] for r in results])
-        budgets = [b for r in results for b in r[1]]
-        extra_count = len(compiled.extra_outputs)
-        extra_decrypted = [
-            np.concatenate([r[2][j] for r in results])
-            for j in range(extra_count)
-        ]
-        per_opcode: dict[str, float] = {}
-        guard_checks = 0
-        for r in results:
-            for key, seconds in r[3].items():
-                per_opcode[key] = per_opcode.get(key, 0.0) + seconds
-            counters.merge(r[4])
-            guard_checks += r[5]
-        return decrypted, budgets, extra_decrypted, per_opcode, guard_checks
-
-    def _record_stats(
-        self,
-        compiled: CompiledProgram,
-        counters: ExecCounters,
-        batch: int,
-        planned: bool,
-        workers: int = 1,
-        guard_checks: int = 0,
-    ) -> None:
-        """Fold one tape execution into the executor's running counters."""
-        stats = self.stats
-        stats.runs += 1
-        stats.guard_checks += guard_checks
-        stats.ntts_performed += counters.ntt_rows
-        if planned and compiled.plan is not None:
-            stats.ntts_planned += compiled.plan.ntts_planned * batch
-            stats.ntts_elided += compiled.plan.ntts_elided * batch
-        arena_bytes = self._arena.bytes_held + sum(
-            arena.bytes_held for arena in self._worker_arenas.values()
-        )
-        stats.arena_bytes = max(stats.arena_bytes, arena_bytes)
-        stats.exec_workers = max(stats.exec_workers, workers)
 
     def _note_output_budgets(self, budgets: list[int]) -> None:
         """Track the output-budget low-water mark and gate on the guard.

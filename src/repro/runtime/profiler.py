@@ -202,8 +202,8 @@ class ExecutorStats:
     transforms (one length-``N`` butterfly pass) inside tape execution;
     ``ntts_planned``/``ntts_elided`` are the domain plan's predicted
     rows and its savings versus the lazy policy, scaled by batch size —
-    when planning is on, ``ntts_performed == ntts_planned`` holds
-    exactly (the property tests pin it).  ``arena_bytes`` is the
+    executors always run their plan, so ``ntts_performed ==
+    ntts_planned`` holds exactly (the property tests pin it).  ``arena_bytes`` is the
     high-water scratch footprint across the executor's arenas.
     """
 
@@ -212,7 +212,7 @@ class ExecutorStats:
     ntts_planned: int = 0
     ntts_elided: int = 0
     arena_bytes: int = 0  # high-water bytes held by scratch arenas
-    exec_workers: int = 1  # widest lockstep worker pool used
+    max_shards: int = 1  # widest lockstep shard count a batch used
     guard_checks: int = 0  # mid-tape noise-budget samples taken
     guard_trips: int = 0  # guard checks (mid-tape or output) that raised
     noise_escalations: int = 0  # re-runs at the next-larger preset
@@ -231,7 +231,7 @@ class ExecutorStats:
             ntts_planned=self.ntts_planned + other.ntts_planned,
             ntts_elided=self.ntts_elided + other.ntts_elided,
             arena_bytes=max(self.arena_bytes, other.arena_bytes),
-            exec_workers=max(self.exec_workers, other.exec_workers),
+            max_shards=max(self.max_shards, other.max_shards),
             guard_checks=self.guard_checks + other.guard_checks,
             guard_trips=self.guard_trips + other.guard_trips,
             noise_escalations=(
@@ -248,7 +248,7 @@ class ExecutorStats:
             "ntts_planned": self.ntts_planned,
             "ntts_elided": self.ntts_elided,
             "arena_bytes": self.arena_bytes,
-            "exec_workers": self.exec_workers,
+            "max_shards": self.max_shards,
             "guard_checks": self.guard_checks,
             "guard_trips": self.guard_trips,
             "noise_escalations": self.noise_escalations,
@@ -270,7 +270,7 @@ def format_executor_stats(stats: ExecutorStats) -> str:
         f"  ntts planned       {stats.ntts_planned}\n"
         f"  ntts elided        {stats.ntts_elided}\n"
         f"  arena bytes        {stats.arena_bytes}\n"
-        f"  exec workers       {stats.exec_workers}\n"
+        f"  max shards         {stats.max_shards}\n"
         f"  guard checks       {stats.guard_checks}\n"
         f"  guard trips        {stats.guard_trips}\n"
         f"  noise escalations  {stats.noise_escalations}\n"

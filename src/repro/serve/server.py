@@ -7,7 +7,8 @@ One :class:`PorcupineServer` owns a compiler session, a
 parses JSON and moves queue entries; all heavy work happens elsewhere —
 synthesis in the compile pool's worker processes, encrypted execution on
 a dedicated executor thread (one thread models the one-accelerator
-deployment; batching, not thread fan-out, is the throughput mechanism).
+deployment; batching is the throughput mechanism, and the HE executor
+itself shards large-ring batches across the host's cores).
 
 The execution path is exactly the library path: a coalesced batch runs
 through :meth:`Porcupine.execute_batch` → ``HEExecutor.run_many``, so a
@@ -36,6 +37,7 @@ import numpy as np
 from repro.api import CompiledKernel, Porcupine
 from repro.api.backends import backend_names
 from repro.he.errors import NoiseBudgetExhausted
+from repro.runtime.options import ExecOptions
 from repro.serve.batcher import BatchScheduler, WorkItem
 from repro.serve.compilepool import CompilePool
 from repro.serve.errors import (
@@ -58,6 +60,11 @@ from repro.serve.protocol import (
 )
 
 
+#: serving guards every output by default: output budgets are measured
+#: anyway, so the check is free
+SERVE_EXEC_OPTIONS = ExecOptions(guard="output")
+
+
 @dataclass
 class ServeConfig:
     """Everything ``porcupine serve`` can turn."""
@@ -69,8 +76,6 @@ class ServeConfig:
     seed: int = 0  # execution-backend seed (keys); NOT per-request
     max_batch: int = 8  # coalesced requests per lockstep tape pass
     linger_ms: float = 2.0  # max wait for co-batchable requests
-    domain_plan: bool = False  # HE executor's tape-level NTT-domain planner
-    exec_workers: int = 1  # lockstep batch shards per tape pass (HE only)
     compile_workers: int = 0  # 0: inline; N: process pool on shared cache
     cache_dir: str | None = None  # on-disk compile cache (workers share it)
     precompile: tuple[str, ...] = ()  # hot kernels to compile at boot
@@ -82,14 +87,8 @@ class ServeConfig:
     # this many pending requests new work is rejected typed OVERLOADED
     pool_max_restarts: int = 3  # compile-pool respawns before degrading
     # to in-process compiles
-    noise_guard: str | int | None = "output"  # HE runtime noise guards:
-    # "off", "output" (free: output budgets are measured anyway), "mul"
-    # (after every ciphertext multiply), or an every-N-ops int
-    noise_margin_bits: float | None = None  # predictive admission: reject
-    # (or escalate) kernels whose estimated output budget is below this
-    noise_escalation: bool = True  # recover noise-budget exhaustion by
-    # recompiling on the next-larger parameter preset
-    max_escalations: int | None = None  # ladder steps tried per failure
+    exec_options: ExecOptions = SERVE_EXEC_OPTIONS  # HE noise guards,
+    # admission margin, and escalation for every served batch
     shadow_verify: float = 0.0  # fraction of HE batches cross-checked
     # against the interpreter backend (deterministic sampling; 0: off,
     # 1.0: every batch) — a mismatch withholds the result as a typed
@@ -397,10 +396,10 @@ class PorcupineServer:
                     "default_timeout_ms": self.config.default_timeout_ms,
                     "max_backlog": self.config.max_backlog,
                     "pool_max_restarts": self.config.pool_max_restarts,
-                    "domain_plan": self.config.domain_plan,
-                    "exec_workers": self.config.exec_workers,
-                    "noise_guard": self.config.noise_guard,
-                    "noise_margin_bits": self.config.noise_margin_bits,
+                    "noise_guard": self.config.exec_options.guard,
+                    "noise_margin_bits": (
+                        self.config.exec_options.noise_margin_bits
+                    ),
                     "shadow_verify": self.config.shadow_verify,
                 },
                 "executor": self.session.executor_stats().summary(),
@@ -477,18 +476,10 @@ class PorcupineServer:
         """The session's backend instance for serving (seed + params)."""
         if backend == "he":
             config = self.config
-            kwargs = Porcupine.he_backend_kwargs(
-                config.seed,
-                domain_plan=config.domain_plan,
-                exec_workers=config.exec_workers,
-                guard=config.noise_guard,
-                noise_margin_bits=config.noise_margin_bits,
-                escalate=config.noise_escalation,
-                max_escalations=config.max_escalations,
+            kwargs = {} if config.params is None else {"params": config.params}
+            return self.session.backend(
+                "he", seed=config.seed, options=config.exec_options, **kwargs
             )
-            if config.params is not None:
-                kwargs["params"] = config.params
-            return self.session.backend("he", **kwargs)
         return self.session.backend(backend)
 
     async def _run_batch(self, key: Hashable, envs: list) -> list:

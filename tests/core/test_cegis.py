@@ -8,12 +8,12 @@ that synthesize in seconds.
 import numpy as np
 import pytest
 
+from repro.api import Porcupine
 from repro.core.cegis import (
     SynthesisConfig,
     SynthesisError,
     synthesize,
 )
-from repro.core.compiler import compile_kernel, config_for
 from repro.core.sketch import ComponentChoice, CtHole, Sketch
 from repro.core.sketches import default_sketch_for
 from repro.quill.ir import Opcode
@@ -21,7 +21,6 @@ from repro.quill.noise import multiplicative_depth
 from repro.spec import (
     box_blur_spec,
     dot_product_spec,
-    get_spec,
     hamming_spec,
     linear_regression_spec,
     polynomial_regression_spec,
@@ -121,17 +120,18 @@ def test_unsatisfiable_sketch_raises():
 
 
 def test_compile_kernel_end_to_end():
-    result = compile_kernel(box_blur_spec())
-    assert result.spec_name == "box_blur"
+    result = Porcupine().compile(box_blur_spec())
+    assert result.name == "box_blur"
     assert "rotate_rows" in result.seal_code
     assert result.program.instruction_count() == 4
     assert "box_blur" in str(result)
 
 
 def test_config_for_applies_kernel_settings():
-    config = config_for(get_spec("box_blur"))
+    session = Porcupine()
+    config = session.config_for("box_blur")
     assert config.max_components == 3
-    config = config_for(get_spec("box_blur"), max_components=7, seed=5)
+    config = session.config_for("box_blur", max_components=7, seed=5)
     assert config.max_components == 7
     assert config.seed == 5
 

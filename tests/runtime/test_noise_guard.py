@@ -14,6 +14,8 @@ into typed, recoverable failures:
   output bit-identical to the interpreter reference.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,8 @@ from repro.he.params import (
     toy_params,
 )
 from repro.quill.builder import ProgramBuilder
-from repro.runtime.executor import HEExecutor, NoiseGuardPolicy
+from repro.runtime.executor import HEExecutor
+from repro.runtime.options import ExecOptions, NoiseGuardPolicy
 from repro.spec import get_spec
 from repro.spec.layout import vector_layout
 from repro.spec.reference import Spec
@@ -123,7 +126,8 @@ def test_decrypt_error_names_budget_and_batch_element():
 
 def test_mul_guard_trips_mid_tape_with_structured_fields():
     spec = quad_spec()
-    executor = HEExecutor(spec, params=toy_params(), seed=31, guard="mul")
+    executor = HEExecutor(spec, params=toy_params(), seed=31,
+                          options=ExecOptions(guard="mul"))
     with pytest.raises(NoiseBudgetExhausted) as info:
         executor.run(quad_program(spec), QUAD_ENV)
     error = info.value
@@ -138,7 +142,7 @@ def test_mul_guard_trips_mid_tape_with_structured_fields():
 def test_output_guard_trips_after_decrypt():
     spec = quad_spec()
     executor = HEExecutor(spec, params=toy_params(), seed=31,
-                          guard="output")
+                          options=ExecOptions(guard="output"))
     with pytest.raises(NoiseBudgetExhausted) as info:
         executor.run(quad_program(spec), QUAD_ENV)
     assert info.value.op_index is None  # the output check, not mid-tape
@@ -159,7 +163,7 @@ def test_unguarded_run_documents_the_silent_hazard():
 def test_guard_passes_clean_runs_and_records_low_water():
     spec = quad_spec()
     executor = HEExecutor(spec, params=small_params(), seed=31,
-                          guard="mul")
+                          options=ExecOptions(guard="mul"))
     report = executor.run(quad_program(spec), QUAD_ENV)
     assert report.matches_reference
     assert executor.stats.guard_trips == 0
@@ -170,15 +174,61 @@ def test_guard_passes_clean_runs_and_records_low_water():
 def test_sharded_batch_rebases_the_batch_index():
     spec = quad_spec()
     executor = HEExecutor(spec, params=toy_params(), seed=31,
-                          guard="mul", exec_workers=2)
+                          options=ExecOptions(guard="mul"))
     envs = [{"x": np.array([1, 1, 1, 1])}, {"x": np.array([1, 2, 3, 2])},
             {"x": np.array([2, 2, 2, 2])}]
     with pytest.raises(NoiseBudgetExhausted) as info:
-        executor.run_many(quad_program(spec), envs)
+        executor.run_many(quad_program(spec), envs, workers=2)
     # the index is rebased into whole-batch coordinates and the message
     # names the shard that tripped
     assert info.value.batch_index in range(len(envs))
     assert "shard covering batch elements" in str(info.value)
+
+
+def test_guard_trips_in_every_shard_are_counted_on_the_caller():
+    """Both shards trip at their first multiply; the counts are exact and
+    the raised error names the element one unsharded pass would name.
+    All-zero inputs encode to the zero polynomial and keep the most
+    budget, so the worst element sits in the second shard."""
+    spec = quad_spec()
+    always = ExecOptions(guard=NoiseGuardPolicy(after_multiplies=True,
+                                                min_budget_bits=10_000))
+    envs = [{"x": np.array([0, 0, 0, 0])}, {"x": np.array([0, 0, 0, 0])},
+            {"x": np.array([1, 2, 3, 2])}, {"x": np.array([3, 0, 1, 2])}]
+    single = HEExecutor(spec, params=toy_params(), seed=31, options=always)
+    sharded = HEExecutor(spec, params=toy_params(), seed=31, options=always)
+    with pytest.raises(NoiseBudgetExhausted) as one_pass:
+        single.run_many(quad_program(spec), envs, workers=1)
+    with pytest.raises(NoiseBudgetExhausted) as two_shards:
+        sharded.run_many(quad_program(spec), envs, workers=2)
+    assert (single.stats.guard_checks, single.stats.guard_trips) == (1, 1)
+    assert (sharded.stats.guard_checks, sharded.stats.guard_trips) == (2, 2)
+    assert sharded.stats.runs == 0  # a tripped batch is not a run
+    error = two_shards.value
+    assert error.op_index == one_pass.value.op_index == 0
+    assert error.min_budget == one_pass.value.min_budget
+    assert error.batch_index == one_pass.value.batch_index == 2
+    assert "shard covering batch elements 2:4" in str(error)
+
+
+def test_guard_counts_survive_concurrent_shard_trips():
+    """More shards than cores, a tiny switch interval: every shard trips
+    on every run, and no count is lost to a racing update."""
+    spec = quad_spec()
+    always = ExecOptions(guard=NoiseGuardPolicy(after_multiplies=True,
+                                                min_budget_bits=10_000))
+    executor = HEExecutor(spec, params=toy_params(), seed=31, options=always)
+    envs = [{"x": np.array([i % 4, 1, 2, 3])} for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            with pytest.raises(NoiseBudgetExhausted):
+                executor.run_many(quad_program(spec), envs, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert executor.stats.guard_checks == 5 * 8
+    assert executor.stats.guard_trips == 5 * 8
 
 
 # -- predictive admission ----------------------------------------------------
@@ -187,7 +237,7 @@ def test_sharded_batch_rebases_the_batch_index():
 def test_admission_rejects_predicted_exhaustion_at_compile_time():
     spec = quad_spec()
     executor = HEExecutor(spec, params=toy_params(), seed=31,
-                          noise_margin_bits=5.0)
+                          options=ExecOptions(noise_margin_bits=5.0))
     with pytest.raises(NoiseBudgetExhausted) as info:
         executor.compile(quad_program(spec))
     assert info.value.min_budget < 5.0  # the prediction, not a measurement
@@ -197,7 +247,7 @@ def test_admission_rejects_predicted_exhaustion_at_compile_time():
 def test_admission_attaches_prediction_to_accepted_programs():
     spec = quad_spec()
     executor = HEExecutor(spec, params=small_params(), seed=31,
-                          noise_margin_bits=5.0)
+                          options=ExecOptions(noise_margin_bits=5.0))
     compiled = executor.compile(quad_program(spec))
     assert compiled.predicted_noise_budget is not None
     assert compiled.predicted_noise_budget >= 5.0
@@ -206,7 +256,7 @@ def test_admission_attaches_prediction_to_accepted_programs():
 def test_harris_is_refused_admission_on_toy_params():
     spec = get_spec("harris")
     executor = HEExecutor(spec, params=toy_params(), seed=31,
-                          noise_margin_bits=0.0)
+                          options=ExecOptions(noise_margin_bits=0.0))
     with pytest.raises(NoiseBudgetExhausted):
         executor.compile(baseline_for("harris"))
 
@@ -217,7 +267,8 @@ def test_harris_is_refused_admission_on_toy_params():
 def test_backend_escalates_and_matches_the_interpreter():
     spec = quad_spec()
     program = quad_program(spec)
-    backend = HEBackend(seed=31, params="toy", guard="output")
+    backend = HEBackend(seed=31, params="toy",
+                        options=ExecOptions(guard="output"))
     result = backend.execute(program, spec, QUAD_ENV)
     assert result.matches_reference
     assert result.noise_budget > 0
@@ -230,7 +281,8 @@ def test_backend_escalates_and_matches_the_interpreter():
 def test_backend_escalates_batches_in_lockstep():
     spec = quad_spec()
     program = quad_program(spec)
-    backend = HEBackend(seed=31, params="toy", guard="output")
+    backend = HEBackend(seed=31, params="toy",
+                        options=ExecOptions(guard="output"))
     envs = [{"x": np.array([1, 2, 3, 2])}, {"x": np.array([3, 1, 0, 2])}]
     batch = backend.execute_many(program, spec, envs)
     assert batch.all_match
@@ -244,7 +296,8 @@ def test_backend_escalates_batches_in_lockstep():
 
 def test_backend_escalates_admission_rejections_too():
     spec = quad_spec()
-    backend = HEBackend(seed=31, params="toy", noise_margin_bits=5.0)
+    backend = HEBackend(seed=31, params="toy",
+                        options=ExecOptions(noise_margin_bits=5.0))
     result = backend.execute(quad_program(spec), spec, QUAD_ENV)
     assert result.matches_reference
     assert backend.drain_escalations() == 1
@@ -252,8 +305,8 @@ def test_backend_escalates_admission_rejections_too():
 
 def test_escalation_disabled_surfaces_the_typed_error():
     spec = quad_spec()
-    backend = HEBackend(seed=31, params="toy", guard="output",
-                        escalate=False)
+    backend = HEBackend(seed=31, params="toy",
+                        options=ExecOptions(guard="output", escalate=False))
     with pytest.raises(NoiseBudgetExhausted):
         backend.execute(quad_program(spec), spec, QUAD_ENV)
     assert backend.drain_escalations() == 0
@@ -263,20 +316,12 @@ def test_exhausted_ladder_reraises_the_last_error():
     """A margin no preset can satisfy climbs the whole ladder, then
     surfaces the typed error instead of looping or silently passing."""
     spec = quad_spec()
-    backend = HEBackend(seed=31, params="toy", noise_margin_bits=10_000.0)
+    backend = HEBackend(seed=31, params="toy",
+                        options=ExecOptions(noise_margin_bits=10_000.0))
     with pytest.raises(NoiseBudgetExhausted):
         backend.execute(quad_program(spec), spec, QUAD_ENV)
     # every larger preset was tried and rejected
     assert backend.drain_escalations() == len(PRESET_LADDER) - 1
-
-
-def test_max_escalations_bounds_the_ladder():
-    spec = quad_spec()
-    backend = HEBackend(seed=31, params="toy",
-                        noise_margin_bits=10_000.0, max_escalations=1)
-    with pytest.raises(NoiseBudgetExhausted):
-        backend.execute(quad_program(spec), spec, QUAD_ENV)
-    assert backend.drain_escalations() == 1
 
 
 def quad_sketch():
@@ -301,7 +346,8 @@ def test_session_run_escalates_transparently():
     session.register("noise_quad", spec, sketch=quad_sketch())
     definition = session.definition("noise_quad")
     compiled = _compiled_stub(session, definition, program)
-    engine = HEBackend(seed=31, params="toy", guard="output")
+    engine = HEBackend(seed=31, params="toy",
+                        options=ExecOptions(guard="output"))
     result = session.execute(compiled, QUAD_ENV, backend=engine)
     assert result.matches_reference
     assert engine.drain_escalations() == 1
@@ -333,7 +379,8 @@ def _guarded_executor(name: str) -> HEExecutor:
         spec = get_spec(name)
         executor = HEExecutor(
             spec, params=preset_params(spec.params_name), seed=31,
-            guard=NoiseGuardPolicy(after_multiplies=True, every_n_ops=3),
+            options=ExecOptions(guard=NoiseGuardPolicy(
+                after_multiplies=True, every_n_ops=3)),
         )
         _EXECUTORS[name] = executor
     return executor

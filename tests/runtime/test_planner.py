@@ -1,7 +1,9 @@
-"""Property tests for the executor performance tentpole: the tape-level
-NTT-domain planner, scratch-buffer arenas, and multicore lockstep
-sharding must all be bit-identical to the legacy lazy single-worker
-path — same decrypted outputs, same model vectors, same noise budgets.
+"""Property tests for the executor's always-on performance paths: the
+tape-level NTT-domain plan, scratch-buffer arenas, and multicore lockstep
+sharding must all be bit-identical to lazy single-pass execution — same
+decrypted outputs, same model vectors, same noise budgets.  The lazy
+reference is the ``slow_reference`` oracle (it has no plan) for single
+runs and the ``workers=1`` override for sharded batches.
 
 The planner's counters are also checked *exactly*: the plan is built by
 simulating the executor's domain-state machine, so the predicted NTT row
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from repro.api import Porcupine
 from repro.baselines import BASELINE_BUILDERS, baseline_for
 from repro.he.params import toy_params
-from repro.runtime.executor import HEExecutor
+from repro.runtime.executor import HEExecutor, shard_count
 from repro.spec import get_spec
 
 # every registry kernel with a hand-written baseline; l2/roberts/harris
@@ -60,7 +62,7 @@ def _assert_reports_identical(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Planner on == planner off, bit for bit
+# Planned == lazy, sharded == single pass, bit for bit
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ALL_KERNELS)
@@ -70,8 +72,10 @@ def test_planner_bit_identical_single_run(name):
     env = _env(spec, seed=hash(name) % 2**32)
     # fresh executors at identical RNG positions: same keys, same
     # encryption randomness, so budgets are comparable too
-    lazy = HEExecutor(spec, params=toy_params(), seed=11)
-    planned = HEExecutor(spec, params=toy_params(), seed=11, domain_plan=True)
+    lazy = HEExecutor(spec, params=toy_params(), seed=11, slow_reference=True)
+    planned = HEExecutor(spec, params=toy_params(), seed=11)
+    assert lazy.compile(program).plan is None
+    assert planned.compile(program).plan is not None
     _assert_reports_identical(lazy.run(program, env), planned.run(program, env))
 
 
@@ -80,12 +84,10 @@ def test_workers_and_planner_bit_identical_batch(name):
     spec = get_spec(name)
     program = baseline_for(name)
     envs = _batch_envs(spec, seed=hash(name) % 2**32, batch=3)
-    legacy = HEExecutor(spec, params=toy_params(), seed=12)
-    tuned = HEExecutor(
-        spec, params=toy_params(), seed=12, domain_plan=True, exec_workers=3
-    )
-    base = legacy.run_many(program, envs)
-    fast = tuned.run_many(program, envs)
+    single = HEExecutor(spec, params=toy_params(), seed=12)
+    sharded = HEExecutor(spec, params=toy_params(), seed=12)
+    base = single.run_many(program, envs, workers=1)
+    fast = sharded.run_many(program, envs, workers=3)
     assert fast.batch_size == base.batch_size == 3
     for a, b in zip(base.reports, fast.reports):
         _assert_reports_identical(a, b)
@@ -108,16 +110,10 @@ def test_random_inputs_bit_identical_across_configs(
     spec = get_spec(name)
     program = baseline_for(name)
     envs = _batch_envs(spec, seed=seed, batch=batch)
-    legacy = HEExecutor(spec, params=toy_params(), seed=7)
-    tuned = HEExecutor(
-        spec,
-        params=toy_params(),
-        seed=7,
-        domain_plan=True,
-        exec_workers=workers,
-    )
-    base = legacy.run_many(program, envs)
-    fast = tuned.run_many(program, envs)
+    single = HEExecutor(spec, params=toy_params(), seed=7)
+    sharded = HEExecutor(spec, params=toy_params(), seed=7)
+    base = single.run_many(program, envs, workers=1)
+    fast = sharded.run_many(program, envs, workers=workers)
     for a, b in zip(base.reports, fast.reports):
         _assert_reports_identical(a, b)
 
@@ -132,7 +128,7 @@ def test_ntt_counts_match_plan_exactly(name):
     program = baseline_for(name)
     env = _env(spec, seed=5)
 
-    planned = HEExecutor(spec, params=toy_params(), seed=13, domain_plan=True)
+    planned = HEExecutor(spec, params=toy_params(), seed=13)
     plan = planned.compile(program).plan
     assert plan is not None
     assert plan.ntts_planned <= plan.ntts_lazy  # planning never regresses
@@ -142,7 +138,9 @@ def test_ntt_counts_match_plan_exactly(name):
     assert planned.stats.ntts_performed == plan.ntts_planned
     assert planned.stats.ntts_elided == plan.ntts_elided
 
+    # a tape without a plan replays lazily, as on the oracle
     lazy = HEExecutor(spec, params=toy_params(), seed=13)
+    lazy.compile(program).plan = None
     lazy.run(program, env)
     assert lazy.stats.ntts_performed == plan.ntts_lazy
     assert lazy.stats.ntts_elided == 0  # nothing planned, nothing claimed
@@ -151,9 +149,7 @@ def test_ntt_counts_match_plan_exactly(name):
 def test_ntt_counts_scale_linearly_with_batch():
     spec = get_spec("box_blur")
     program = baseline_for("box_blur")
-    executor = HEExecutor(
-        spec, params=toy_params(), seed=14, domain_plan=True
-    )
+    executor = HEExecutor(spec, params=toy_params(), seed=14)
     plan = executor.compile(program).plan
     envs = _batch_envs(spec, seed=3, batch=4)
     executor.run_many(program, envs)
@@ -171,7 +167,7 @@ def test_arena_reuse_does_not_alias_results():
     the out= NTT path could introduce)."""
     spec = get_spec("gx")
     program = baseline_for("gx")
-    executor = HEExecutor(spec, params=toy_params(), seed=9, domain_plan=True)
+    executor = HEExecutor(spec, params=toy_params(), seed=9)
     env1, env2 = _env(spec, 1), _env(spec, 2)
     first = executor.run(program, env1)
     out1 = first.model_output.copy()
@@ -189,14 +185,12 @@ def test_arena_reuse_does_not_alias_results():
 def test_worker_arenas_are_private_and_counted():
     spec = get_spec("box_blur")
     program = baseline_for("box_blur")
-    executor = HEExecutor(
-        spec, params=toy_params(), seed=10, domain_plan=True, exec_workers=2
-    )
+    executor = HEExecutor(spec, params=toy_params(), seed=10)
     envs = _batch_envs(spec, seed=4, batch=4)
-    batch = executor.run_many(program, envs)
+    batch = executor.run_many(program, envs, workers=2)
     assert batch.all_match
     assert len(executor._worker_arenas) == 2
-    assert executor.stats.exec_workers == 2
+    assert executor.stats.max_shards == 2
     assert executor.stats.arena_bytes > 0
 
 
@@ -206,9 +200,7 @@ def test_worker_arenas_are_private_and_counted():
 
 def test_executor_stats_summary_shape():
     spec = get_spec("dot_product")
-    executor = HEExecutor(
-        spec, params=toy_params(), seed=15, domain_plan=True
-    )
+    executor = HEExecutor(spec, params=toy_params(), seed=15)
     executor.run(baseline_for("dot_product"), _env(spec, 6))
     summary = executor.stats.summary()
     for key in (
@@ -217,7 +209,7 @@ def test_executor_stats_summary_shape():
         "ntts_planned",
         "ntts_elided",
         "arena_bytes",
-        "exec_workers",
+        "max_shards",
     ):
         assert key in summary
     assert summary["runs"] == 1
@@ -225,17 +217,42 @@ def test_executor_stats_summary_shape():
 
 
 def test_session_flags_are_bit_identical_and_surfaced():
-    base = Porcupine(seed=0)
-    tuned = Porcupine(seed=0)
-    a = base.run_many("box_blur", 3, backend="he", seed=0)
-    b = tuned.run_many(
-        "box_blur", 3, backend="he", seed=0,
-        domain_plan=True, exec_workers=2,
-    )
-    for x, y in zip(a.results, b.results):
+    """Session batches (planned, automatically sharded) match a direct
+    single-pass executor run, and the counters reach the session."""
+    session = Porcupine(seed=0)
+    spec = session.spec("box_blur")
+    envs = _batch_envs(spec, seed=0, batch=3)
+    batch = session.run_many("box_blur", envs, backend="he", seed=0)
+    program = session.compile("box_blur").program
+    executor = HEExecutor(spec, seed=0)
+    reference = executor.run_many(program, envs, workers=1)
+    for x, y in zip(reference.reports, batch.results):
         assert np.array_equal(x.logical_output, y.logical_output)
-        assert x.noise_budget == y.noise_budget
-    stats = tuned.executor_stats()
+        assert x.output_noise_budget == y.noise_budget
+    stats = session.executor_stats()
     assert stats.runs == 1
-    assert stats.ntts_performed > 0
-    assert stats.exec_workers == 2
+    assert stats.ntts_performed == stats.ntts_planned > 0
+    assert stats.max_shards == shard_count(executor.params, 3)
+
+
+# ---------------------------------------------------------------------------
+# The executor chooses the shard count
+# ---------------------------------------------------------------------------
+
+def test_shard_count_rule(monkeypatch):
+    from repro.he.params import large_params, small_params
+    from repro.runtime import executor as executor_module
+
+    monkeypatch.setattr(executor_module, "usable_cpus", lambda: 4)
+    assert shard_count(toy_params(), 8) == 1  # toy: overhead dominates
+    assert shard_count(small_params(), 1) == 1  # batch-1 never shards
+    assert shard_count(small_params(), 3) == 3  # one shard per element
+    assert shard_count(small_params(), 8) == 4  # one per usable CPU
+    assert shard_count(large_params(), 8) == 4
+
+
+def test_workers_override_must_be_positive():
+    spec = get_spec("box_blur")
+    executor = HEExecutor(spec, params=toy_params(), seed=16)
+    with pytest.raises(ValueError, match="workers"):
+        executor.run_many(baseline_for("box_blur"), [_env(spec, 1)], workers=0)

@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import Porcupine
+from repro.api import ExecOptions, Porcupine
 from repro.serve import (
     AsyncServeClient,
     ConnectionLost,
@@ -598,7 +598,8 @@ def test_runtime_bitflip_is_typed_noise_budget_then_retry_succeeds(session):
     faults = FaultInjector()
     faults.arm("runtime:gx", ("bitflip", 3, 11))
     config = ServeConfig(
-        backend="he", params="toy", seed=7, noise_escalation=False,
+        backend="he", params="toy", seed=7,
+        exec_options=ExecOptions(guard="output", escalate=False),
     )
     request = {"op": "run", "kernel": "gx", "seed": 5}
 
@@ -681,7 +682,8 @@ def test_genuine_exhaustion_without_escalation_is_typed():
 
     quad = _quad_session()
     config = ServeConfig(
-        backend="he", params="toy", seed=7, noise_escalation=False,
+        backend="he", params="toy", seed=7,
+        exec_options=ExecOptions(guard="output", escalate=False),
     )
     request = {"op": "run", "kernel": "noise_quad",
                "inputs": {"x": [1, 2, 3, 2]}}
@@ -705,7 +707,8 @@ def test_shadow_verify_catches_corruption_with_guards_off(session):
     faults.arm("runtime:gx", ("bitflip", 3, 11))
     config = ServeConfig(
         backend="he", params="toy", seed=7,
-        noise_guard="off", noise_escalation=False, shadow_verify=1.0,
+        exec_options=ExecOptions(guard="off", escalate=False),
+        shadow_verify=1.0,
     )
     request = {"op": "run", "kernel": "gx", "seed": 5}
 
@@ -743,7 +746,7 @@ def test_poison_fault_never_returns_wrong_plaintext(session):
         faults.arm("runtime:gx", ("poison", 2))
         config = ServeConfig(
             backend="he", params="toy", seed=7,
-            noise_escalation=escalate,
+            exec_options=ExecOptions(guard="output", escalate=escalate),
         )
 
         async def body(server):

@@ -7,14 +7,9 @@ SEAL codegen -> encrypted execution on the BFV backend.
 import numpy as np
 import pytest
 
+from repro.api import Porcupine
 from repro.baselines import baseline_for
-from repro.core import (
-    SynthesisConfig,
-    compile_kernel,
-    compose_sobel,
-    generate_seal_code,
-)
-from repro.core.compiler import config_for
+from repro.core import SynthesisConfig, compose_sobel, generate_seal_code
 from repro.he.params import toy_params
 from repro.quill.cost import program_cost
 from repro.quill.latency import default_latency_model
@@ -26,7 +21,7 @@ from repro.spec import get_spec
 
 @pytest.fixture(scope="module")
 def compiled_box_blur():
-    return compile_kernel(get_spec("box_blur"))
+    return Porcupine().compile("box_blur")
 
 
 def test_full_pipeline_box_blur(compiled_box_blur):
@@ -75,8 +70,9 @@ def test_synthesized_and_baseline_agree_under_encryption(compiled_box_blur):
 def test_multistep_sobel_encrypted():
     """Multi-step composition runs correctly under encryption."""
     config = SynthesisConfig(max_components=4, optimize_timeout=5.0)
-    gx = compile_kernel(get_spec("gx"), config=config).program
-    gy = compile_kernel(get_spec("gy"), config=config).program
+    session = Porcupine()
+    gx = session.compile("gx", config=config).program
+    gy = session.compile("gy", config=config).program
     sobel = compose_sobel(gx, gy)
     spec = get_spec("sobel")
     assert spec.verify_program(sobel).equivalent
@@ -110,7 +106,10 @@ def test_counterexample_loop_is_exercised():
 def test_secure_parameters_full_run():
     """128-bit-secure end-to-end run of a synthesized kernel."""
     spec = get_spec("hamming")
-    result = compile_kernel(spec, config=config_for(spec, optimize_timeout=5.0))
+    session = Porcupine()
+    result = session.compile(
+        "hamming", config=session.config_for("hamming", optimize_timeout=5.0)
+    )
     executor = HEExecutor(spec, seed=24)
     report = executor.run(
         result.program,
