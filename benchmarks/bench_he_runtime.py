@@ -15,7 +15,12 @@ Measures, against the retained big-integer reference path
   shard count), and
 * multicore lockstep sharding: the automatic shard count against the
   ``workers=1`` single pass, on ``n4096-depth1`` in full mode (the
-  evidence for the executor's shard-count rule).
+  evidence for the executor's shard-count rule), and
+* the batched NTT itself: per-row forward/inverse µs of ``BatchNTT``
+  (the four-step float64 matrix transform) against the radix-2
+  per-prime ``NTTContext`` reference, at n4096 and n8192, on one ring
+  element, the key-switch digit stack and the tensor stack (always
+  measured, ``--quick`` included).
 
 Everything is recorded into ``BENCH_runtime.json`` (schema 2) at the
 repository root.  Run it after touching anything in ``repro.he`` or the
@@ -24,7 +29,8 @@ executor::
     PYTHONPATH=src python benchmarks/bench_he_runtime.py          # full
     PYTHONPATH=src python benchmarks/bench_he_runtime.py --quick  # CI
 
-``--check-floor`` compares measured per-opcode latencies against the
+``--check-floor`` compares measured per-opcode (and per-row NTT)
+latencies against the
 checked-in ceilings in ``benchmarks/runtime_floor.json`` and exits
 nonzero when any opcode runs more than 5x *slower* than its floor entry —
 a loose tripwire that survives noisy CI machines but catches algorithmic
@@ -59,7 +65,12 @@ from harness import (  # noqa: E402
 )
 from repro.baselines import BASELINE_BUILDERS, baseline_for  # noqa: E402
 from repro.he import BFVContext  # noqa: E402
-from repro.he.params import small_params, toy_params  # noqa: E402
+from repro.he.arena import ScratchArena, execution_scope  # noqa: E402
+from repro.he.params import (  # noqa: E402
+    large_params,
+    small_params,
+    toy_params,
+)
 from repro.runtime.executor import HEExecutor, shard_count  # noqa: E402
 from repro.spec import get_spec  # noqa: E402
 
@@ -147,6 +158,60 @@ def bench_opcodes(params, repeats: int, batch: int) -> dict:
                 round(rns_single / rns_batched, 2) if rns_batched else None
             ),
         }
+    return out
+
+
+def bench_ntt(repeats: int) -> dict:
+    """Per-row µs of ``BatchNTT`` vs the per-prime radix-2 reference.
+
+    Three stacks per secure preset, shaped as the runtime transforms
+    them: one ring element ``(k, n)``, the key-switch digit stack
+    ``(digits, k, n)``, and the tensor stack ``(4, k_ext, n)`` in the
+    extension basis.  The batched transform runs inside an execution
+    scope, as on the executor's tape, so its workspaces come from a
+    warm scratch arena.
+    """
+    out: dict[str, dict] = {}
+    for params in (small_params(), large_params()):
+        ctx = BFVContext(params, seed=1)
+        rng = np.random.default_rng(1)
+        stacks = {
+            "ring": (ctx.ring, ()),
+            "keyswitch_digits": (ctx.ring, (ctx._digit_count,)),
+            "tensor": (ctx._ext_ring, (4,)),
+        }
+        rows_out: dict[str, dict] = {}
+        for name, (ring, lead) in stacks.items():
+            col = ring._primes_col
+            x = rng.integers(0, 1 << 62, lead + (len(col), ring.n)) % col
+            rows = x.size // ring.n
+
+            def per_row(fn) -> float:
+                return round(_best(fn, repeats) * 1e6 / rows, 1)
+
+            def reference(direction: str) -> None:
+                for j, ntt in enumerate(ring.ntts):
+                    getattr(ntt, direction)(x[..., j, :])
+
+            with execution_scope(ScratchArena()):
+                fwd = per_row(
+                    lambda: ring.batch_ntt.forward(x, assume_reduced=True)
+                )
+                inv = per_row(
+                    lambda: ring.batch_ntt.inverse(x, assume_reduced=True)
+                )
+            ref_fwd = per_row(lambda: reference("forward"))
+            ref_inv = per_row(lambda: reference("inverse"))
+            rows_out[name] = {
+                "shape": list(x.shape),
+                "forward_us_per_row": fwd,
+                "inverse_us_per_row": inv,
+                "reference_forward_us_per_row": ref_fwd,
+                "reference_inverse_us_per_row": ref_inv,
+                "forward_speedup": round(ref_fwd / fwd, 2),
+                "inverse_speedup": round(ref_inv / inv, 2),
+            }
+        out[params.name] = rows_out
     return out
 
 
@@ -315,16 +380,20 @@ def bench_end_to_end(kernel: str, params, repeats: int, batch: int) -> dict:
 
 
 def check_floor(
-    params_name: str, opcode_results: dict, ntt_results: dict
+    params_name: str,
+    opcode_results: dict,
+    ntt_results: dict,
+    transforms: dict,
 ) -> list[str]:
-    """Opcodes now more than 5x slower than their checked-in latency,
-    plus *exact* planned-NTT-row ceilings per kernel.
+    """Opcodes and NTT rows now more than 5x slower than their checked-in
+    latency, plus *exact* planned-NTT-row ceilings per kernel.
 
     Latency floor entries are keyed ``<params>.<opcode>`` so quick (toy)
-    and full (secure preset) runs track separate baselines.  NTT entries
-    are keyed ``toy-insecure.ntt_rows.<kernel>`` and checked with no
-    slack: the count is a deterministic function of the tape and
-    parameters, so any growth is a planner regression.
+    and full (secure preset) runs track separate baselines; per-row
+    transform entries are keyed ``ntt.<params>.<stack>.<direction>``.
+    NTT row-count entries are keyed ``toy-insecure.ntt_rows.<kernel>``
+    and checked with no slack: the count is a deterministic function of
+    the tape and parameters, so any growth is a planner regression.
     """
     floors = load_floors(FLOOR_FILE)
     if floors is None:
@@ -341,6 +410,16 @@ def check_floor(
             slack=5.0,
             unit="us",
             detail=" (opcode latency)",
+        )
+        if failure:
+            failures.append(failure)
+    for key, us in _transform_latencies(transforms).items():
+        floor_us = floors.get(key)
+        if floor_us is None:
+            continue
+        failure = ceiling_failure(
+            key, us, floor_us, slack=5.0, unit="us",
+            detail=" (NTT µs per row)",
         )
         if failure:
             failures.append(failure)
@@ -362,6 +441,16 @@ def check_floor(
                 "diverge from the plan's prediction (simulation drift)"
             )
     return failures
+
+
+def _transform_latencies(transforms: dict) -> dict[str, float]:
+    """Floor keys ``ntt.<params>.<stack>.<direction>`` -> µs per row."""
+    return {
+        f"ntt.{params}.{stack}.{direction}": row[f"{direction}_us_per_row"]
+        for params, stacks in transforms.items()
+        for stack, row in stacks.items()
+        for direction in ("forward", "inverse")
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -417,6 +506,18 @@ def main(argv: list[str] | None = None) -> int:
                 f" (amortization {row['batch_amortization']}x)"
             )
 
+    print("batched NTT vs the radix-2 per-prime reference ...", flush=True)
+    transforms = bench_ntt(repeats)
+    for params_name, stacks in transforms.items():
+        for stack, row in stacks.items():
+            print(
+                f"  {params_name} {stack:16s} {str(tuple(row['shape'])):18s}"
+                f" fwd {row['forward_us_per_row']:>7,.1f}us/row"
+                f" ({row['forward_speedup']}x)"
+                f"  inv {row['inverse_us_per_row']:>7,.1f}us/row"
+                f" ({row['inverse_speedup']}x)"
+            )
+
     print("NTT domain planning on toy-insecure ...", flush=True)
     ntt_counts = bench_ntt_counts(toy_params())
     for kernel, row in ntt_counts.items():
@@ -464,6 +565,7 @@ def main(argv: list[str] | None = None) -> int:
         "params": params.name,
         "opcodes": opcodes,
         "opcodes_toy": opcodes_toy,
+        "ntt": transforms,
         "ntt_counts": ntt_counts,
         "end_to_end": end_to_end,
         "multicore": multicore,
@@ -483,6 +585,14 @@ def main(argv: list[str] | None = None) -> int:
             **{
                 f"toy.{name}.batch_amortization": row["batch_amortization"]
                 for name, row in opcodes_toy.items()
+            },
+            **{
+                f"ntt.{params_name}.{stack}.{direction}_speedup": (
+                    row[f"{direction}_speedup"]
+                )
+                for params_name, stacks in transforms.items()
+                for stack, row in stacks.items()
+                for direction in ("forward", "inverse")
             },
             **{
                 f"{kernel}.ntt_rows_elided": row["ntt_rows_elided"]
@@ -510,10 +620,13 @@ def main(argv: list[str] | None = None) -> int:
             (f"toy-insecure.ntt_rows.{kernel}", row["ntt_rows_planned"])
             for kernel, row in ntt_counts.items()
         )
+        updates.update(_transform_latencies(transforms))
         save_floors(FLOOR_FILE, updates, merge=True)
 
     if args.check_floor:
-        return report_failures(check_floor(params.name, opcodes, ntt_counts))
+        return report_failures(
+            check_floor(params.name, opcodes, ntt_counts, transforms)
+        )
     return 0
 
 

@@ -1,10 +1,10 @@
 """Scratch-buffer arenas and hot-path instrumentation for HE execution.
 
-The executor's steady state churns through large ``(batch, k, N)`` int64
-workspaces: every batched NTT makes a transposed working copy, every key
-switch materialises a digit stack, every tensor product stacks operands.
-A :class:`ScratchArena` keeps one reusable buffer per ``(tag, shape)``
-key so replaying a tape allocates nothing new after the first pass.
+The executor's steady state churns through large workspaces: every
+batched NTT runs its matrix steps in float64 buffers the size of the
+whole ``(batch, k, N)`` stack.  A :class:`ScratchArena` keeps one
+reusable buffer per ``(tag, shape, dtype)`` key so replaying a tape
+allocates no new workspace after the first pass.
 
 Arena buffers back only *transient* workspaces.  :class:`RingElement`
 caches its coefficient/evaluation forms persistently, so any array that
@@ -46,7 +46,7 @@ class ExecCounters:
 
 
 class ScratchArena:
-    """Reusable int64 workspace pool keyed by ``(tag, shape)``.
+    """Reusable workspace pool keyed by ``(tag, shape, dtype)``.
 
     ``take`` returns an *uninitialised* buffer (callers overwrite it
     fully); the same key always returns the same buffer, so steady-state
@@ -64,13 +64,13 @@ class ScratchArena:
         self.hits = 0
         self.misses = 0
 
-    def take(self, tag: str, shape: tuple) -> np.ndarray:
-        key = (tag, shape)
+    def take(self, tag: str, shape: tuple, dtype=np.int64) -> np.ndarray:
+        key = (tag, shape, np.dtype(dtype))
         buf = self._buffers.get(key)
         if buf is None:
             if len(self._buffers) >= self.KEY_LIMIT:
                 self._buffers.clear()
-            buf = np.empty(shape, dtype=np.int64)
+            buf = np.empty(shape, dtype=dtype)
             self._buffers[key] = buf
             self.misses += 1
         else:

@@ -115,13 +115,10 @@ class BFVContext:
         self._digit_decomposer = DigitDecomposer(
             self.ring.basis, params.decomp_bits, self._digit_count
         )
-        # key-switch MAC overflow budgets for int64 accumulation:
-        # fully-lazy NTT outputs are < 2^31 + 2*pmax, reduced ones < p.
+        # key-switch MAC overflow budget for int64 accumulation of
+        # canonical (< p) NTT outputs times canonical key residues
         pmax = max(params.coeff_primes)
         self._mac_needs_reduce = self._digit_count * pmax**2 >= 1 << 63
-        self._mac_lazy_ok = (
-            self._digit_count * ((1 << 31) + 2 * pmax) * pmax < 1 << 63
-        )
         # base-T digits below every prime are already canonical residues,
         # so the key-switch digit stack can skip its reduction entirely
         self._digits_canonical = (1 << params.decomp_bits) <= min(
@@ -801,16 +798,9 @@ class BFVContext:
             stack = np.broadcast_to(
                 shaped, (depth,) + lead + (len(ring.basis), n)
             )
-            evals = ring.batch_ntt.forward(
-                stack,
-                reduce_output=not self._mac_lazy_ok,
-                assume_reduced=True,
-            )
         else:
             stack = shaped % ring._primes_col  # (digits, ..., k, n)
-            evals = ring.batch_ntt.forward(
-                stack, reduce_output=not self._mac_lazy_ok
-            )
+        evals = ring.batch_ntt.forward(stack, assume_reduced=True)
         p_col = ring._primes_col
         key0 = key._stack_0.reshape(
             (depth,) + (1,) * len(lead) + key._stack_0.shape[1:]

@@ -1,21 +1,20 @@
 """Negacyclic number-theoretic transforms, numpy-vectorized.
 
-Implements the merged-psi Cooley-Tukey forward / Gentleman-Sande inverse
-NTT pair (Longa & Naehrig, "Speeding up the Number Theoretic Transform for
-Faster Ideal Lattice-Based Cryptography"): the forward transform consumes
-natural coefficient order and produces bit-reversed evaluation order, the
-inverse consumes bit-reversed order and restores natural order, and the
-scaling by powers of the 2N-th root psi is folded into the twiddle tables.
+Both transforms here compute the same map: natural-order coefficients
+``f`` of ``Z_p[x]/(x^N + 1)`` to the bit-reversed evaluations
+``forward(f)[j] = f(psi^(2 * bitrev(j) + 1))`` at the odd powers of a
+primitive 2N-th root ``psi``, and back.  Pointwise products in this
+domain realise negacyclic convolution, i.e. ring multiplication.
 
-Pointwise products in the bit-reversed domain realise negacyclic
-convolution, i.e. multiplication in ``Z_p[x]/(x^N + 1)``.
-
-Every butterfly operates on int64 numpy arrays; with primes below 2^31 the
-intermediate products stay below 2^62 and never overflow.  Both
-:class:`NTTContext` and the multi-prime :class:`BatchNTT` transform any
-``(..., n)`` / ``(..., k, n)`` stack in one pass of the butterfly loop, so
-stacked workloads (all RNS primes of a ring, all digits of a key switch)
-cost one Python-level loop of ``log2 n`` vectorized stages total.
+* :class:`NTTContext` is the per-prime oracle: the merged-psi
+  Cooley-Tukey / Gentleman-Sande butterfly pair (Longa & Naehrig,
+  "Speeding up the Number Theoretic Transform for Faster Ideal
+  Lattice-Based Cryptography") on int64 arrays, ``log2 N`` stages.  It
+  fixes the evaluation order the encoder and automorphisms rely on.
+* :class:`BatchNTT` is the runtime's transform for whole ``(..., k, N)``
+  RNS stacks: Bailey's four-step decomposition as two exact float64
+  matrix products per prime, so the work runs in BLAS gemms.  Its
+  outputs are bit-identical to the oracle's.
 """
 
 from __future__ import annotations
@@ -155,196 +154,227 @@ class NTTContext:
         return [dlog[int(v)] for v in outputs]
 
 
+def _limbs(table: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical int table ``-> (hi * 2^s, lo)`` float64 limbs, ``< 2^s``.
+
+    The high limb is stored pre-scaled by ``2^s``: scaling by a power of
+    two is exact, so products against it stay exact multiples of ``2^s``.
+    """
+    hi = (table >> s) << s
+    return hi.astype(np.float64), (table - hi).astype(np.float64)
+
+
 class BatchNTT:
-    """All per-prime transforms of one ring, fused into single numpy passes.
+    """All per-prime transforms of one ring as exact float64 matrix products.
 
     Operates on stacked residue arrays of shape ``(..., k, n)`` — one row
     per RNS prime, any number of leading batch axes (ciphertext parts,
-    key-switch digits).  Twiddle tables are stacked ``(k, n)`` views of the
-    per-prime :class:`NTTContext` tables, so a whole ring (or a whole
-    ``(digits, k, n)`` digit stack) is transformed by one ``log2 n``-stage
-    butterfly loop instead of ``k`` (or ``digits * k``) separate ones.
+    key-switch digits).  Each row is a four-step transform (Bailey, "FFTs
+    in external or hierarchical memory"): with ``n = n1 * n2`` the row is
+    an ``(n1, n2)`` matrix ``A`` and
 
-    The butterflies are lazy in the Harvey style: twiddle products use
-    Shoup's precomputed-quotient trick (``w_shoup = floor(w * 2^31 / p)``,
-    one multiply-shift-multiply-subtract instead of an integer division)
-    and sums are left unreduced while the running magnitude bound stays
-    below ``2^31``; a full reduction is interleaved only when the bound
-    would overflow and once at the end.  ``np.mod`` — by far the most
-    expensive vectorized pass — all but disappears from the hot loop.
-    Stages are processed two at a time (fused radix-4 passes) on a
-    transposed ``(n, batch, k)`` layout, so every numpy operation streams
-    contiguous ``batch * k`` runs even in the smallest sub-blocks.
-    Results are bit-identical to the eager per-prime transforms.
+        forward:  Z = ((M1 @ A) * T) @ M2^T
+        inverse:  A = iM1 @ ((Z @ iM2^T) * iT)
+
+    The psi twist, ``n^-1`` and the bit-reversed output order are folded
+    into the per-prime tables (rows of ``M1``, ``T`` and ``M2`` are
+    permuted so ``Z`` read row-major *is* the bit-reversed evaluation
+    vector).  Every batch axis rides along the gemm columns, so a whole
+    ``(digits, k, n)`` key-switch stack costs ``4k`` BLAS calls plus a
+    few dozen elementwise passes.
+
+    Exactness, in three lines:
+
+    1. Tables split into limbs ``hi * 2^s + lo`` (``s = ceil(bits/2)``),
+       so each gemm sums ``max(n1, n2)`` residue-times-limb products to
+       integers below ``2^52`` (asserted at construction): exact in
+       float64 in any order, so BLAS blocking and threads change no bit.
+    2. Limbs recombine through ``x - rint(x / p) * p``, whose float
+       quotient is off by at most one: signed residues ``|x| <= p/2 + 2``.
+    3. The last reduction floors ``(x + 1/2) / p``, exact below ``2^51``,
+       so outputs land canonical — bit-identical to :class:`NTTContext`.
     """
-
-    _LIMIT = 1 << 31  # Shoup operands must stay below 2^31
 
     def __init__(self, ntts: list[NTTContext]):
         if not ntts:
             raise ValueError("BatchNTT needs at least one NTT context")
-        self.n = ntts[0].n
-        if any(c.n != self.n for c in ntts):
+        n = self.n = ntts[0].n
+        if any(c.n != n for c in ntts):
             raise ValueError("all NTT contexts must share one size")
-        self.primes = np.array([c.prime for c in ntts], dtype=np.int64)
-        self._p_col = self.primes[:, None]  # (k, 1) for (..., k, n)
-        self._pmax = int(self.primes.max())
-        self._pmin = int(self.primes.min())
-        psi_rev = np.stack([c.psi_rev for c in ntts])
-        psi_inv_rev = np.stack([c.psi_inv_rev for c in ntts])
-        self._n_inv = np.array([c.n_inv for c in ntts], dtype=np.int64)
-        # transposed twiddle tables (n, k) plus their Shoup companions
-        # floor(w << 31 / p); w < 2^31 keeps w << 31 < 2^62 in int64
-        self._w_fwd = np.ascontiguousarray(psi_rev.T)
-        self._ws_fwd = np.ascontiguousarray(((psi_rev << 31) // self._p_col).T)
-        self._w_inv = np.ascontiguousarray(psi_inv_rev.T)
-        self._ws_inv = np.ascontiguousarray(
-            ((psi_inv_rev << 31) // self._p_col).T
-        )
-        # per batch-width expansions of the tables (twiddles/moduli tiled
-        # across the collapsed batch*k trailing axis, so every numpy inner
-        # loop runs the full width instead of k elements)
-        self._expanded: dict[int, tuple] = {}
-        # Fused radix-4 stages push Shoup operands up to 4p; primes above
-        # 2^29 must take the radix-2 path so operands stay below 2^31.
-        self._radix4 = 4 * self._pmax < self._LIMIT
-
-    # -- layout helpers -------------------------------------------------
-
-    def _tables_for(self, batch: int) -> tuple:
-        cached = self._expanded.get(batch)
-        if cached is None:
-            cached = (
-                np.tile(self._w_fwd, (1, batch)),
-                np.tile(self._ws_fwd, (1, batch)),
-                np.tile(self._w_inv, (1, batch)),
-                np.tile(self._ws_inv, (1, batch)),
-                np.tile(self.primes, batch),
-                np.tile(self._n_inv, batch),
+        primes = [c.prime for c in ntts]
+        n1 = self.n1 = 1 << ((n.bit_length() - 1) // 2)
+        n2 = self.n2 = n // n1
+        bits = max(primes).bit_length()
+        s = -(-bits // 2)
+        if (bits + 1) + s + (max(n1, n2).bit_length() - 1) > 52:
+            raise ValueError(
+                f"{bits}-bit primes at n={n} exceed the exact float64 "
+                "range of the matrix NTT"
             )
-            if len(self._expanded) < 8:  # bound the per-shape cache
-                self._expanded[batch] = cached
-        return cached
+        self.primes = np.array(primes, dtype=np.int64)
+        col = (len(primes), 1, 1)  # broadcasts over (k, rows, cols)
+        p = self.primes.astype(np.float64)
+        self._p = p.reshape(col)
+        self._pinv = (1.0 / p).reshape(col)
+        self._p_hi = (p * 2.0**s).reshape(col)
+        self._pinv_hi = (1.0 / (p * 2.0**s)).reshape(col)
 
-    def _to_cols(
-        self, residues: np.ndarray, tag: str
-    ) -> tuple[np.ndarray, tuple]:
-        """``(..., k, n) -> (n, batch*k)`` contiguous working copy.
+        two_n = 2 * n
+        r1 = bit_reverse_indices(n1)[:, None]  # output row a -> k1
+        r2 = bit_reverse_indices(n2)[:, None]  # output col b -> k2
+        i1 = np.arange(n1)[None, :]
+        i2 = np.arange(n2)[None, :]
+        # psi exponents of every table entry: Z[a, b] evaluates the row
+        # at psi^(2 * (r1[a] + n1 * r2[b]) + 1), input i = n2 * i1 + i2
+        e_m1 = n2 * i1 * (2 * r1 + 1) % two_n  # [a, i1]
+        e_t = i2 * (2 * r1 + 1) % two_n  # [a, i2]
+        e_m2 = 2 * n1 * r2 * i2 % two_n  # [b, i2]
+        # psi^e for e in [0, 2n) per prime: psi_rev un-permuted, then
+        # psi^(n+e) = -psi^e; every table below is a gather from it
+        q = self.primes[:, None]
+        half = np.stack([c.psi_rev for c in ntts])[:, bit_reverse_indices(n)]
+        power = np.concatenate([half, (q - half) % q], axis=1)
+        inv_power = power[:, -np.arange(two_n) % two_n]  # psi^-e
+        n_inv = np.array([[[c.n_inv]] for c in ntts], dtype=np.int64)
+        self._m1 = _limbs(power[:, e_m1], s)
+        self._m2t = _limbs(power[:, e_m2.T], s)
+        self._im2t = _limbs(inv_power[:, e_m2], s)
+        self._im1 = _limbs(inv_power[:, e_m1.T] * n_inv % q[..., None], s)
+        # a signed residue (|r| <= p/2 + 2) times a canonical twiddle is
+        # exact in 53 bits for primes up to ~2^27; wider ones need limbs
+        shaped = (len(primes), n1, 1, n2)  # broadcast over the batch axis
+        t = power[:, e_t].reshape(shaped)
+        it = inv_power[:, e_t].reshape(shaped)
+        pmax = max(primes)
+        if (pmax // 2 + 2) * (pmax - 1) <= 1 << 53:
+            self._t, self._it = t.astype(np.float64), it.astype(np.float64)
+        else:
+            self._t, self._it = _limbs(t, s), _limbs(it, s)
 
-        Inside an active :func:`~repro.he.arena.execution_scope` the copy
-        lands in a reused arena buffer (the butterfly loop mutates it in
-        place), so steady-state transforms allocate no fresh workspace.
+    # -- exact float64 modular arithmetic -------------------------------
+
+    def _reduce(self, x: np.ndarray, tmp: np.ndarray, canonical=False) -> None:
+        """``x <- x mod p`` in place: signed (``|x| <= p/2 + 2``) or canonical.
+
+        Signed: ``x - rint(x / p) * p`` for integers ``|x| <= 2^53``, where
+        ``x * (1/p)`` is off by under ``2/p`` so the quotient by at most
+        one.  Canonical: ``x - floor((x + 1/2) / p) * p``, exact while
+        ``|x| < 2^51`` keeps the quotient error under ``1/(2p)``.
         """
-        a = np.asarray(residues, dtype=np.int64)
-        shape = a.shape
-        flat = a.reshape(-1, self.n).T
+        if canonical:
+            np.add(x, 0.5, out=tmp)
+            np.multiply(tmp, self._pinv, out=tmp)
+            np.floor(tmp, out=tmp)
+        else:
+            np.multiply(x, self._pinv, out=tmp)
+            np.rint(tmp, out=tmp)
+        np.multiply(tmp, self._p, out=tmp)
+        np.subtract(x, tmp, out=x)
+
+    def _combine(self, hi, lo, tmp, canonical=False) -> None:
+        """``hi <- (hi + lo) mod p`` for a ``2^s``-scaled ``hi``.
+
+        ``hi`` reduces with ``2^s``-scaled constants (exact: powers of two
+        only move exponents), which leaves ``|hi| <= (p/2 + 2) 2^s``, small
+        enough to add ``lo`` and reduce again.
+        """
+        np.multiply(hi, self._pinv_hi, out=tmp)
+        np.rint(tmp, out=tmp)
+        np.multiply(tmp, self._p_hi, out=tmp)
+        np.subtract(hi, tmp, out=hi)
+        np.add(hi, lo, out=hi)
+        self._reduce(hi, tmp, canonical)
+
+    def _twiddle(self, x, table, batch: int, lo, tmp) -> None:
+        """``x <- x * table mod p`` elementwise (table broadcast on batch)."""
+        x4 = self._batch_view(x, batch)
+        if isinstance(table, tuple):
+            np.multiply(x4, table[1], out=self._batch_view(lo, batch))
+            np.multiply(x4, table[0], out=x4)
+            self._combine(x, lo, tmp)
+        else:
+            np.multiply(x4, table, out=x4)
+            self._reduce(x, tmp)
+
+    # -- layout ---------------------------------------------------------
+
+    def _batch_view(self, buf: np.ndarray, batch: int) -> np.ndarray:
+        return buf.reshape(len(self.primes), self.n1, batch, self.n2)
+
+    def _load(self, values, assume_reduced: bool):
+        """Copy a ``(..., k, n)`` stack into float64 ``(k, n1, batch*n2)``.
+
+        The batch axis sits between each row's two matrix axes, so every
+        prime's whole stack is one wide (step ``M @ A``) or tall (step
+        ``A @ M``) operand.  Returns the loaded workspace plus two more of
+        its size, from the active :class:`~repro.he.arena.ScratchArena`
+        when there is one (forward and inverse share the buffers).
+        """
+        x = np.asarray(values, dtype=np.int64)
+        k = len(self.primes)
+        if x.shape[-2:] != (k, self.n):
+            raise ValueError(f"expected a (..., {k}, {self.n}) stack")
+        if not assume_reduced:
+            x = np.mod(x, self.primes[:, None])
+        rows = x.reshape(-1, k, self.n1, self.n2)
+        batch = rows.shape[0]
+        count_ntt_rows(batch * k)
+        dims = (k, self.n1, batch * self.n2)
         arena = current_arena()
         if arena is None:
-            return np.ascontiguousarray(flat), shape
-        buf = arena.take(tag, flat.shape)
-        np.copyto(buf, flat)
-        return buf, shape
+            bufs = [np.empty(dims) for _ in range(3)]
+        else:
+            bufs = [arena.take(f"ntt{i}", dims, np.float64) for i in range(3)]
+        np.copyto(self._batch_view(bufs[0], batch), rows.transpose(1, 2, 0, 3))
+        return bufs, batch
 
-    def _from_cols(
-        self, x: np.ndarray, shape: tuple, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        if out is not None:
-            if out.shape != shape:
-                raise ValueError(
-                    f"out has shape {out.shape}, expected {shape}"
-                )
-            np.copyto(out.reshape(-1, self.n), x.T)
-            return out
-        return np.ascontiguousarray(x.T).reshape(shape)
-
-    @staticmethod
-    def _shoup(y, w, ws, p):
-        """``y * w mod p`` up to one extra ``p``: result in ``[0, 2p)``.
-
-        Requires ``y < 2^31``; callers track magnitude bounds to
-        guarantee it.  No integer division anywhere.
-        """
-        return y * w - ((y * ws) >> 31) * p
-
-    @staticmethod
-    def _twiddle(table, lo, hi, step=1):
-        """Slice rows ``[lo:hi:step]`` shaped for ``(m, t, batch*k)``."""
-        return table[lo:hi:step][:, None, :]
+    def _store(self, x, shape, batch: int, out) -> np.ndarray:
+        """Canonical ``(k, n1, batch*n2)`` workspace -> ``(..., k, n)``."""
+        if out is None:
+            out = np.empty(shape, dtype=np.int64)
+        elif (
+            out.shape != shape
+            or out.dtype != np.int64
+            or not out.flags.c_contiguous  # else reshape copies, losing writes
+        ):
+            raise ValueError(f"out must be C-contiguous int64, shape {shape}")
+        np.copyto(
+            out.reshape(batch, len(self.primes), self.n1, self.n2),
+            self._batch_view(x, batch).transpose(2, 0, 1, 3),
+            casting="unsafe",
+        )
+        return out
 
     # -- transforms -----------------------------------------------------
 
     def forward(
         self,
         residues: np.ndarray,
-        reduce_output: bool = True,
         assume_reduced: bool = False,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Coefficient stack ``(..., k, n)`` -> evaluation stack.
+        """Coefficient stack ``(..., k, n)`` -> bit-reversed evaluations.
 
-        ``reduce_output=False`` skips the final canonical reduction; the
-        result is congruent mod each prime but only bounded by ``2^31``
-        (for consumers that fold the reduction into their own accumulate).
         ``assume_reduced=True`` promises the input is already canonical
         (every residue in ``[0, p)``), skipping the defensive entry
         reduction — callers inside the ring layer uphold this invariant
-        by construction.  ``out`` receives the result in place (it must
-        match the input's shape).
+        by construction.  ``out`` (C-contiguous int64, the input's shape)
+        receives the result in place; otherwise a fresh C-contiguous int64
+        array is returned.
         """
-        x, shape = self._to_cols(residues, "fwd")
-        n = self.n
-        count_ntt_rows(x.shape[1])
-        w_fwd, ws_fwd, _, _, p, _ = self._tables_for(x.shape[1] // len(self.primes))
-        two_p = 2 * p
-        pmax = self._pmax
-        if not assume_reduced:
-            np.mod(x, p, out=x)
-        bound = pmax
-        m, t = 1, n
-        while m < n:
-            # every Shoup operand this stage stays below bound + 2*pmax
-            if bound + 2 * pmax >= self._LIMIT:
-                np.mod(x, p, out=x)
-                bound = pmax
-            if t >= 4 and self._radix4:
-                t4 = t // 4
-                v = x.reshape(m, 4, t4, -1)
-                # stage-A twiddle w[m+i] is shared by both pairs of the
-                # group, so one Shoup call covers the contiguous (x2, x3)
-                # half; stage-B twiddles w[2m+2i], w[2m+2i+1] interleave
-                # naturally into a (m, 2) pair via reshape.
-                w_a = w_fwd[m : 2 * m][:, None, None, :]
-                ws_a = ws_fwd[m : 2 * m][:, None, None, :]
-                w_b = w_fwd[2 * m : 4 * m].reshape(m, 2, 1, -1)
-                ws_b = ws_fwd[2 * m : 4 * m].reshape(m, 2, 1, -1)
-                ta = self._shoup(v[:, 2:4], w_a, ws_a, p)  # (m, 2, t4, W)
-                upper = v[:, 0:2] + ta
-                lower = v[:, 0:2] - ta + two_p
-                pair = np.stack([upper[:, 1], lower[:, 1]], axis=1)
-                tb = self._shoup(pair, w_b, ws_b, p)
-                v[:, 0] = upper[:, 0] + tb[:, 0]
-                v[:, 1] = upper[:, 0] - tb[:, 0] + two_p
-                v[:, 2] = lower[:, 0] + tb[:, 1]
-                v[:, 3] = lower[:, 0] - tb[:, 1] + two_p
-                bound += 4 * pmax
-                m *= 4
-                t = t4
-            else:
-                t2 = t // 2
-                v = x.reshape(m, 2, t2, -1)
-                w = self._twiddle(w_fwd, m, 2 * m)
-                ws = self._twiddle(ws_fwd, m, 2 * m)
-                x0 = v[:, 0]
-                tv = self._shoup(v[:, 1], w, ws, p)
-                diff = x0 - tv + two_p
-                np.add(x0, tv, out=v[:, 0])
-                v[:, 1] = diff
-                bound += 2 * pmax
-                m *= 2
-                t = t2
-        if reduce_output:
-            np.mod(x, p, out=x)
-        return self._from_cols(x, shape, out=out)
+        shape = np.shape(residues)
+        (a, y, lo), batch = self._load(residues, assume_reduced)
+        hi_m, lo_m = self._m1
+        np.matmul(hi_m, a, out=y)
+        np.matmul(lo_m, a, out=lo)
+        self._combine(y, lo, a)
+        self._twiddle(y, self._t, batch, lo, a)
+        tall = (len(self.primes), self.n1 * batch, self.n2)
+        hi_m, lo_m = self._m2t
+        np.matmul(y.reshape(tall), hi_m, out=a.reshape(tall))
+        np.matmul(y.reshape(tall), lo_m, out=lo.reshape(tall))
+        self._combine(a, lo, y, canonical=True)
+        return self._store(a, shape, batch, out)
 
     def inverse(
         self,
@@ -352,81 +382,23 @@ class BatchNTT:
         assume_reduced: bool = False,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Evaluation stack ``(..., k, n)`` -> coefficient stack.
+        """Bit-reversed evaluation stack ``(..., k, n)`` -> coefficients.
 
         ``assume_reduced`` / ``out`` behave as in :meth:`forward`.
         """
-        x, shape = self._to_cols(values, "inv")
-        n = self.n
-        count_ntt_rows(x.shape[1])
-        _, _, w_inv, ws_inv, p, n_inv = self._tables_for(
-            x.shape[1] // len(self.primes)
-        )
-        pmax = self._pmax
-        pmin = self._pmin
-        if not assume_reduced:
-            np.mod(x, p, out=x)
-        bound = pmax
-        m, t = n, 1
-        while m > 1:
-            if m >= 4 and self._radix4:
-                lift1 = -(-bound // pmin)  # ceil: offset keeping diffs >= 0
-                lift2 = -(-2 * bound // pmin)
-                if (
-                    bound + lift1 * pmax >= self._LIMIT
-                    or 2 * bound + lift2 * pmax >= self._LIMIT
-                ):
-                    np.mod(x, p, out=x)
-                    bound = pmax
-                    lift1, lift2 = 1, 2
-                h = m // 4
-                # pairs-of-pairs view: vv[:, j, 0/1] are the two halves of
-                # stage-1 block 2i+j; the interleaved twiddles
-                # w[m/2+2i], w[m/2+2i+1] pair up via reshape.
-                vv = x.reshape(h, 2, 2, t, -1)
-                w1 = w_inv[m // 2 : m].reshape(h, 2, 1, -1)
-                ws1 = ws_inv[m // 2 : m].reshape(h, 2, 1, -1)
-                w2 = w_inv[h : m // 2][:, None, None, :]
-                ws2 = ws_inv[h : m // 2][:, None, None, :]
-                sums = vv[:, :, 0] + vv[:, :, 1]  # (h, 2, t, W)
-                diffs = self._shoup(
-                    vv[:, :, 0] - vv[:, :, 1] + lift1 * p, w1, ws1, p
-                )
-                pair = np.stack(
-                    [
-                        sums[:, 0] - sums[:, 1] + lift2 * p,
-                        diffs[:, 0] - diffs[:, 1] + 2 * p,
-                    ],
-                    axis=1,
-                )
-                low = self._shoup(pair, w2, ws2, p)
-                vv[:, 0, 0] = sums[:, 0] + sums[:, 1]
-                vv[:, 1, 0] = low[:, 0]
-                vv[:, 0, 1] = diffs[:, 0] + diffs[:, 1]
-                vv[:, 1, 1] = low[:, 1]
-                bound = max(4 * bound, 4 * pmax)
-                m //= 4
-                t *= 4
-            else:
-                lift = -(-bound // pmin)
-                if 2 * bound >= self._LIMIT or bound + lift * pmax >= self._LIMIT:
-                    np.mod(x, p, out=x)
-                    bound = pmax
-                    lift = 1
-                v = x.reshape(m // 2, 2, t, -1)
-                w = self._twiddle(w_inv, m // 2, m)
-                ws = self._twiddle(ws_inv, m // 2, m)
-                q0, q1 = v[:, 0], v[:, 1]
-                total = q0 + q1
-                v[:, 1] = self._shoup(q0 - q1 + lift * p, w, ws, p)
-                v[:, 0] = total
-                bound = max(2 * bound, 2 * pmax)
-                m //= 2
-                t *= 2
-        np.multiply(x, n_inv, out=x)
-        np.mod(x, p, out=x)
-        return self._from_cols(x, shape, out=out)
-
+        shape = np.shape(values)
+        (z, w, lo), batch = self._load(values, assume_reduced)
+        tall = (len(self.primes), self.n1 * batch, self.n2)
+        hi_m, lo_m = self._im2t
+        np.matmul(z.reshape(tall), hi_m, out=w.reshape(tall))
+        np.matmul(z.reshape(tall), lo_m, out=lo.reshape(tall))
+        self._combine(w, lo, z)
+        self._twiddle(w, self._it, batch, lo, z)
+        hi_m, lo_m = self._im1
+        np.matmul(hi_m, w, out=z)
+        np.matmul(lo_m, w, out=lo)
+        self._combine(z, lo, w, canonical=True)
+        return self._store(z, shape, batch, out)
 
 def naive_negacyclic_convolve(a, b, prime: int) -> np.ndarray:
     """Reference O(n^2) negacyclic convolution, used only in tests."""

@@ -503,9 +503,11 @@ class HEExecutor:
         if kind == "bitflip":
             bit = int(fault[2]) if len(fault) > 2 else 10
             rows = np.array(part.eval_rows(), copy=True)
-            flat = rows.reshape(-1)
+            # write through an index: reshape(-1) of a non-C-ordered copy
+            # is itself a copy, which would silently drop the flip
+            first = (0,) * rows.ndim
             prime = int(self.params.coeff_primes[0])
-            flat[0] = (int(flat[0]) ^ (1 << bit)) % prime
+            rows[first] = (int(rows[first]) ^ (1 << bit)) % prime
             corrupted = RingElement(part.ctx, eval_rows=rows)
         elif kind == "poison":
             residues = np.roll(np.array(part.residues, copy=True), 1, axis=-1)

@@ -1,11 +1,22 @@
-"""Tests for the negacyclic NTT against naive reference convolution."""
+"""Tests for the negacyclic NTT against naive reference convolution, and
+for the batched matrix NTT against the per-prime :class:`NTTContext`."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.he.ntt import NTTContext, bit_reverse, naive_negacyclic_convolve
+from repro.he.arena import ScratchArena, execution_scope
+from repro.he.context import BFVContext
+from repro.he.ntt import (
+    BatchNTT,
+    NTTContext,
+    bit_reverse,
+    naive_negacyclic_convolve,
+)
+from repro.he.params import large_params, small_params, toy_params
 from repro.he.primes import find_ntt_primes
 
 PRIME_64 = find_ntt_primes(1, 27, 128)[0]  # 1 mod 2*64
@@ -118,3 +129,140 @@ def test_rejects_bad_parameters():
         NTTContext(8, 89)  # 89 != 1 mod 16
     with pytest.raises(ValueError):
         NTTContext(8, (1 << 33) + 17)  # too large even if 1 mod 16
+
+
+# ---------------------------------------------------------------------------
+# BatchNTT (four-step matrix transform) == per-prime NTTContext, on the
+# rings the runtime actually builds
+# ---------------------------------------------------------------------------
+
+RINGS = {
+    "n4096-q": (4096, small_params().coeff_primes),  # 27-bit x4
+    "n8192-q": (8192, large_params().coeff_primes),  # 27-bit x8
+    "n4096-ext": (4096, tuple(find_ntt_primes(10, 26, 8192))),
+    "n8192-ext": (8192, tuple(find_ntt_primes(19, 26, 16384))),
+    "toy-q": (1024, toy_params().coeff_primes),  # 30-bit x2
+}
+
+
+@lru_cache(maxsize=None)
+def _ring(name):
+    n, primes = RINGS[name]
+    ntts = [NTTContext(n, p) for p in primes]
+    return BatchNTT(ntts), ntts
+
+
+def _stack(name, lead, fill, seed):
+    n, primes = RINGS[name]
+    col = np.array(primes, dtype=np.int64)[:, None]
+    shape = lead + (len(primes), n)
+    if fill == "zeros":
+        return np.zeros(shape, dtype=np.int64)
+    if fill == "max":
+        return np.broadcast_to(col - 1, shape).copy()
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 1 << 62, shape) % col
+
+
+def _assert_matches_oracle(name, x):
+    batch, ntts = _ring(name)
+    forward = batch.forward(x, assume_reduced=True)
+    inverse = batch.inverse(x, assume_reduced=True)
+    for result in (forward, inverse):
+        assert result.dtype == np.int64
+        assert result.shape == x.shape
+        assert result.flags.c_contiguous
+    for j, ctx in enumerate(ntts):
+        assert np.array_equal(forward[..., j, :], ctx.forward(x[..., j, :]))
+        assert np.array_equal(inverse[..., j, :], ctx.inverse(x[..., j, :]))
+    assert np.array_equal(batch.inverse(forward, assume_reduced=True), x)
+
+
+def test_extension_rings_match_the_contexts():
+    for params, name in ((small_params(), "n4096-ext"),
+                         (large_params(), "n8192-ext")):
+        ctx = BFVContext(params, seed=0)
+        assert tuple(ctx._ext_ring.basis.primes) == RINGS[name][1]
+
+
+LEADS = st.sampled_from([(), (3,), (2, 2)])  # (k,n), digits, batch x parts
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    name=st.sampled_from(sorted(RINGS)),
+    lead=LEADS,
+    fill=st.sampled_from(["random", "zeros", "max"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_ntt_matches_per_prime_oracle(name, lead, fill, seed):
+    _assert_matches_oracle(name, _stack(name, lead, fill, seed))
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@pytest.mark.parametrize("fill", ["zeros", "max"])
+def test_batch_ntt_extreme_residues(name, fill):
+    _assert_matches_oracle(name, _stack(name, (2,), fill, 0))
+
+
+def test_batch_ntt_reduces_unreduced_inputs():
+    batch, ntts = _ring("toy-q")
+    col = batch.primes[:, None]
+    rng = np.random.default_rng(7)
+    x = rng.integers(-(1 << 62), 1 << 62, (2, len(ntts), batch.n))
+    assert np.array_equal(
+        batch.forward(x), batch.forward(x % col, assume_reduced=True)
+    )
+    assert np.array_equal(
+        batch.inverse(x), batch.inverse(x % col, assume_reduced=True)
+    )
+
+
+def test_batch_ntt_strided_inputs_and_out():
+    """Broadcast (key-switch digits) and transposed inputs give the same
+    C-contiguous result; ``out`` is written in place and shape-checked."""
+    batch, ntts = _ring("n4096-q")
+    k, n = len(ntts), batch.n
+    digits = np.random.default_rng(3).integers(0, 1 << 24, (3, 1, n))
+    spread = np.broadcast_to(digits, (3, k, n))
+    dense = np.ascontiguousarray(spread)
+    expected = batch.forward(dense, assume_reduced=True)
+    assert np.array_equal(batch.forward(spread, assume_reduced=True), expected)
+    swapped = np.ascontiguousarray(dense.transpose(1, 0, 2)).transpose(1, 0, 2)
+    assert not swapped.flags.c_contiguous
+    assert np.array_equal(
+        batch.forward(swapped, assume_reduced=True), expected
+    )
+    out = np.empty_like(dense)
+    assert batch.forward(dense, assume_reduced=True, out=out) is out
+    assert np.array_equal(out, expected)
+    with pytest.raises(ValueError):
+        batch.forward(dense, out=np.empty((k, n), dtype=np.int64))
+    with pytest.raises(ValueError):
+        batch.forward(dense, out=np.empty_like(dense, order="F"))
+
+
+def test_batch_ntt_results_never_alias_arena_buffers():
+    batch, ntts = _ring("toy-q")
+    arena = ScratchArena()
+    x = _stack("toy-q", (2,), "random", 11)
+    y = _stack("toy-q", (2,), "random", 12)
+    with execution_scope(arena):
+        first = batch.forward(x, assume_reduced=True)
+        batch.forward(y, assume_reduced=True)  # reuses the same buffers
+        again = batch.inverse(first, assume_reduced=True)
+    assert arena.hits > 0
+    assert np.array_equal(first, batch.forward(x, assume_reduced=True))
+    assert np.array_equal(again, x)
+    for buf in arena._buffers.values():
+        assert not np.shares_memory(buf, first)
+
+
+def test_batch_ntt_rejects_primes_beyond_the_exact_range():
+    """31-bit primes at n=4096 would push gemm partial sums past 2^52."""
+    n = 4096
+    primes = find_ntt_primes(2, 31, 2 * n)
+    ntts = [NTTContext(n, p) for p in primes]  # the oracle accepts them
+    with pytest.raises(ValueError, match="exact"):
+        BatchNTT(ntts)
+    assert BatchNTT([NTTContext(n, p) for p in find_ntt_primes(2, 28, 2 * n)])

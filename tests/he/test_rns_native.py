@@ -100,7 +100,7 @@ def test_digit_decomposition_matches_shifts(width):
 
 
 # ---------------------------------------------------------------------------
-# Batched lazy NTT == eager per-prime NTT
+# Batched matrix NTT == eager per-prime NTT
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n", [4, 16, 128, 512])
@@ -114,10 +114,6 @@ def test_batch_ntt_matches_eager(n, bits):
         x = rng.integers(0, max(primes), shape)
         forward = batch.forward(x)
         inverse = batch.inverse(x)
-        lazy = batch.forward(x, reduce_output=False)
-        assert np.array_equal(
-            lazy % np.array(primes)[:, None], forward
-        ), "lazy output must stay congruent"
         flat_f = forward.reshape(-1, 3, n)
         flat_i = inverse.reshape(-1, 3, n)
         flat_x = x.reshape(-1, 3, n)

@@ -160,6 +160,21 @@ def test_unguarded_run_documents_the_silent_hazard():
     assert not report.matches_reference
 
 
+def test_bitflip_fault_lands_on_a_fortran_ordered_eval_form():
+    """The injected flip must reach the ciphertext whatever the memory
+    order of its cached evaluation form (a flattening reshape of an
+    F-ordered copy is a copy, and a flip written there is lost)."""
+    executor = HEExecutor(quad_spec(), params=toy_params(), seed=5)
+    ctx = executor.ctx
+    ct = ctx.encrypt_vector([1, 2, 3])
+    part = ct.parts[0]
+    part._eval = np.asfortranarray(part.eval_rows())
+    assert not part._eval.flags.c_contiguous
+    assert ctx.noise_budget(ct) > 0
+    flipped = executor._corrupt_ciphertext(ct, ("bitflip", 0, 11))
+    assert ctx.noise_budget(flipped) <= 0
+
+
 def test_guard_passes_clean_runs_and_records_low_water():
     spec = quad_spec()
     executor = HEExecutor(spec, params=small_params(), seed=31,
