@@ -2,10 +2,10 @@
 
 The CI job for the serving tier: launches the real CLI entry point as a
 subprocess, parses the ``serving on HOST:PORT`` boot line, drives a
-mixed-kernel workload (explicit inputs, server-drawn inputs, pipelined
-same-kernel requests that must coalesce, and an error path) through the
-blocking :class:`~repro.serve.client.ServeClient`, then requests a clean
-shutdown over the wire and asserts the process exits 0.
+mixed-kernel workload (explicit inputs, server-drawn inputs for two
+tenants, and an error path) through the blocking
+:class:`~repro.serve.client.ServeClient`, then requests a clean shutdown
+over the wire and asserts the process exits 0.
 
 Run from the repository root::
 
@@ -41,7 +41,6 @@ def launch_server() -> tuple[subprocess.Popen, str, int]:
             "--port", "0",
             "--backend", "interpreter",
             "--precompile", "gx,box_blur",
-            "--linger-ms", "5",
             "--timings",
         ],
         cwd=REPO_ROOT,
@@ -116,7 +115,7 @@ def main() -> int:
             assert set(stats["hot_kernels"]) >= {"gx", "box_blur"}, stats
             print(
                 f"stats ok: {scheduler['responses']} responses, "
-                f"{scheduler['batches']} batches, "
+                f"queue peak {scheduler['queue_peak']}, "
                 f"p50 {scheduler['p50_ms']}ms"
             )
 

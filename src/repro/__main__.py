@@ -6,10 +6,9 @@ Commands:
 * ``compile <kernel>``         — synthesize and print Quill + SEAL code
 * ``baseline <kernel>``        — print the hand-written baseline
 * ``run <kernel>``             — synthesize, then execute on a backend
-  (``--batch N`` executes N inputs in one lockstep encrypted batch)
 * ``serve``                    — long-lived multi-tenant compile-and-run
-  service (JSON over TCP; coalesces concurrent same-program requests
-  into lockstep batches, see :mod:`repro.serve`)
+  service (JSON over TCP; one admission queue, fair-share across
+  tenants, see :mod:`repro.serve`)
 * ``synth <kernel>``           — checkpointed synthesis: search state is
   persisted atomically every round; ``--resume`` restarts a killed run
   from its last boundary with a byte-identical result
@@ -171,8 +170,6 @@ def _cmd_run(args) -> int:
     session = _session(args)
     spec = session.spec(args.kernel)
     compiled = session.compile(args.kernel)
-    if args.batch > 1:
-        return _run_batch(args, session, compiled)
     rng = np.random.default_rng(args.seed)
     logical = {
         p.name: rng.integers(0, spec.backend_bound + 1, p.shape)
@@ -224,42 +221,6 @@ def _cmd_run(args) -> int:
     else:
         print(f"evaluation time: {report.wall_time:.4f}s on {report.backend}")
     return 0 if report.matches_reference else 1
-
-
-def _run_batch(args, session, compiled) -> int:
-    """``run --batch N``: one lockstep batched execution of N inputs."""
-    batch = session.run_many(
-        args.kernel, args.batch, backend=args.backend, seed=args.seed,
-        options=_exec_options(args, escalate=not args.no_escalate),
-    )
-    if args.timings:
-        _print_executor_timings(session)
-    if args.json:
-        payload = compiled.summary()
-        payload["batch"] = {
-            "backend": batch.backend,
-            "size": batch.batch_size,
-            "all_match": batch.all_match,
-            "total_seconds": batch.total_seconds,
-            "seconds_per_run": batch.seconds_per_run,
-            "runs_per_second": batch.runs_per_second,
-            "noise_budgets": [r.noise_budget for r in batch.results],
-        }
-        print(json.dumps(payload, indent=2))
-        return 0 if batch.all_match else 1
-    print(
-        f"batch of {batch.batch_size} on {batch.backend}: "
-        f"{'all match' if batch.all_match else 'MISMATCH'}"
-    )
-    print(
-        f"total {batch.total_seconds:.3f}s "
-        f"({batch.seconds_per_run * 1e3:.1f} ms/run, "
-        f"{batch.runs_per_second:.2f} runs/s)"
-    )
-    budgets = [r.noise_budget for r in batch.results if r.noise_budget is not None]
-    if budgets:
-        print(f"noise budgets: min {min(budgets)} / max {max(budgets)} bits")
-    return 0 if batch.all_match else 1
 
 
 def _cmd_synth(args) -> int:
@@ -444,7 +405,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    """``porcupine serve``: run the batch-scheduling service until stopped."""
+    """``porcupine serve``: run the compile-and-run service until stopped."""
     import asyncio
 
     from repro.serve import PorcupineServer, ServeConfig
@@ -455,8 +416,6 @@ def _cmd_serve(args) -> int:
         backend=args.backend,
         params=args.params,
         seed=args.seed,
-        max_batch=args.max_batch,
-        linger_ms=args.linger_ms,
         compile_workers=args.compile_workers,
         cache_dir=args.cache_dir,
         precompile=tuple(
@@ -570,10 +529,6 @@ def main(argv: list[str] | None = None) -> int:
             cmd.add_argument("--backend", choices=("he", "interpreter"),
                              default="he",
                              help="execution backend (default: he)")
-            cmd.add_argument("--batch", type=int, default=1, metavar="N",
-                             help="execute N random inputs as one lockstep "
-                                  "encrypted batch (amortizes keys, "
-                                  "encoding, and program setup)")
             cmd.add_argument("--timings", action="store_true",
                              help="print the executor's NTT/arena counter "
                                   "table (NTT rows performed and elided, "
@@ -602,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
     serve = sub.add_parser(
         "serve",
         help="run the multi-tenant compile-and-run service "
-             "(JSON-lines over TCP, request coalescing)",
+             "(JSON-lines over TCP, fair-share admission queue)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7707,
@@ -617,10 +572,6 @@ def main(argv: list[str] | None = None) -> int:
                             "own preset otherwise)")
     serve.add_argument("--seed", type=int, default=0,
                        help="execution-backend key seed")
-    serve.add_argument("--max-batch", type=int, default=8, metavar="N",
-                       help="max coalesced requests per lockstep batch")
-    serve.add_argument("--linger-ms", type=float, default=2.0, metavar="MS",
-                       help="max wait for co-batchable requests")
     serve.add_argument("--compile-workers", type=int, default=0, metavar="N",
                        help="compile worker processes sharing the on-disk "
                             "cache (0: compile inline; requires --cache-dir "
@@ -631,8 +582,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="registry kernels to compile (and pin) at boot")
     serve.add_argument("--timings", action="store_true",
                        help="print the scheduler stats table on shutdown "
-                            "(batches, occupancy, coalesce ratio, cache "
-                            "hit rate, p50/p99)")
+                            "(requests, errors, cache hit rate, p50/p99)")
     serve.add_argument("--default-timeout-ms", type=float, default=None,
                        metavar="MS",
                        help="deadline for requests that carry no "
@@ -660,7 +610,7 @@ def main(argv: list[str] | None = None) -> int:
                             "re-running on the next-larger preset")
     serve.add_argument("--shadow-verify", type=float, default=0.0,
                        metavar="FRACTION",
-                       help="cross-check this fraction of HE batches "
+                       help="cross-check this fraction of HE runs "
                             "against the interpreter backend; mismatches "
                             "are withheld as NOISE_BUDGET errors "
                             "(deterministic sampling; 0 disables)")

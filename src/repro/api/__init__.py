@@ -8,7 +8,6 @@ examples, and user code — goes through the :class:`Porcupine` session::
     session = Porcupine()
     compiled = session.compile("box_blur")       # synthesize + cache
     session.run("box_blur", backend="he")        # execute encrypted
-    session.run_many("box_blur", 8, backend="he")  # batched serving path
     session.compile_suite(["gx", "gy", "sobel"]) # concurrent batch
 
 Building blocks, all replaceable per session:

@@ -47,28 +47,17 @@ class BackendResult:
 
 @dataclass
 class BatchResult:
-    """One batched execution: per-run results plus amortized timings."""
+    """Several executions of one kernel, in input order."""
 
     backend: str
     kernel: str
     results: list[BackendResult]
     batch_size: int
     total_seconds: float
-    setup_seconds: float = 0.0
 
     @property
     def all_match(self) -> bool:
         return all(r.matches_reference for r in self.results)
-
-    @property
-    def seconds_per_run(self) -> float:
-        return self.total_seconds / max(1, self.batch_size)
-
-    @property
-    def runs_per_second(self) -> float:
-        return (
-            self.batch_size / self.total_seconds if self.total_seconds else 0.0
-        )
 
 
 class ExecutionBackend(Protocol):
@@ -111,22 +100,6 @@ class InterpreterBackend:
             wall_time=wall,
         )
 
-    def execute_many(
-        self,
-        program: Program,
-        spec: Spec,
-        logical_envs: list[dict[str, np.ndarray]],
-    ) -> BatchResult:
-        started = time.perf_counter()
-        results = [self.execute(program, spec, env) for env in logical_envs]
-        return BatchResult(
-            backend=self.name,
-            kernel=program.name,
-            results=results,
-            batch_size=len(results),
-            total_seconds=time.perf_counter() - started,
-        )
-
 
 class HEBackend:
     """Execute under real BFV encryption; executors are reused per spec.
@@ -134,7 +107,7 @@ class HEBackend:
     ``slow_reference=True`` runs on the retained big-integer BFV paths
     (the oracle/baseline implementation).  ``params`` overrides the
     spec's parameter preset by name (``"toy"``/``"small"``/``"large"``) —
-    the serving benchmark's quick mode runs on toy parameters this way.
+    the serving tests run on toy parameters this way.
 
     ``options`` (:class:`~repro.runtime.options.ExecOptions`) sets the
     runtime noise guards and predictive admission of every executor the
@@ -159,7 +132,7 @@ class HEBackend:
         self.options = options or ExecOptions()
         self._executors: dict[tuple[str, str], object] = {}
         # escalations not yet collected by drain_escalations() (the
-        # serving tier folds them into its MetricsRegistry per batch)
+        # serving tier folds them into its MetricsRegistry per request)
         self._unreported_escalations = 0
         # preset the most recent escalated run actually landed on
         self.last_escalation_params_name: str | None = None
@@ -272,36 +245,6 @@ class HEBackend:
     ) -> BackendResult:
         def attempt(executor) -> BackendResult:
             return self._to_result(program, executor.run(program, logical_env))
-
-        executor = self._executor_for(spec)
-        try:
-            return attempt(executor)
-        except NoiseBudgetExhausted as error:
-            if not self.options.escalate:
-                raise
-            return self._run_escalated(spec, executor, attempt, error)
-
-    def execute_many(
-        self,
-        program: Program,
-        spec: Spec,
-        logical_envs: list[dict[str, np.ndarray]],
-    ) -> BatchResult:
-        """One lockstep encrypted execution over the whole batch."""
-
-        def attempt(executor) -> BatchResult:
-            batch = executor.run_many(program, logical_envs)
-            return BatchResult(
-                backend=self.name,
-                kernel=program.name,
-                results=[
-                    self._to_result(program, report)
-                    for report in batch.reports
-                ],
-                batch_size=batch.batch_size,
-                total_seconds=batch.total_seconds,
-                setup_seconds=batch.setup_seconds,
-            )
 
         executor = self._executor_for(spec)
         try:

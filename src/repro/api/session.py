@@ -21,6 +21,7 @@ leaks into another.
 from __future__ import annotations
 
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -536,11 +537,11 @@ class Porcupine:
     ) -> BackendResult:
         """Execute an already-compiled kernel (no compile step).
 
-        The serving scheduler's entry point: compilation (possibly in a
-        worker process against the shared cache) and execution are
-        separate stages there, so this takes the :class:`CompiledKernel`
-        directly instead of re-resolving through :meth:`compile`.
-        ``spec`` is only needed for ad-hoc kernels not in the registry.
+        Takes the :class:`CompiledKernel` directly instead of
+        re-resolving through :meth:`compile`, for callers that compile
+        and execute in separate stages (the server compiles in worker
+        processes against the shared cache).  ``spec`` is only needed
+        for ad-hoc kernels not in the registry.
         """
         if spec is None:
             spec = self.spec(compiled.name)
@@ -557,22 +558,16 @@ class Porcupine:
         spec: Spec | None = None,
         options: ExecOptions | None = None,
     ) -> BatchResult:
-        """Execute one compiled kernel over a batch of environments.
+        """Execute one compiled kernel once per environment, in order.
 
-        Like :meth:`execute`, but in lockstep over the whole batch (one
-        ``run_many`` tape pass on the HE backend).  This is what the
-        serving batch scheduler calls once per coalesced batch; results
-        are positionally aligned with ``envs``.
+        A plain loop of single executions: each environment is its own
+        encrypted request.  The server dispatches every request through
+        here as a one-element list.
         """
         if spec is None:
             spec = self.spec(compiled.name)
         engine = self._resolve_backend(backend, seed, options)
-        execute_many = getattr(engine, "execute_many", None)
-        if execute_many is not None:
-            return execute_many(compiled.program, spec, list(envs))
-        import time as _time
-
-        started = _time.perf_counter()
+        started = time.perf_counter()
         results = [
             engine.execute(compiled.program, spec, env) for env in envs
         ]
@@ -581,7 +576,7 @@ class Porcupine:
             kernel=compiled.program.name,
             results=results,
             batch_size=len(results),
-            total_seconds=_time.perf_counter() - started,
+            total_seconds=time.perf_counter() - started,
         )
 
     def _resolve_backend(
@@ -598,7 +593,7 @@ class Porcupine:
     def executor_stats(self):
         """Merged HE :class:`~repro.runtime.profiler.ExecutorStats`
         across every backend this session has built (NTT rows performed
-        and elided, arena high-water bytes, widest shard count)."""
+        and elided, arena high-water bytes, guard counters)."""
         from repro.runtime.profiler import ExecutorStats
 
         merged = ExecutorStats()
@@ -616,51 +611,6 @@ class Porcupine:
             )
             for p in spec.layout.inputs
         }
-
-    def run_many(
-        self,
-        kernel: str | Spec | KernelDefinition,
-        inputs: Sequence[dict[str, np.ndarray]] | int,
-        *,
-        backend: str | ExecutionBackend | None = None,
-        seed: int = 0,
-        options: ExecOptions | None = None,
-        **compile_kwargs,
-    ) -> BatchResult:
-        """Compile once and execute a batch of inputs in lockstep.
-
-        ``inputs`` is either a list of logical environments or an integer
-        batch size (random in-range environments drawn from ``seed``).
-        On the HE backend the whole batch is encrypted into stacked
-        ciphertexts and evaluated by one pass over the compiled tape —
-        key generation, plaintext encoding, and program setup are paid
-        once (the serving path; also exposed as ``--batch`` on the CLI).
-        Backends without a native ``execute_many`` fall back to a loop.
-        """
-        compiled = self.compile(kernel, **compile_kwargs)
-        definition = self._resolve(kernel)
-        spec = definition.spec()
-        if isinstance(inputs, int):
-            if inputs < 1:
-                raise ValueError("batch size must be >= 1")
-            # vary the user-side (ciphertext) inputs per run; server-side
-            # plaintext operands are shared across the batch, as in serving
-            batch = inputs
-            shared = self._random_inputs(spec, seed)
-            pt_names = set(spec.layout.pt_names)
-            inputs = [shared]
-            for i in range(1, batch):
-                drawn = self._random_inputs(spec, seed + i)
-                inputs.append(
-                    {
-                        name: shared[name] if name in pt_names else drawn[name]
-                        for name in shared
-                    }
-                )
-        return self.execute_batch(
-            compiled, inputs, backend=backend, seed=seed, spec=spec,
-            options=options,
-        )
 
     def run_all(
         self,

@@ -2,7 +2,8 @@
 
 The executor's steady state churns through large workspaces: every
 batched NTT runs its matrix steps in float64 buffers the size of the
-whole ``(batch, k, N)`` stack.  A :class:`ScratchArena` keeps one
+whole residue stack (``(k, N)``, or the ``(digits, k, N)`` key-switch
+and ``(4, k, N)`` tensor stacks).  A :class:`ScratchArena` keeps one
 reusable buffer per ``(tag, shape, dtype)`` key so replaying a tape
 allocates no new workspace after the first pass.
 
@@ -14,8 +15,8 @@ bug the aliasing regression test pins).
 
 A thread-local *scope* makes the active arena (and transform counters)
 visible to the NTT layer without threading parameters through every ring
-operation; each executor worker thread enters its own scope, so lockstep
-shards never share buffers.
+operation; each thread enters its own scope, so two executions never
+share buffers.
 """
 
 from __future__ import annotations
@@ -30,19 +31,16 @@ class ExecCounters:
     """Mutable transform counters for one execution scope.
 
     ``ntt_rows`` counts length-``n`` row transforms (one ``(k, n)``
-    element transform adds ``k``; a ``(batch, k, n)`` stack adds
-    ``batch * k``), which makes planner predictions directly comparable
-    to measurements: a plan's per-element row count times the batch size
-    must equal the measured delta.
+    element transform adds ``k``; a ``(digits, k, n)`` stack adds
+    ``digits * k``), which makes planner predictions directly comparable
+    to measurements: a plan's row count must equal the measured delta
+    of one run.
     """
 
     __slots__ = ("ntt_rows",)
 
     def __init__(self):
         self.ntt_rows = 0
-
-    def merge(self, other: "ExecCounters") -> None:
-        self.ntt_rows += other.ntt_rows
 
 
 class ScratchArena:

@@ -61,12 +61,7 @@ class Plaintext:
 
 
 class Ciphertext:
-    """A BFV ciphertext: 2 (or transiently 3) ring elements.
-
-    Parts may carry leading batch axes (``(batch, k, N)`` residue stacks):
-    every homomorphic operation broadcasts over them, so a whole batch of
-    user ciphertexts moves through each instruction in one numpy pass.
-    """
+    """A BFV ciphertext: 2 (or transiently 3) ring elements."""
 
     __slots__ = ("parts",)
 
@@ -78,11 +73,6 @@ class Ciphertext:
     @property
     def size(self) -> int:
         return len(self.parts)
-
-    @property
-    def batch_shape(self) -> tuple:
-        """Leading batch axes of the residue stacks (empty for a single)."""
-        return self.parts[0].shape[:-2]
 
     def copy(self) -> "Ciphertext":
         return Ciphertext([p.copy() for p in self.parts])
@@ -216,24 +206,22 @@ class BFVContext:
             [t % p for p in self.params.coeff_primes], dtype=np.int64
         )[:, None]
 
-    def _sample_ternary(self, lead: tuple = ()) -> RingElement:
-        coeffs = self._rng.integers(-1, 2, lead + (self.params.poly_degree,))
+    def _sample_ternary(self) -> RingElement:
+        coeffs = self._rng.integers(-1, 2, self.params.poly_degree)
         return self.ring.from_int_coeffs(coeffs)
 
-    def _sample_error(self, lead: tuple = ()) -> RingElement:
+    def _sample_error(self) -> RingElement:
         std = self.params.error_std
-        raw = self._rng.normal(0.0, std, lead + (self.params.poly_degree,))
+        raw = self._rng.normal(0.0, std, self.params.poly_degree)
         clipped = np.clip(np.rint(raw), -6 * std, 6 * std).astype(np.int64)
         return self.ring.from_int_coeffs(clipped)
 
-    def _sample_uniform(self, lead: tuple = ()) -> RingElement:
+    def _sample_uniform(self) -> RingElement:
         rows = [
-            self._rng.integers(
-                0, p, lead + (self.params.poly_degree,), dtype=np.int64
-            )
+            self._rng.integers(0, p, self.params.poly_degree, dtype=np.int64)
             for p in self.params.coeff_primes
         ]
-        return RingElement(self.ring, np.stack(rows, axis=-2))
+        return RingElement(self.ring, np.stack(rows))
 
     def _keygen(self) -> None:
         s = self._sample_ternary()
@@ -271,11 +259,10 @@ class BFVContext:
         return self.encoder.decode(plaintext.coeffs, signed=signed)
 
     def encrypt(self, plaintext: Plaintext) -> Ciphertext:
-        """Encrypt one plaintext — or a whole ``(batch, n)`` stack at once."""
-        lead = plaintext.coeffs.shape[:-1]
-        u = self._sample_ternary(lead)
-        e1 = self._sample_error(lead)
-        e2 = self._sample_error(lead)
+        """Public-key encryption of one plaintext."""
+        u = self._sample_ternary()
+        e1 = self._sample_error()
+        e2 = self._sample_error()
         m_scaled = plaintext.lift(self.ring, self.t).scalar_mul(self.delta)
         if not self.slow_reference:
             # one batched transform primes every NTT cache the masking
@@ -291,17 +278,14 @@ class BFVContext:
 
     @staticmethod
     def _cols(residues: np.ndarray) -> np.ndarray:
-        """``(..., k, n) -> (k, cols)`` view/copy for the RNS primitives."""
-        if residues.ndim == 2:
-            return residues
+        """``(parts, k, n) -> (k, parts * n)`` copy for the RNS primitives."""
         return np.moveaxis(residues, -2, 0).reshape(residues.shape[-2], -1)
 
     def _compose(self, residues: np.ndarray) -> list[int]:
         """Exact coefficient reconstruction, seed path under the oracle."""
-        cols = self._cols(residues)
         if self.slow_reference:
-            return self.ring.basis.compose_schoolbook(cols)
-        return self.ring.basis.compose(cols)
+            return self.ring.basis.compose_schoolbook(residues)
+        return self.ring.basis.compose(residues)
 
     def _noise_element(self, ct: Ciphertext) -> RingElement:
         """``c0 + c1*s (+ c2*s^2)`` as a ring element."""
@@ -312,16 +296,12 @@ class BFVContext:
         return acc
 
     def _noise_poly(self, ct: Ciphertext) -> list[int]:
-        """Coefficients of ``c0 + c1*s (+ c2*s^2)`` in ``[0, q)``.
-
-        For batched ciphertexts the list is the concatenation of every
-        batch element's coefficients, in batch order.
-        """
+        """Coefficients of ``c0 + c1*s (+ c2*s^2)`` in ``[0, q)``."""
         return self._compose(self._noise_element(ct).residues)
 
     def decrypt(self, ct: Ciphertext, check_budget: bool = True) -> Plaintext:
         plaintext, _ = self.decrypt_with_budgets(
-            ct, check_budget=check_budget, want_budgets=check_budget
+            ct, check_budget=check_budget, want_budget=check_budget
         )
         return plaintext
 
@@ -329,42 +309,36 @@ class BFVContext:
         self,
         ct: Ciphertext,
         check_budget: bool = True,
-        want_budgets: bool = True,
-    ) -> tuple[Plaintext, list[int] | None]:
-        """Decrypt and measure noise budgets in one pass.
+        want_budget: bool = True,
+    ) -> tuple[Plaintext, int | None]:
+        """Decrypt and measure the noise budget in one pass.
 
         Shares the ``c0 + c1*s`` evaluation between the budget check and
         the rounding step (the executor's epilogue needs both, and
         recomputing the noise element doubles the decryption cost).
         """
         q, t = self.q, self.t
-        lead = ct.batch_shape + (self.params.poly_degree,)
         acc = self._noise_element(ct)
-        budgets = None
-        if want_budgets or check_budget:
-            budgets = [
-                self._budget_bits(q, u) for u in self._noise_magnitudes(ct, acc)
-            ]
-            if check_budget and min(budgets) <= 0:
-                worst = min(range(len(budgets)), key=budgets.__getitem__)
+        budget = None
+        if want_budget or check_budget:
+            budget = self._budget_bits(q, self._noise_magnitude(ct, acc))
+            if check_budget and budget <= 0:
                 raise NoiseBudgetExhausted(
-                    f"ciphertext noise budget exhausted: minimum budget "
-                    f"{budgets[worst]} bits at batch element {worst} of "
-                    f"{len(budgets)}; decryption would corrupt",
-                    min_budget=budgets[worst],
-                    batch_index=worst,
+                    f"ciphertext noise budget exhausted: budget {budget} "
+                    "bits; decryption would corrupt",
+                    min_budget=budget,
                     params_name=self.params.name,
                 )
-            if not want_budgets:
-                budgets = None
+            if not want_budget:
+                budget = None
         if self.slow_reference:
-            w = self.ring.basis.compose_schoolbook(self._cols(acc.residues))
+            w = self.ring.basis.compose_schoolbook(acc.residues)
             coeffs = np.array(
                 [(t * c + q // 2) // q % t for c in w], dtype=np.int64
             )
         else:
-            coeffs = self._decrypt_round(self._cols(acc.residues))
-        return Plaintext(coeffs.reshape(lead)), budgets
+            coeffs = self._decrypt_round(acc.residues)
+        return Plaintext(coeffs), budget
 
     def _decrypt_round(self, residues: np.ndarray) -> np.ndarray:
         """``round(t * c / q) mod t`` straight from q-basis residues.
@@ -397,37 +371,27 @@ class BFVContext:
     def decrypt_vector(self, ct: Ciphertext, signed: bool = True) -> np.ndarray:
         return self.decode(self.decrypt(ct), signed=signed)
 
-    def _noise_magnitudes(
+    def _noise_magnitude(
         self, ct: Ciphertext, acc: RingElement | None = None
-    ) -> list[int]:
-        """Per-batch-element max invariant-noise magnitude.
+    ) -> int:
+        """Max invariant-noise magnitude of one ciphertext.
 
         The magnitude is ``max |centered(t*c mod q, q)|`` over the
-        element's coefficients; the RNS path finds the maximum through
-        exact 16-bit limb reconstruction and a vectorized lexicographic
-        scan, with no per-coefficient Python arithmetic.
+        coefficients; the RNS path finds the maximum through exact 16-bit
+        limb reconstruction and a vectorized lexicographic scan, with no
+        per-coefficient Python arithmetic.
         """
         q, t = self.q, self.t
-        n = self.params.poly_degree
         if acc is None:
             acc = self._noise_element(ct)
         if self.slow_reference:
-            w = self.ring.basis.compose_schoolbook(self._cols(acc.residues))
-            out = []
-            for start in range(0, len(w), n):
-                max_u = 0
-                for c in w[start : start + n]:
-                    u = abs(centered(t * c % q, q))
-                    if u > max_u:
-                        max_u = u
-                out.append(max_u)
-            return out
+            w = self.ring.basis.compose_schoolbook(acc.residues)
+            return max(abs(centered(t * c % q, q)) for c in w)
         from repro.he.rns import _LIMB_BITS, _LIMB_MASK
 
         basis = self.ring.basis
         # x = t*c mod q, via residues (p_i | q keeps this exact)
-        scaled = acc.residues * self._t_mod_q % self.ring._primes_col
-        cols = self._cols(scaled)
+        cols = acc.residues * self._t_mod_q % self.ring._primes_col
         v = basis._garner_lift(cols)
         vf = v.astype(np.float64)
         plain = basis.overflow_counts(v, vf=vf)
@@ -444,21 +408,17 @@ class BFVContext:
             comp[level] = cur & _LIMB_MASK
             borrow = cur >> _LIMB_BITS
         mags = np.where(flip[None, :], comp, limbs)
-        out = []
-        for start in range(0, mags.shape[1], n):
-            chunk = mags[:, start : start + n]
-            live = np.arange(chunk.shape[1])
-            for level in range(chunk.shape[0] - 1, -1, -1):
-                row = chunk[level, live]
-                live = live[row == row.max()]
-                if len(live) == 1:
-                    break
-            best = chunk[:, live[0]]
-            max_u = 0
-            for level in range(chunk.shape[0] - 1, -1, -1):
-                max_u = (max_u << _LIMB_BITS) | int(best[level])
-            out.append(max_u)
-        return out
+        live = np.arange(mags.shape[1])
+        for level in range(mags.shape[0] - 1, -1, -1):
+            row = mags[level, live]
+            live = live[row == row.max()]
+            if len(live) == 1:
+                break
+        best = mags[:, live[0]]
+        max_u = 0
+        for level in range(mags.shape[0] - 1, -1, -1):
+            max_u = (max_u << _LIMB_BITS) | int(best[level])
+        return max_u
 
     @staticmethod
     def _budget_bits(q: int, max_u: int) -> int:
@@ -467,20 +427,8 @@ class BFVContext:
         return max(0, (q // (2 * max_u)).bit_length() - 1)
 
     def noise_budget(self, ct: Ciphertext) -> int:
-        """Bits of invariant-noise headroom (0 means decryption may fail).
-
-        For batched ciphertexts this is the worst element's budget; use
-        :meth:`noise_budgets` for the per-element view.
-        """
-        return min(
-            self._budget_bits(self.q, u) for u in self._noise_magnitudes(ct)
-        )
-
-    def noise_budgets(self, ct: Ciphertext) -> list[int]:
-        """Per-batch-element noise budgets (singletons give one entry)."""
-        return [
-            self._budget_bits(self.q, u) for u in self._noise_magnitudes(ct)
-        ]
+        """Bits of invariant-noise headroom (0 means decryption may fail)."""
+        return self._budget_bits(self.q, self._noise_magnitude(ct))
 
     # ------------------------------------------------------------------
     # Homomorphic operations
@@ -576,16 +524,13 @@ class BFVContext:
         """
         ext = self._ext_ring
         n = self.params.poly_degree
-        # one conversion call over all four parts (and any batch axes)
+        # one conversion call over all four parts
         stack = np.stack(
             [part.residues for ct in (ct1, ct2) for part in ct.parts]
-        )  # (4, ..., k, n)
-        lead = stack.shape[:-2]
+        )  # (4, k, n)
         converted = self._conv_q_to_ext(self._cols(stack), centered=True)
         k_ext = len(ext.basis)
-        operands = np.moveaxis(
-            converted.reshape((k_ext,) + lead + (n,)), 0, -2
-        )
+        operands = np.moveaxis(converted.reshape(k_ext, 4, n), 0, -2)
         fa0, fa1, fb0, fb1 = ext.batch_ntt.forward(operands, assume_reduced=True)
         p_col = ext._primes_col
         fsa = RingElement._mod_add(fa0, fa1, p_col)
@@ -598,12 +543,10 @@ class BFVContext:
             RingElement._mod_sub(tss, t00, p_col), t11, p_col
         )
         # rescale all three tensor parts in one vectorized sweep
-        tensors = np.stack([t00, t01, t11])  # (3, ..., k_ext, n)
+        tensors = np.stack([t00, t01, t11])  # (3, k_ext, n)
         rescaled = self._rns_rescale(self._cols(tensors))
         k = len(self.ring.basis)
-        parts = np.moveaxis(
-            rescaled.reshape((k,) + tensors.shape[:-2] + (n,)), 0, -2
-        )
+        parts = np.moveaxis(rescaled.reshape(k, 3, n), 0, -2)
         return [
             RingElement(self.ring, np.ascontiguousarray(parts[i]))
             for i in range(3)
@@ -785,29 +728,20 @@ class BFVContext:
         elements inverse-transform only if a consumer needs coefficients.
         """
         ring = self.ring
-        res = poly.residues
-        lead = res.shape[:-2]
         n = self.params.poly_degree
-        digits = self._digit_decomposer.digits(self._cols(res))
+        digits = self._digit_decomposer.digits(poly.residues)
         depth = digits.shape[0]
-        shaped = digits.reshape((depth,) + lead + (1, n))
+        shaped = digits.reshape(depth, 1, n)
         if self._digits_canonical:
             # digits < 2^T <= every prime: the broadcast across the prime
             # axis is already canonical, so the transform's working copy
             # materialises it without a division pass
-            stack = np.broadcast_to(
-                shaped, (depth,) + lead + (len(ring.basis), n)
-            )
+            stack = np.broadcast_to(shaped, (depth, len(ring.basis), n))
         else:
-            stack = shaped % ring._primes_col  # (digits, ..., k, n)
+            stack = shaped % ring._primes_col  # (digits, k, n)
         evals = ring.batch_ntt.forward(stack, assume_reduced=True)
         p_col = ring._primes_col
-        key0 = key._stack_0.reshape(
-            (depth,) + (1,) * len(lead) + key._stack_0.shape[1:]
-        )
-        key1 = key._stack_1.reshape(
-            (depth,) + (1,) * len(lead) + key._stack_1.shape[1:]
-        )
+        key0, key1 = key._stack_0, key._stack_1
         if self._mac_needs_reduce:
             acc0 = np.sum(evals * key0 % p_col, axis=0) % p_col
             acc1 = np.sum(evals * key1 % p_col, axis=0) % p_col

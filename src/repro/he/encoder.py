@@ -43,24 +43,22 @@ class BatchEncoder:
         """Vector of signed ints -> plaintext polynomial coefficients mod t.
 
         Accepts up to ``n`` values (shorter vectors are zero-padded); each
-        value must lie in the centered range ``(-t/2, t/2]``.  A 2-D
-        ``(batch, len)`` input encodes a whole batch of vectors in one
-        vectorized inverse transform.
+        value must lie in the centered range ``(-t/2, t/2]``.
         """
         values = np.asarray(values, dtype=np.int64)
-        if values.ndim not in (1, 2) or values.shape[-1] > self.n:
+        if values.ndim != 1 or values.shape[-1] > self.n:
             raise ValueError(f"expected at most {self.n} scalar values")
         t = self.t
         if np.any(values > t // 2) or np.any(values < -(t // 2)):
             raise ValueError(
                 f"values must fit the centered plaintext range of t={t}"
             )
-        evals = np.zeros(values.shape[:-1] + (self.n,), dtype=np.int64)
-        evals[..., self._slot_to_pos[: values.shape[-1]]] = values % t
+        evals = np.zeros(self.n, dtype=np.int64)
+        evals[self._slot_to_pos[: len(values)]] = values % t
         return self._ntt.inverse(evals)
 
     def decode(self, coeffs: np.ndarray, signed: bool = True) -> np.ndarray:
-        """Plaintext polynomial coefficients mod t -> vector(s) of n slots."""
+        """Plaintext polynomial coefficients mod t -> vector of n slots."""
         evals = self._ntt.forward(np.asarray(coeffs, dtype=np.int64))
         slots = evals[..., self._slot_to_pos]
         if signed:

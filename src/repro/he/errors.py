@@ -22,7 +22,6 @@ class NoiseBudgetExhausted(HEError):
 
     Attributes:
         min_budget: the worst (minimum) observed or predicted budget, bits.
-        batch_index: batch element whose budget bottomed out, if known.
         op_index: tape step at which a runtime guard tripped (``None`` for
             output-decrypt checks and compile-time admission rejections).
         params_name: name of the parameter preset that was in effect.
@@ -33,13 +32,11 @@ class NoiseBudgetExhausted(HEError):
         message: str,
         *,
         min_budget: float | None = None,
-        batch_index: int | None = None,
         op_index: int | None = None,
         params_name: str | None = None,
     ):
         super().__init__(message)
         self.min_budget = min_budget
-        self.batch_index = batch_index
         self.op_index = op_index
         self.params_name = params_name
 

@@ -47,11 +47,7 @@ class RingContext:
         return RingElement(self, np.zeros(shape, dtype=np.int64))
 
     def from_int_coeffs(self, coeffs) -> "RingElement":
-        """Build an element from integer coefficients (any magnitude/sign).
-
-        Accepts a single length-``n`` vector or a ``(..., n)`` stack (the
-        batched execution path encrypts whole input batches at once).
-        """
+        """Build an element from integer coefficients (any magnitude/sign)."""
         if np.shape(coeffs)[-1] != self.n:
             raise ValueError(f"expected {self.n} coefficients")
         return RingElement(self, self.basis.decompose(coeffs))
@@ -194,13 +190,6 @@ class RingElement:
         return self._eval
 
     @property
-    def shape(self) -> tuple:
-        """Residue-stack shape, read from whichever form is present
-        (never forces a transform)."""
-        form = self._coeff if self._coeff is not None else self._eval
-        return form.shape
-
-    @property
     def has_eval(self) -> bool:
         return self._eval is not None
 
@@ -215,19 +204,6 @@ class RingElement:
             eval_rows=None if self._eval is None else self._eval.copy(),
         )
 
-    def batch_slice(self, lo: int, hi: int) -> "RingElement":
-        """A view of batch elements ``[lo, hi)`` of a batched element.
-
-        Slices every cached form along the leading batch axis without
-        copying; elements are value-immutable, so sharing the underlying
-        arrays with the parent is safe.  Used by the lockstep executor to
-        shard one encrypted ``(batch, k, N)`` stack across workers."""
-        return RingElement(
-            self.ctx,
-            None if self._coeff is None else self._coeff[lo:hi],
-            eval_rows=None if self._eval is None else self._eval[lo:hi],
-        )
-
     @staticmethod
     def _mod_add(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
         """``(a + b) mod p`` for canonical operands, division-free.
@@ -237,8 +213,7 @@ class RingElement:
         to ``%`` and ~2x faster (int64 division is the expensive pass).
         The fix-up runs per prime row with a scalar modulus: the
         conditional's temporaries then stay row-sized instead of
-        whole-stack-sized, which keeps batched adds out of the allocator
-        (a fresh ``(batch, k, n)`` temp per op is page-fault-bound).
+        element-sized, which keeps them out of the allocator.
         """
         s = a + b
         for i in range(p.shape[0]):

@@ -16,7 +16,6 @@ substrate the executor drags in.
 from importlib import import_module
 
 _EXPORTS = {
-    "BatchExecutionReport": "repro.runtime.executor",
     "ExecutionReport": "repro.runtime.executor",
     "HEExecutor": "repro.runtime.executor",
     "SchedulerStats": "repro.runtime.profiler",

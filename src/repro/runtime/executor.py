@@ -13,20 +13,16 @@ Programs are compiled once into a flat instruction tape
 the Galois keys a program needs are generated up front, program constants
 are encoded and frozen, and wires are assigned to a minimal set of slots
 by liveness analysis, so dead intermediates are released as soon as their
-last consumer has run.  :meth:`HEExecutor.run_many` executes one tape over
-a whole batch of user inputs at once — the inputs are encrypted as
-``(batch, k, N)`` residue stacks and every homomorphic instruction
-broadcasts over the batch axis, which is the serving story: key
-generation, constant encoding, tape setup, *and* numpy dispatch overhead
-are all amortized across the batch.
+last consumer has run.  Every :meth:`HEExecutor.run` is one request: one
+environment is encrypted into one ciphertext per input and the tape is
+replayed once over it.  Throughput comes from packing slots inside each
+ciphertext (paper section 3), not from stacking requests.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,7 +145,7 @@ class CompiledProgram:
     """A Quill program lowered onto one executor: checked, keyed, encoded.
 
     Produced once per program by :meth:`HEExecutor.compile`; every
-    :meth:`HEExecutor.run` / :meth:`HEExecutor.run_many` replays the tape.
+    :meth:`HEExecutor.run` replays the tape.
 
     Attributes:
         program: the source program.
@@ -199,81 +195,14 @@ class ExecutionReport:
     extra_model_outputs: list[np.ndarray] = field(default_factory=list)
 
 
-@dataclass
-class BatchExecutionReport:
-    """One :meth:`HEExecutor.run_many` call over a batch of inputs."""
-
-    reports: list[ExecutionReport]
-    batch_size: int
-    setup_seconds: float  # compile + encrypt + encode (amortized)
-    evaluate_seconds: float  # homomorphic tape execution
-    decrypt_seconds: float
-    total_seconds: float
-
-    @property
-    def all_match(self) -> bool:
-        return all(r.matches_reference for r in self.reports)
-
-    @property
-    def seconds_per_run(self) -> float:
-        return self.total_seconds / max(1, self.batch_size)
-
-    @property
-    def runs_per_second(self) -> float:
-        return self.batch_size / self.total_seconds if self.total_seconds else 0.0
-
-
-#: smallest ring degree at which lockstep sharding pays: from n=4096 the
-#: numpy NTT kernels run long enough with the GIL released for shards to
-#: overlap (2 shards of a batch of 8 on a 2-CPU host: 1.47-1.87x at
-#: n4096/n8192), while on the toy ring per-shard tape overhead mostly
-#: dominates (0.92-1.07x)
-SHARD_MIN_DEGREE = 4096
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where supported)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
-def shard_count(params: BFVParams, batch: int) -> int:
-    """Lockstep shards :meth:`HEExecutor.run_many` uses for ``batch``.
-
-    One shard per usable CPU (never more than one per element) at ring
-    degrees of :data:`SHARD_MIN_DEGREE` and up, a single pass below.
-    """
-    if params.poly_degree < SHARD_MIN_DEGREE:
-        return 1
-    return min(batch, usable_cpus())
-
-
-@dataclass
-class _Replay:
-    """One tape replay over a (shard of a) batch, decrypted."""
-
-    per_opcode: dict[str, float]
-    counters: ExecCounters
-    tape_seconds: float
-    guard_checks: int
-    trip: NoiseBudgetExhausted | None = None
-    decrypted: np.ndarray | None = None
-    budgets: list[int] = field(default_factory=list)
-    extras: list[np.ndarray] = field(default_factory=list)
-
-
 class HEExecutor:
     """Runs Quill programs under real BFV encryption.
 
-    Tapes always execute their compiled NTT-domain plan, and
-    :meth:`run_many` picks its own lockstep shard count
-    (:func:`shard_count`); both are bit-identical to the lazy
-    single-pass execution.  ``slow_reference=True`` builds the executor
-    on the retained big-int BFV paths (the seed implementation) — it has
-    no plan, so it executes lazily and is the baseline the runtime
-    benchmarks and equivalence tests compare against.
+    Tapes always execute their compiled NTT-domain plan, which is
+    bit-identical to lazy execution.  ``slow_reference=True`` builds the
+    executor on the retained big-int BFV paths (the seed implementation)
+    — it has no plan, so it executes lazily and is the baseline the
+    runtime benchmarks and equivalence tests compare against.
     """
 
     PLAINTEXT_CACHE_LIMIT = 256
@@ -312,7 +241,6 @@ class HEExecutor:
         self._compiled: dict[int, CompiledProgram] = {}
         self._pinned: set[int] = set()
         self._arena = ScratchArena()
-        self._worker_arenas: dict[int, ScratchArena] = {}
         self.stats = ExecutorStats()
 
     # ------------------------------------------------------------------
@@ -433,8 +361,8 @@ class HEExecutor:
             predicted_noise_budget=predicted,
         )
         if len(self._compiled) >= 32:  # bound the per-program tape cache
-            # pinned tapes survive the wholesale clear: the batch
-            # scheduler replays the same hot programs every tick, and
+            # pinned tapes survive the wholesale clear: the server
+            # replays the same hot programs on every request, and
             # evicting one mid-serve would silently re-pay displacement
             # checks, Galois key generation, and constant encoding
             self._compiled = {
@@ -448,9 +376,9 @@ class HEExecutor:
     def pin(self, program: Program) -> CompiledProgram:
         """Compile ``program`` and keep its tape resident across evictions.
 
-        The serving batch scheduler pins every precompiled/hot program so
-        batch-stack state (tape, keys, encoded constants) is reused across
-        scheduler ticks no matter how many cold programs pass through.
+        The server pins every precompiled/hot program so its tape, keys
+        and encoded constants are reused across requests no matter how
+        many cold programs pass through.
         """
         compiled = self.compile(program)
         self._pinned.add(id(program))
@@ -487,7 +415,7 @@ class HEExecutor:
 
     def _trip_tape_fault(self, value, index: int):
         """Apply the armed fault if this tape step is its trigger."""
-        with self._tape_fault_lock:  # one-shot, even across shards
+        with self._tape_fault_lock:  # one-shot, even when armed concurrently
             fault = self._tape_fault
             step = int(fault[1]) if fault and len(fault) > 1 else 0
             if fault is None or index != step:
@@ -543,14 +471,12 @@ class HEExecutor:
         without one (the slow-reference oracle) every step runs lazily.
         Transforms are exact bijections, so both are bit-identical.
 
-        Returns ``(output ct, extra cts, per-op seconds, guard checks,
-        guard trip)``.  A tripped guard stops the replay and is returned
-        unraised (with no outputs), so that shard threads never write the
-        executor's shared stats.
+        Returns ``(output ct, extra cts, per-op seconds)``.  A tripped
+        guard stops the replay and raises, after counting its check.
         """
         ctx = self.ctx
         guard = self.guard
-        guard_checks = 0
+        stats = self.stats
         slots: list = [None] * compiled.slot_count
         per_opcode: dict[str, float] = {}
         plan = compiled.plan
@@ -606,22 +532,17 @@ class HEExecutor:
                     and (index + 1) % guard.every_n_ops == 0
                 )
             ):
-                guard_checks += 1
-                budgets = ctx.noise_budgets(value)
-                low = min(budgets)
-                if low <= guard.min_budget_bits:
-                    worst = budgets.index(low)
-                    return None, [], per_opcode, guard_checks, (
-                        NoiseBudgetExhausted(
-                            f"noise guard tripped at tape step {index} "
-                            f"({opcode.value}): budget {low} bits at batch "
-                            f"element {worst} under params "
-                            f"{self.params.name!r}",
-                            min_budget=low,
-                            batch_index=worst,
-                            op_index=index,
-                            params_name=self.params.name,
-                        )
+                stats.guard_checks += 1
+                budget = ctx.noise_budget(value)
+                if budget <= guard.min_budget_bits:
+                    stats.guard_trips += 1
+                    raise NoiseBudgetExhausted(
+                        f"noise guard tripped at tape step {index} "
+                        f"({opcode.value}): budget {budget} bits under "
+                        f"params {self.params.name!r}",
+                        min_budget=budget,
+                        op_index=index,
+                        params_name=self.params.name,
                     )
             for slot in frees:
                 if slot != out_slot:
@@ -629,118 +550,7 @@ class HEExecutor:
             if out_slot >= 0:
                 slots[out_slot] = value
         extras = [resolve(desc) for desc in compiled.extra_outputs]
-        return resolve(compiled.output), extras, per_opcode, guard_checks, None
-
-    def _replay(
-        self,
-        compiled: CompiledProgram,
-        encrypted: dict,
-        plain: dict,
-        arena: ScratchArena,
-        shard: tuple[int, int] | None = None,
-    ) -> _Replay:
-        """Replay the tape over one (shard of a) batch and decrypt it.
-
-        Writes only its own counters and ``arena``, never the executor's
-        stats, so it is safe on a shard thread.  ``shard`` is the
-        ``(lo, hi)`` batch range a sharded replay covers; a tripped
-        guard's batch index is rebased from it to whole-batch coordinates.
-        """
-        counters = ExecCounters()
-        start = time.perf_counter()
-        with execution_scope(arena, counters):
-            output_ct, extra_cts, per_opcode, guard_checks, trip = (
-                self._execute_tape(compiled, encrypted, plain)
-            )
-        tape_seconds = time.perf_counter() - start
-        replay = _Replay(per_opcode, counters, tape_seconds, guard_checks)
-        if trip is not None:
-            if shard is not None:
-                lo, hi = shard
-                trip = NoiseBudgetExhausted(
-                    f"{trip} [shard covering batch elements {lo}:{hi}]",
-                    min_budget=trip.min_budget,
-                    batch_index=lo + trip.batch_index,
-                    op_index=trip.op_index,
-                    params_name=trip.params_name,
-                )
-            replay.trip = trip
-            return replay
-        plaintext, replay.budgets = self.ctx.decrypt_with_budgets(
-            output_ct, check_budget=False
-        )
-        replay.decrypted = self.ctx.decode(plaintext)
-        replay.extras = [
-            self.ctx.decode(self.ctx.decrypt(ct, check_budget=False))
-            for ct in extra_cts
-        ]
-        return replay
-
-    def _replay_sharded(
-        self,
-        compiled: CompiledProgram,
-        encrypted: dict,
-        plain: dict,
-        batch: int,
-        shards: int,
-    ) -> list[_Replay]:
-        """Replay the tape over ``shards`` contiguous slices of the batch.
-
-        The whole batch is already encrypted (one RNG stream, identical
-        to the single-pass path); shards are views of the ``(batch, k,
-        N)`` stacks, so no ciphertext bytes are copied.  Shard threads
-        share the read-only tape/keys/plaintexts and own a private arena
-        and counters; replays come back in batch order.  Every
-        homomorphic op is elementwise along the batch axis, so shard
-        boundaries cannot change any output bit.
-        """
-        if shards == 1:
-            return [self._replay(compiled, encrypted, plain, self._arena)]
-        # shards <= batch, so every slice is non-empty
-        bounds = [(batch * w) // shards for w in range(shards + 1)]
-        for w in range(shards):
-            self._worker_arenas.setdefault(w, ScratchArena())
-
-        def run_shard(w: int) -> _Replay:
-            lo, hi = bounds[w], bounds[w + 1]
-            shard_cts = {
-                name: Ciphertext(
-                    [part.batch_slice(lo, hi) for part in ct.parts]
-                )
-                for name, ct in encrypted.items()
-            }
-            return self._replay(
-                compiled, shard_cts, plain, self._worker_arenas[w], (lo, hi)
-            )
-
-        with ThreadPoolExecutor(max_workers=shards) as pool:
-            return list(pool.map(run_shard, range(shards)))
-
-    def _record_stats(
-        self, compiled: CompiledProgram, replays: list[_Replay], batch: int
-    ) -> None:
-        """Fold replays into the running counters on the calling thread.
-
-        A tripped guard is raised here, after its checks are counted: the
-        earliest tape step, then the lowest budget, which is the element
-        one unsharded pass would have named.
-        """
-        stats = self.stats
-        stats.guard_checks += sum(r.guard_checks for r in replays)
-        trips = [r.trip for r in replays if r.trip is not None]
-        if trips:
-            stats.guard_trips += len(trips)
-            raise min(trips, key=lambda e: (e.op_index, e.min_budget))
-        stats.runs += 1
-        stats.ntts_performed += sum(r.counters.ntt_rows for r in replays)
-        if compiled.plan is not None:
-            stats.ntts_planned += compiled.plan.ntts_planned * batch
-            stats.ntts_elided += compiled.plan.ntts_elided * batch
-        arena_bytes = self._arena.bytes_held + sum(
-            arena.bytes_held for arena in self._worker_arenas.values()
-        )
-        stats.arena_bytes = max(stats.arena_bytes, arena_bytes)
-        stats.max_shards = max(stats.max_shards, len(replays))
+        return resolve(compiled.output), extras, per_opcode
 
     def _report(
         self,
@@ -776,179 +586,93 @@ class HEExecutor:
     def run(
         self, program: Program, logical_env: dict[str, np.ndarray]
     ) -> ExecutionReport:
-        """Encrypt, evaluate homomorphically, decrypt, and compare."""
+        """Encrypt, evaluate homomorphically, decrypt, and compare.
+
+        The environment is checked against the spec's inputs before
+        anything is encrypted.
+        """
+        self._validate_env(logical_env)
         compiled = self.compile(program)
         encrypted, plain = self._encrypt_env(logical_env)
         plain.update(compiled.constants)
-        replay = self._replay(compiled, encrypted, plain, self._arena)
-        self._record_stats(compiled, [replay], batch=1)
-        self._note_output_budgets(replay.budgets)
+        counters = ExecCounters()
+        start = time.perf_counter()
+        with execution_scope(self._arena, counters):
+            output_ct, extra_cts, per_opcode = self._execute_tape(
+                compiled, encrypted, plain
+            )
+        wall = time.perf_counter() - start
+        stats = self.stats
+        stats.runs += 1
+        stats.ntts_performed += counters.ntt_rows
+        if compiled.plan is not None:
+            stats.ntts_planned += compiled.plan.ntts_planned
+            stats.ntts_elided += compiled.plan.ntts_elided
+        stats.arena_bytes = max(stats.arena_bytes, self._arena.bytes_held)
+        plaintext, budget = self.ctx.decrypt_with_budgets(
+            output_ct, check_budget=False
+        )
+        self._note_output_budget(budget)
+        extras = [
+            self.ctx.decode(self.ctx.decrypt(ct, check_budget=False))
+            for ct in extra_cts
+        ]
         return self._report(
             logical_env,
-            replay.decrypted,
-            replay.extras,
-            min(replay.budgets),
-            replay.tape_seconds,
-            replay.per_opcode,
+            self.ctx.decode(plaintext),
+            extras,
+            budget,
+            wall,
+            per_opcode,
         )
 
-    def run_many(
-        self,
-        program: Program,
-        logical_envs: list[dict[str, np.ndarray]],
-        workers: int | None = None,
-    ) -> BatchExecutionReport:
-        """Execute one program over a batch of inputs in lockstep.
-
-        The batch is encrypted into ``(batch, k, N)`` residue stacks and
-        the tape runs *once*: every homomorphic instruction broadcasts
-        over the batch axis.  Key generation, constant encoding, tape
-        setup, and numpy dispatch overhead are all paid once for the
-        whole batch.
-
-        After the single batched encryption the batch axis is sharded
-        across :func:`shard_count` threads, each replaying the same tape
-        over its contiguous slice with a private scratch arena; outputs,
-        parts, and noise budgets are bit-identical to one pass.
-        ``workers`` overrides the shard count (tests and benchmarks pin
-        ``workers=1`` as the single-pass reference).
-        """
-        if not logical_envs:
-            raise ValueError(
-                "run_many needs at least one environment (got an empty "
-                "batch); call run() for single requests or pass envs"
-            )
-        self._validate_envs(logical_envs)
-        t_start = time.perf_counter()
-        compiled = self.compile(program)
-        batch = len(logical_envs)
-        if workers is None:
-            workers = shard_count(self.params, batch)
-        elif workers < 1:
-            raise ValueError("workers must be >= 1")
-
-        # pack every environment, stack per input name, encrypt batched
-        ct_rows: dict[str, list[np.ndarray]] = {}
-        pt_envs: list[dict[str, np.ndarray]] = []
-        for env in logical_envs:
-            ct_env, pt_env = self.spec.packed_env(env)
-            for name, vec in ct_env.items():
-                ct_rows.setdefault(name, []).append(vec)
-            pt_envs.append(pt_env)
-        encrypted = {
-            name: self.ctx.encrypt_vector(np.stack(rows))
-            for name, rows in ct_rows.items()
-        }
-        # symbolic plaintext inputs must agree across the batch (they are
-        # server-side operands); per-env values would need per-env tapes
-        plain: dict[str, object] = {}
-        for name in pt_envs[0]:
-            first = pt_envs[0][name]
-            for other in pt_envs[1:]:
-                if not np.array_equal(other[name], first):
-                    raise ValueError(
-                        f"plaintext input {name!r} differs across the batch; "
-                        "run_many shares server-side plaintexts"
-                    )
-            plain[name] = self._encode_cached(first)
-        plain.update(compiled.constants)
-        t_setup = time.perf_counter()
-
-        replays = self._replay_sharded(
-            compiled, encrypted, plain, batch, min(workers, batch)
-        )
-        t_done = time.perf_counter()
-        self._record_stats(compiled, replays, batch=batch)
-        budgets = [b for r in replays for b in r.budgets]
-        self._note_output_budgets(budgets)
-
-        decrypted = np.concatenate([r.decrypted for r in replays])
-        extras = [
-            np.concatenate([r.extras[j] for r in replays])
-            for j in range(len(compiled.extra_outputs))
-        ]
-        per_opcode: dict[str, float] = {}
-        for r in replays:
-            for key, seconds in r.per_opcode.items():
-                per_opcode[key] = per_opcode.get(key, 0.0) + seconds
-        per_run = {key: seconds / batch for key, seconds in per_opcode.items()}
-        # shards overlap: the slowest one is the batch's evaluation time
-        evaluate = max(r.tape_seconds for r in replays)
-        reports = [
-            self._report(
-                env,
-                decrypted[i],
-                [vecs[i] for vecs in extras],
-                budgets[i],
-                evaluate / batch,
-                dict(per_run),
-            )
-            for i, env in enumerate(logical_envs)
-        ]
-        return BatchExecutionReport(
-            reports=reports,
-            batch_size=batch,
-            setup_seconds=t_setup - t_start,
-            evaluate_seconds=evaluate,
-            decrypt_seconds=t_done - t_setup - evaluate,
-            total_seconds=t_done - t_start,
-        )
-
-    def _note_output_budgets(self, budgets: list[int]) -> None:
+    def _note_output_budget(self, budget: int) -> None:
         """Track the output-budget low-water mark and gate on the guard.
 
         With ``check_output`` set the executor refuses to hand back a
         decryption whose budget bottomed out — the typed raise replaces
         the silent garbage BFV would otherwise return.
         """
-        low = min(budgets)
         stats = self.stats
-        if stats.min_output_budget is None or low < stats.min_output_budget:
-            stats.min_output_budget = int(low)
+        if stats.min_output_budget is None or budget < stats.min_output_budget:
+            stats.min_output_budget = int(budget)
         guard = self.guard
         if (
             guard is not None
             and guard.check_output
-            and low <= guard.min_budget_bits
+            and budget <= guard.min_budget_bits
         ):
             stats.guard_trips += 1
-            worst = budgets.index(low)
             raise NoiseBudgetExhausted(
-                f"output noise budget exhausted: {low} bits at batch "
-                f"element {worst} of {len(budgets)} under params "
+                f"output noise budget exhausted: {budget} bits under params "
                 f"{self.params.name!r}; decryption would return garbage",
-                min_budget=low,
-                batch_index=worst,
+                min_budget=budget,
                 params_name=self.params.name,
             )
 
-    def _validate_envs(
-        self, logical_envs: list[dict[str, np.ndarray]]
-    ) -> None:
-        """Reject malformed batches with a clear error, not a shape crash.
+    def _validate_env(self, logical_env: dict[str, np.ndarray]) -> None:
+        """Reject a malformed environment with a clear error.
 
-        Every environment must bind exactly the layout's input names; a
-        missing or extra name in env ``i`` is reported by name and index
-        instead of surfacing later as a ``KeyError`` or a numpy stacking
-        failure halfway through encryption.
+        The environment must bind exactly the layout's input names; a
+        missing or extra name is reported by name instead of surfacing
+        later as a ``KeyError`` during encryption or a ``TypeError`` from
+        the reference after the whole tape has run.
         """
         expected = {p.name for p in self.spec.layout.inputs}
-        for i, env in enumerate(logical_envs):
-            names = set(env)
-            if names == expected:
-                continue
-            missing = sorted(expected - names)
-            extra = sorted(names - expected)
-            problems = []
-            if missing:
-                problems.append(f"missing input(s) {missing}")
-            if extra:
-                problems.append(f"unexpected input(s) {extra}")
-            raise ValueError(
-                f"run_many environment {i} of {len(logical_envs)} does not "
-                f"match spec {self.spec.name!r}: {'; '.join(problems)} "
-                f"(expected exactly {sorted(expected)})"
-            )
+        names = set(logical_env)
+        if names == expected:
+            return
+        missing = sorted(expected - names)
+        extra = sorted(names - expected)
+        problems = []
+        if missing:
+            problems.append(f"missing input(s) {missing}")
+        if extra:
+            problems.append(f"unexpected input(s) {extra}")
+        raise ValueError(
+            f"environment does not match spec {self.spec.name!r}: "
+            f"{'; '.join(problems)} (expected exactly {sorted(expected)})"
+        )
 
     # ------------------------------------------------------------------
     # Plaintext cache

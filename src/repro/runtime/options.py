@@ -22,7 +22,7 @@ class NoiseGuardPolicy:
     2.2), so without guards a dead ciphertext silently propagates to the
     caller.  Guards trade a budget measurement (one decrypt-cost pass per
     check) for a typed :class:`NoiseBudgetExhausted` naming the tape step
-    and batch element the moment the budget bottoms out.
+    the moment the budget bottoms out.
 
     Attributes:
         after_multiplies: sample after every ct-ct multiply, the only

@@ -21,11 +21,11 @@ mirroring :mod:`repro.he.context` op for op):
 
 Counts are in *row* units (one length-``N`` transform; a ``(k, N)``
 element costs ``k`` rows, a key-switch digit stack ``digits * k``, the
-multiply tensor ``7 * k_ext``) per batch element, so a measured run must
-equal the prediction times its batch size — the property tests pin
-exactly that.  Because the NTT is an exact linear bijection mod each
-prime and automorphisms commute with it, *any* hint assignment yields
-bit-identical residues; the plan changes only where transforms happen.
+multiply tensor ``7 * k_ext``) per run, so a measured run must equal the
+prediction — the property tests pin exactly that.  Because the NTT is an
+exact linear bijection mod each prime and automorphisms commute with it,
+*any* hint assignment yields bit-identical residues; the plan changes
+only where transforms happen.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class DomainPlan:
     ``hints[i]`` is ``None`` (keep the lazy policy), ``"coeff"`` or
     ``"eval"`` for step ``i``; rotations are always executed in planned
     routing (cost is never worse than the lazy hoist).  Row counts are
-    per batch element: a ``run_many`` over ``B`` inputs performs
-    ``ntts_planned * B`` rows planned and ``ntts_lazy * B`` unplanned.
+    per run: one run performs ``ntts_planned`` rows planned and
+    ``ntts_lazy`` unplanned.
     """
 
     hints: tuple

@@ -7,11 +7,9 @@ synthesis stays deterministic across machines — only relative magnitudes
 matter to the cost model.
 
 :class:`SchedulerStats` is the serving-side profile: one metrics shape
-shared by the ``porcupine serve`` batch scheduler, the ``stats`` wire
-op, the serving benchmark (``BENCH_serving.json``), and the CLI's
-``--timings`` report — batches formed, mean batch occupancy, the
-coalesce ratio (fraction of requests that shared their tape pass with at
-least one other request), compile cache hit rate, and request-latency
+shared by the ``porcupine serve`` admission queue, the ``stats`` wire op
+and the CLI's ``--timings`` report — requests, responses, typed errors by
+code, queue high-water mark, compile cache hit rate, and request-latency
 percentiles.  It lives here, next to :class:`SearchStats`, so online
 serving and offline reporting never drift apart in what they count.
 
@@ -50,22 +48,17 @@ from repro.quill.latency import LatencyModel
 
 @dataclass
 class SchedulerStats:
-    """Batch-scheduler counters: the one serving metrics shape.
+    """Serving counters: the one serving metrics shape.
 
     Produced by ``repro.serve`` (per kernel, per tenant, and globally),
-    embedded verbatim in ``BENCH_serving.json``, returned by the
-    ``stats`` wire op, and rendered by ``porcupine serve --timings`` —
-    so a dashboard reading the bench file and an operator reading the
-    server's shutdown report see identical fields.
+    returned by the ``stats`` wire op, and rendered by ``porcupine serve
+    --timings`` — so a dashboard reading the wire and an operator
+    reading the server's shutdown report see identical fields.
     """
 
     requests: int = 0  # accepted run requests
     responses: int = 0  # completed (ok) responses
     errors: int = 0
-    batches: int = 0  # lockstep tape passes formed
-    batched_requests: int = 0  # requests served through those batches
-    coalesced_requests: int = 0  # requests in a batch of size >= 2
-    max_batch: int = 0  # largest batch formed
     queue_peak: int = 0  # high-water pending-queue depth
     compile_hits: int = 0
     compile_misses: int = 0
@@ -78,23 +71,9 @@ class SchedulerStats:
     noise_budget_errors: int = 0  # requests failed with NOISE_BUDGET
     guard_trips: int = 0  # runtime noise guards that fired while serving
     noise_escalations: int = 0  # transparent re-runs at a larger preset
-    shadow_checks: int = 0  # batches cross-checked against the interpreter
+    shadow_checks: int = 0  # runs cross-checked against the interpreter
     shadow_mismatches: int = 0  # shadow checks that caught a wrong output
     latency_ms: list[float] = field(default_factory=list, repr=False)
-
-    @property
-    def mean_occupancy(self) -> float:
-        """Average requests per formed batch (1.0 = no coalescing won)."""
-        return self.batched_requests / self.batches if self.batches else 0.0
-
-    @property
-    def coalesce_ratio(self) -> float:
-        """Fraction of requests that shared a tape pass with another."""
-        return (
-            self.coalesced_requests / self.batched_requests
-            if self.batched_requests
-            else 0.0
-        )
 
     @property
     def cache_hit_rate(self) -> float:
@@ -108,26 +87,12 @@ class SchedulerStats:
             return None
         return float(np.percentile(np.asarray(self.latency_ms), q))
 
-    def record(self, batch_size: int) -> None:
-        """Count one formed batch of ``batch_size`` requests."""
-        self.batches += 1
-        self.batched_requests += batch_size
-        if batch_size >= 2:
-            self.coalesced_requests += batch_size
-        self.max_batch = max(self.max_batch, batch_size)
-
     def merge(self, other: "SchedulerStats") -> "SchedulerStats":
         """Pointwise sum (per-kernel stats fold into the global row)."""
         merged = SchedulerStats(
             requests=self.requests + other.requests,
             responses=self.responses + other.responses,
             errors=self.errors + other.errors,
-            batches=self.batches + other.batches,
-            batched_requests=self.batched_requests + other.batched_requests,
-            coalesced_requests=(
-                self.coalesced_requests + other.coalesced_requests
-            ),
-            max_batch=max(self.max_batch, other.max_batch),
             queue_peak=max(self.queue_peak, other.queue_peak),
             compile_hits=self.compile_hits + other.compile_hits,
             compile_misses=self.compile_misses + other.compile_misses,
@@ -166,11 +131,6 @@ class SchedulerStats:
             "requests": self.requests,
             "responses": self.responses,
             "errors": self.errors,
-            "batches": self.batches,
-            "batched_requests": self.batched_requests,
-            "mean_occupancy": round(self.mean_occupancy, 3),
-            "coalesce_ratio": round(self.coalesce_ratio, 3),
-            "max_batch": self.max_batch,
             "queue_peak": self.queue_peak,
             "compile_hits": self.compile_hits,
             "compile_misses": self.compile_misses,
@@ -195,24 +155,23 @@ class SchedulerStats:
 class ExecutorStats:
     """HE-executor transform/memory counters (the planner's scoreboard).
 
-    Accumulated across every ``run``/``run_many`` of one
+    Accumulated across every ``run`` of one
     :class:`~repro.runtime.executor.HEExecutor`; surfaced by
     ``porcupine run --timings`` and the serve ``stats`` op next to
     :class:`SchedulerStats`.  ``ntts_performed`` counts measured NTT row
     transforms (one length-``N`` butterfly pass) inside tape execution;
     ``ntts_planned``/``ntts_elided`` are the domain plan's predicted
-    rows and its savings versus the lazy policy, scaled by batch size —
-    executors always run their plan, so ``ntts_performed ==
+    rows and its savings versus the lazy policy — executors always run
+    their plan, so ``ntts_performed ==
     ntts_planned`` holds exactly (the property tests pin it).  ``arena_bytes`` is the
-    high-water scratch footprint across the executor's arenas.
+    high-water scratch footprint of the executor's arena.
     """
 
-    runs: int = 0  # tape executions (a batched run counts once)
+    runs: int = 0  # tape executions
     ntts_performed: int = 0
     ntts_planned: int = 0
     ntts_elided: int = 0
     arena_bytes: int = 0  # high-water bytes held by scratch arenas
-    max_shards: int = 1  # widest lockstep shard count a batch used
     guard_checks: int = 0  # mid-tape noise-budget samples taken
     guard_trips: int = 0  # guard checks (mid-tape or output) that raised
     noise_escalations: int = 0  # re-runs at the next-larger preset
@@ -231,7 +190,6 @@ class ExecutorStats:
             ntts_planned=self.ntts_planned + other.ntts_planned,
             ntts_elided=self.ntts_elided + other.ntts_elided,
             arena_bytes=max(self.arena_bytes, other.arena_bytes),
-            max_shards=max(self.max_shards, other.max_shards),
             guard_checks=self.guard_checks + other.guard_checks,
             guard_trips=self.guard_trips + other.guard_trips,
             noise_escalations=(
@@ -248,7 +206,6 @@ class ExecutorStats:
             "ntts_planned": self.ntts_planned,
             "ntts_elided": self.ntts_elided,
             "arena_bytes": self.arena_bytes,
-            "max_shards": self.max_shards,
             "guard_checks": self.guard_checks,
             "guard_trips": self.guard_trips,
             "noise_escalations": self.noise_escalations,
@@ -270,7 +227,6 @@ def format_executor_stats(stats: ExecutorStats) -> str:
         f"  ntts planned       {stats.ntts_planned}\n"
         f"  ntts elided        {stats.ntts_elided}\n"
         f"  arena bytes        {stats.arena_bytes}\n"
-        f"  max shards         {stats.max_shards}\n"
         f"  guard checks       {stats.guard_checks}\n"
         f"  guard trips        {stats.guard_trips}\n"
         f"  noise escalations  {stats.noise_escalations}\n"
@@ -313,15 +269,14 @@ def format_scheduler_table(
     """Render serving stats the way ``--timings`` renders pass timings."""
     lines = [
         "scheduler stats:",
-        f"  {'kernel':18s} {'reqs':>6s} {'batches':>8s} {'occ':>6s} "
-        f"{'coal':>6s} {'hit%':>6s} {'p50ms':>9s} {'p99ms':>9s}",
+        f"  {'kernel':18s} {'reqs':>6s} {'errors':>7s} {'hit%':>6s} "
+        f"{'p50ms':>9s} {'p99ms':>9s}",
     ]
 
     def row(name: str, stats: SchedulerStats) -> str:
         p50, p99 = stats.percentile_ms(50), stats.percentile_ms(99)
         return (
-            f"  {name:18s} {stats.requests:6d} {stats.batches:8d} "
-            f"{stats.mean_occupancy:6.2f} {stats.coalesce_ratio:6.2f} "
+            f"  {name:18s} {stats.requests:6d} {stats.errors:7d} "
             f"{stats.cache_hit_rate * 100:5.0f}% "
             f"{p50 if p50 is not None else float('nan'):9.2f} "
             f"{p99 if p99 is not None else float('nan'):9.2f}"

@@ -3,29 +3,26 @@
 The rest of the repository compiles and runs kernels one CLI invocation
 or one session call at a time.  This package ties the existing pieces —
 :class:`~repro.api.Porcupine` sessions, the content-addressed on-disk
-compile cache, and :meth:`~repro.runtime.executor.HEExecutor.run_many`
-lockstep batching — into a serving process shaped like production HE
-infrastructure (EVA/HEIR's "compile once, serve many" boundary):
+compile cache, and :class:`~repro.runtime.executor.HEExecutor` — into a
+serving process shaped like production HE infrastructure (EVA/HEIR's
+"compile once, serve many" boundary):
 
 * an **asyncio front-end** (:class:`PorcupineServer`) speaking
   newline-delimited JSON over TCP (:mod:`repro.serve.protocol`),
-* a **batch scheduler** (:class:`BatchScheduler`) that coalesces
-  concurrent requests for the same compiled program into a single
-  ``run_many`` lockstep batch — bounded by ``max_batch`` and a
-  ``linger`` window — with fair-share round-robin ordering across
-  tenants,
+* an **admission queue** (:class:`BatchScheduler`) that bounds the
+  backlog, enforces deadlines, and hands requests one per execution to
+  a supervised execution lane, round-robin across tenants,
 * a **process-pool compile tier** (:class:`CompilePool`) whose workers
   share one on-disk compile cache (atomic writes make that safe) and
   precompile hot registry kernels at boot, and
 * **per-tenant/per-kernel bookkeeping** (:class:`MetricsRegistry`):
-  queue depth, batch occupancy, coalesce ratio, compile hit/miss, and
-  p50/p99 latency, all in the shared
-  :class:`~repro.runtime.profiler.SchedulerStats` shape.
+  queue depth, typed errors, compile hit/miss, and p50/p99 latency, all
+  in the shared :class:`~repro.runtime.profiler.SchedulerStats` shape.
 
-Results served through the batcher are bit-identical to a direct
-``session.run`` of the same request: lockstep batching broadcasts the
-very same instruction tape over a stacked batch axis, and the property
-tests in ``tests/serve`` pin byte equality against serial runs.
+Every request is one encrypted execution — one ciphertext per input,
+one pass of the tape — so a served result is bit-identical to a direct
+``session.execute`` of the same request; the tests in ``tests/serve``
+pin that byte equality.
 
 Start a server from the CLI (``porcupine serve``) or in-process::
 

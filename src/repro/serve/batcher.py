@@ -1,69 +1,49 @@
-"""The batch scheduler: request coalescing with linger and fair-share.
+"""The admission queue: one queue, fair-share across tenants.
 
-Concurrent requests for the same compiled program are held briefly and
-dispatched as *one* lockstep ``run_many`` batch — the ``(batch, k, N)``
-residue stacks make the marginal cost of a coalesced request ~flat, so
-under load the scheduler converts queueing delay into batch occupancy.
+Every ``run`` request becomes one :class:`WorkItem`.  The queue hands
+items to an async ``run_batch`` callable one per call, as a one-element
+payload list, with at most :attr:`BatchScheduler.LANE_DEPTH` calls in
+flight — the execution tier is one serial accelerator lane, so more
+concurrent dispatches would only queue downstream.  Holding the backlog
+here instead is what gives the fairness policy a backlog to be fair
+*about*: items are drained **fair-share**, one per tenant, round-robin,
+so a tenant flooding the queue cannot starve a light tenant.
 
-Two knobs bound the wait:
-
-* ``max_batch`` — a group dispatches immediately once this many
-  requests are pending (the stack height of one tape pass), and
-* ``linger_s`` — the *first* request of a group starts a linger timer;
-  when it fires, whatever has accumulated dispatches.  An idle service
-  therefore adds at most one linger window of latency, and a busy one
-  never waits at all.
-
-Dispatches are serialized per group — while a batch for a key is in
-flight, newly arriving requests accumulate (beyond ``max_batch`` if they
-must) and are drained fair-share when the batch lands.  The execution
-tier is one serial accelerator pass, so concurrent dispatches would only
-queue downstream; holding them here instead is what gives the fairness
-policy a backlog to be fair *about*.
-
-Requests only share a group when they are provably lockstep-compatible:
-the group key carries the kernel, backend, execution seed, and a digest
-of the server-side plaintext operands (``run_many`` shares those across
-the batch).  Within a group, requests are drained **fair-share**: one
-per tenant, round-robin, so a tenant flooding the queue cannot starve a
-light tenant out of the next batch.
-
-The scheduler is deliberately ignorant of HE: it coalesces opaque
-payloads and hands batches to an async ``run_batch`` callable, which
-makes it directly unit-testable (and reusable for any batched backend).
+The queue is deliberately ignorant of HE: it moves opaque payloads,
+which makes it directly unit-testable.
 
 Failure handling (this is the layer where hangs would be born, so it is
 the layer that prevents them):
 
-* **Admission control** — ``max_backlog`` bounds the total pending
-  items across all groups; beyond it, :meth:`submit` fails fast with a
-  typed :class:`~repro.serve.errors.Overloaded` instead of letting one
-  slow tenant's backlog grow without bound.
+* **Admission control** — ``max_backlog`` bounds the pending items;
+  beyond it, :meth:`submit` fails fast with a typed
+  :class:`~repro.serve.errors.Overloaded` instead of letting one slow
+  tenant's backlog grow without bound.
 * **Deadlines** — a :class:`WorkItem` may carry a
-  :class:`~repro.serve.errors.Deadline`; the submitting waiter races it
+  :class:`~repro.serve.errors.Deadline`.  An item already expired is
+  refused at enqueue; the submitting waiter races the deadline
   (``wait_for`` around a ``shield``, so abandoning the wait never
-  cancels a future the whole batch shares), and expired items are
-  dropped *before* dispatch so a dead request cannot occupy a lockstep
-  slot.
-* **Dispatch-path containment** — if forming a batch itself fails, the
-  group is un-wedged (busy flag cleared, linger timer cancelled) and
-  the popped items get the exception; pruned empty groups have their
-  timers cancelled so a stale timer can never fire into a dead group.
+  cancels the dispatch), and an item that expired while queued is
+  failed typed *before* dispatch, so a dead request never occupies the
+  lane.
+* **Dispatch-path containment** — if starting a dispatch itself fails,
+  the popped item gets the exception and the lane is released for the
+  next one; nothing waits on a wedged queue.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Hashable, Sequence
+from typing import Any, Awaitable, Callable, Sequence
 
 from repro.serve.errors import Deadline, DeadlineExceeded, Overloaded
 from repro.serve.metrics import MetricsRegistry
 
-# an async callable: (group_key, payloads) -> one result per payload
-BatchRunner = Callable[[Hashable, list], Awaitable[Sequence[Any]]]
+# an async callable: (kernel, payloads) -> one result per payload; the
+# queue always passes exactly one payload
+BatchRunner = Callable[[str, list], Awaitable[Sequence[Any]]]
 
 
 def _retrieve(future: asyncio.Future) -> None:
@@ -76,92 +56,37 @@ def _retrieve(future: asyncio.Future) -> None:
 class WorkItem:
     """One queued request, opaque payload plus scheduling bookkeeping."""
 
-    key: Hashable  # coalescing group (kernel, backend, seed, pt digest)
     kernel: str
     tenant: str
     payload: Any
-    enqueued: float = field(default_factory=time.perf_counter)
-    batch_size: int = 0  # how many requests shared the dispatch (set late)
     deadline: Deadline | None = None
     future: asyncio.Future = field(default_factory=asyncio.Future)
 
 
-class _Group:
-    """Pending requests for one coalescing key, queued per tenant."""
-
-    __slots__ = ("tenants", "rr", "timer", "size", "busy", "ready")
-
-    def __init__(self):
-        self.tenants: dict[str, deque[WorkItem]] = {}
-        self.rr = 0  # round-robin cursor, persistent across batches
-        self.timer: asyncio.TimerHandle | None = None
-        self.size = 0
-        self.busy = False  # a batch for this key is executing right now
-        self.ready = False  # flush was requested while busy; fire on landing
-
-    def add(self, item: WorkItem) -> None:
-        queue = self.tenants.get(item.tenant)
-        if queue is None:
-            queue = self.tenants[item.tenant] = deque()
-        queue.append(item)
-        self.size += 1
-
-    def pop_batch(self, limit: int) -> list[WorkItem]:
-        """Drain up to ``limit`` items, one per tenant, round-robin.
-
-        The cursor survives between batches, so with tenants A (many
-        pending) and B, C (one each), consecutive batches keep rotating
-        the first slot instead of always starting at A.
-        """
-        items: list[WorkItem] = []
-        names = list(self.tenants)
-        if not names:
-            return items
-        cursor = self.rr % len(names)
-        while len(items) < limit and self.size:
-            queue = self.tenants[names[cursor]]
-            if queue:
-                items.append(queue.popleft())
-                self.size -= 1
-            cursor = (cursor + 1) % len(names)
-            if not any(self.tenants[name] for name in names):
-                break
-        self.rr = cursor
-        # drop drained tenant queues so the rotation stays tight
-        for name in names:
-            if not self.tenants[name]:
-                del self.tenants[name]
-        return items
-
-
 class BatchScheduler:
-    """Coalesce submitted work items into batched dispatches."""
+    """One admission queue feeding one serial execution lane."""
 
-    #: empty groups beyond this count are pruned (their only state worth
-    #: keeping is the fairness cursor, which resets harmlessly)
-    GROUP_LIMIT = 256
+    #: dispatches in flight at once: one executing on the lane and one
+    #: staged behind it, so the lane never idles while the event loop
+    #: turns a finished request around
+    LANE_DEPTH = 2
 
     def __init__(
         self,
         run_batch: BatchRunner,
         *,
-        max_batch: int = 8,
-        linger_s: float = 0.002,
         max_backlog: int | None = None,
         metrics: MetricsRegistry | None = None,
     ):
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if linger_s < 0:
-            raise ValueError("linger_s must be >= 0")
         if max_backlog is not None and max_backlog < 1:
             raise ValueError("max_backlog must be >= 1 (or None)")
         self.run_batch = run_batch
-        self.max_batch = max_batch
-        self.linger_s = linger_s
         self.max_backlog = max_backlog
         self.metrics = metrics
-        self._groups: dict[Hashable, _Group] = {}
+        # tenant -> its pending items; a tenant served moves to the back,
+        # so dict order is the round-robin rotation
+        self._tenants: dict[str, deque[WorkItem]] = {}
+        self._size = 0
         self._inflight: set[asyncio.Task] = set()
 
     # -- submission --------------------------------------------------------
@@ -169,18 +94,11 @@ class BatchScheduler:
     async def submit(self, item: WorkItem) -> Any:
         """Queue one item and await its result.
 
-        Must be called on the event loop.  Dispatch happens immediately
-        at ``max_batch`` pending, else when the group's linger expires.
-
-        Raises :class:`Overloaded` when the backlog bound is hit and
-        :class:`DeadlineExceeded` when the item's deadline elapses
-        before its batch lands (the item is then dropped pre-dispatch so
-        it never occupies a lockstep slot).
+        Must be called on the event loop.  Raises :class:`Overloaded`
+        when the backlog bound is hit and :class:`DeadlineExceeded` when
+        the item's deadline elapses before its result lands.
         """
-        if (
-            self.max_backlog is not None
-            and self.depth() >= self.max_backlog
-        ):
+        if self.max_backlog is not None and self._size >= self.max_backlog:
             raise Overloaded(
                 f"scheduler backlog full ({self.max_backlog} pending); "
                 "retry with backoff"
@@ -189,24 +107,17 @@ class BatchScheduler:
             raise DeadlineExceeded(
                 f"deadline expired before {item.kernel!r} was enqueued"
             )
-        group = self._groups.get(item.key)
-        if group is None:
-            if len(self._groups) > self.GROUP_LIMIT:
-                self._prune_groups()
-            group = self._groups[item.key] = _Group()
-        group.add(item)
+        queue = self._tenants.get(item.tenant)
+        if queue is None:
+            queue = self._tenants[item.tenant] = deque()
+        queue.append(item)
+        self._size += 1
         self._gauge(item.kernel)
-        if group.size >= self.max_batch:
-            self._flush(item.key)
-        elif group.timer is None:
-            loop = asyncio.get_running_loop()
-            group.timer = loop.call_later(
-                self.linger_s, self._flush, item.key
-            )
+        self._pump()
         if item.deadline is None:
             return await item.future
-        # race the (shared) future against the deadline without ever
-        # cancelling it — other waiters in the same batch still need it
+        # race the future against the deadline without ever cancelling
+        # it: the dispatch that owns it must run to completion
         try:
             return await asyncio.wait_for(
                 asyncio.shield(item.future), item.deadline.remaining()
@@ -214,150 +125,84 @@ class BatchScheduler:
         except asyncio.TimeoutError:
             item.future.add_done_callback(_retrieve)
             raise DeadlineExceeded(
-                f"deadline exceeded waiting for {item.kernel!r} "
-                f"(batched with {item.batch_size or 'pending'})"
+                f"deadline exceeded waiting for {item.kernel!r}"
             ) from None
 
-    def _prune_groups(self) -> None:
-        """Drop empty idle groups, cancelling their linger timers so a
-        stale timer can never fire into a group we no longer track."""
-        kept: dict[Hashable, _Group] = {}
-        for key, group in self._groups.items():
-            if group.size or group.busy:
-                kept[key] = group
-            elif group.timer is not None:
-                group.timer.cancel()
-                group.timer = None
-        self._groups = kept
-
-    def depth(self, key: Hashable | None = None) -> int:
-        """Pending items in one group (or across all groups)."""
-        if key is not None:
-            group = self._groups.get(key)
-            return group.size if group else 0
-        return sum(group.size for group in self._groups.values())
+    def depth(self) -> int:
+        """Pending items (queued, not yet dispatched)."""
+        return self._size
 
     # -- dispatch ----------------------------------------------------------
 
-    def _flush(self, key: Hashable) -> None:
-        group = self._groups.get(key)
-        if group is None:
-            return
-        if group.timer is not None:
-            group.timer.cancel()
-            group.timer = None
-        if group.busy:
-            # one batch per group at a time (the execution tier is one
-            # serial accelerator pass anyway): let the backlog build and
-            # fair-share it when the in-flight batch lands
-            group.ready = True
-            return
-        items = group.pop_batch(self.max_batch)
-        # an expired request must not occupy a lockstep slot: fail it
-        # typed now (its waiter has already timed out; _retrieve keeps
-        # the abandoned future quiet) and batch only the live ones
-        live: list[WorkItem] = []
-        for item in items:
+    def _pop(self) -> WorkItem | None:
+        """The next item: one per tenant, round-robin."""
+        if not self._tenants:
+            return None
+        tenant = next(iter(self._tenants))
+        queue = self._tenants.pop(tenant)
+        item = queue.popleft()
+        if queue:
+            self._tenants[tenant] = queue  # back of the rotation
+        self._size -= 1
+        return item
+
+    def _pump(self) -> None:
+        """Dispatch live items while the lane has room."""
+        while len(self._inflight) < self.LANE_DEPTH:
+            item = self._pop()
+            if item is None:
+                return
             if item.deadline is not None and item.deadline.expired:
+                # its waiter has already timed out; _retrieve keeps the
+                # abandoned future quiet
                 if not item.future.done():
                     item.future.add_done_callback(_retrieve)
                     item.future.set_exception(DeadlineExceeded(
-                        f"deadline expired while {item.kernel!r} was "
-                        "queued"
+                        f"deadline expired while {item.kernel!r} was queued"
                     ))
-            else:
-                live.append(item)
-        if not live:
-            if group.size and group.timer is None:
-                group.timer = asyncio.get_running_loop().call_later(
-                    self.linger_s, self._flush, key
+                continue
+            try:
+                self._gauge(item.kernel)
+                self._inflight.add(
+                    asyncio.get_running_loop().create_task(
+                        self._dispatch(item)
+                    )
                 )
-            return
-        group.busy = True
-        try:
-            for item in live:
-                item.batch_size = len(live)
-            if self.metrics is not None:
-                self.metrics.batch(live[0].kernel, len(live))
-            self._gauge(live[0].kernel)
-            task = asyncio.get_running_loop().create_task(
-                self._dispatch(key, live)
-            )
-        except Exception as error:  # noqa: BLE001 - contained, not raised
-            # dispatch never started: un-wedge the group (busy flag,
-            # linger timer) and hand the failure to the popped waiters
-            # instead of leaving them pending forever
-            group.busy = False
-            if group.timer is not None:
-                group.timer.cancel()
-                group.timer = None
-            for item in live:
+            except Exception as error:  # noqa: BLE001 - contained, not raised
+                # dispatch never started: hand the failure to the waiter
+                # instead of leaving it pending, and keep the lane free
                 if not item.future.done():
                     item.future.set_exception(error)
-            return
-        self._inflight.add(task)
-        task.add_done_callback(self._inflight.discard)
 
-    async def _dispatch(self, key: Hashable, items: list[WorkItem]) -> None:
+    async def _dispatch(self, item: WorkItem) -> None:
         try:
-            results = await self.run_batch(
-                key, [item.payload for item in items]
-            )
-            if len(results) != len(items):
+            results = await self.run_batch(item.kernel, [item.payload])
+            if len(results) != 1:
                 raise RuntimeError(
-                    f"batch runner returned {len(results)} results for "
-                    f"{len(items)} items"
+                    f"runner returned {len(results)} results for 1 item"
                 )
-            for item, result in zip(items, results):
-                if not item.future.done():
-                    item.future.set_result(result)
-        except Exception as error:  # noqa: BLE001 - forwarded to callers
-            for item in items:
-                if not item.future.done():
-                    item.future.set_exception(error)
+            if not item.future.done():
+                item.future.set_result(results[0])
+        except Exception as error:  # noqa: BLE001 - forwarded to the caller
+            if not item.future.done():
+                item.future.set_exception(error)
         finally:
-            self._on_batch_done(key)
-
-    def _on_batch_done(self, key: Hashable) -> None:
-        """Re-arm the group once its in-flight batch has landed."""
-        group = self._groups.get(key)
-        if group is None:
-            return
-        group.busy = False
-        if group.ready or group.size >= self.max_batch:
-            group.ready = False
-            self._flush(key)
-        elif group.size and group.timer is None:
-            group.timer = asyncio.get_running_loop().call_later(
-                self.linger_s, self._flush, key
-            )
+            self._inflight.discard(asyncio.current_task())
+            self._pump()
 
     def _gauge(self, kernel: str) -> None:
         if self.metrics is not None:
             pending = sum(
-                group.size
-                for key, group in self._groups.items()
-                if group.size and self._kernel_of(key) == kernel
+                1
+                for queue in self._tenants.values()
+                for item in queue
+                if item.kernel == kernel
             )
             self.metrics.depth(kernel, pending)
-
-    @staticmethod
-    def _kernel_of(key: Hashable) -> str:
-        # group keys are (kernel, ...) tuples by convention; fall back to
-        # the whole key so exotic keys still gauge *something*
-        if isinstance(key, tuple) and key and isinstance(key[0], str):
-            return key[0]
-        return str(key)
 
     # -- shutdown ----------------------------------------------------------
 
     async def drain(self) -> None:
-        """Dispatch everything pending and wait for in-flight batches."""
-        while True:
-            for key in list(self._groups):
-                self._flush(key)
-            if not self._inflight:
-                break
-            await asyncio.gather(
-                *list(self._inflight), return_exceptions=True
-            )
+        """Wait until every queued and in-flight item has finished."""
+        while self._inflight:
+            await asyncio.gather(*self._inflight, return_exceptions=True)

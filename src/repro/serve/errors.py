@@ -13,7 +13,7 @@ the closed taxonomy below plus a ``retryable`` hint, and every
 :class:`Deadline` is the request-budget primitive threaded through the
 whole serving stack — the front-end stamps one at arrival
 (``timeout_ms`` on the request, or the server default) and the compile
-tier, batch scheduler, and executor all poll the same absolute
+tier, admission queue, and executor all poll the same absolute
 ``time.perf_counter`` instant, so a request times out *once*, with one
 typed error, no matter which tier it is stuck in.
 
@@ -40,7 +40,7 @@ DEADLINE_EXCEEDED = "DEADLINE_EXCEEDED"
 OVERLOADED = "OVERLOADED"
 #: a compile-pool worker process died mid-compile
 WORKER_CRASHED = "WORKER_CRASHED"
-#: the execution thread was poisoned mid-batch and has been restarted
+#: the execution thread was poisoned mid-run and has been restarted
 EXECUTOR_CRASHED = "EXECUTOR_CRASHED"
 #: the transport died with requests outstanding (client-side only)
 CONNECTION_LOST = "CONNECTION_LOST"
@@ -147,7 +147,7 @@ class Unavailable(ServeError):
 
 
 class NoiseBudgetError(ServeError):
-    """The batch tripped a noise guard (or failed shadow verification)
+    """The run tripped a noise guard (or failed shadow verification)
     and escalation could not recover it; the server withheld the output
     rather than return silently-corrupt plaintext.
 
@@ -208,7 +208,7 @@ class Deadline:
     """An absolute ``time.perf_counter`` instant a request must beat.
 
     One deadline is stamped when a request arrives and polled by every
-    tier it passes through — compile pool, batch scheduler, executor —
+    tier it passes through — compile pool, admission queue, executor —
     so queueing time and execution time draw down the same budget.
     """
 

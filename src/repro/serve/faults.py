@@ -1,6 +1,6 @@
 """Deterministic fault injection for the serving stack.
 
-Chaos testing a batch scheduler with real nondeterminism (random kills,
+Chaos testing a serving stack with real nondeterminism (random kills,
 random delays) produces flaky tests; this module instead gives every
 failure a *name* and a *site*, so a test arms exactly the faults it
 wants and the serving code trips them at well-defined points:
@@ -13,9 +13,9 @@ wants and the serving code trips them at well-defined points:
     ``BrokenProcessPool`` recovery path, not a simulation of it).
 
 ``execute:<kernel>``
-    Consulted by the server's executor-thread batch runner before the
+    Consulted by the server's executor-thread runner before the
     tape pass; ``("raise", msg)`` poisons the execution thread (the
-    supervisor must restart it), ``("sleep", s)`` makes the batch slow
+    supervisor must restart it), ``("sleep", s)`` makes the run slow
     (deadline propagation must fire).
 
 ``runtime:<kernel>``

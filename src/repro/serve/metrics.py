@@ -1,9 +1,8 @@
 """Per-kernel and per-tenant serving metrics.
 
 Everything counts into :class:`~repro.runtime.profiler.SchedulerStats`,
-the one metrics shape shared by online serving (the ``stats`` wire op,
-``porcupine serve --timings``) and offline reporting
-(``BENCH_serving.json``).  Latency samples are kept in a bounded sliding
+the one metrics shape of online serving (the ``stats`` wire op and
+``porcupine serve --timings``).  Latency samples are kept in a bounded sliding
 window per scope so a long-lived server's memory stays flat; counters
 are cumulative until ``snapshot(reset=True)``.
 """
@@ -19,9 +18,9 @@ class MetricsRegistry:
     """Thread-safe serving counters, scoped globally/per-kernel/per-tenant.
 
     The asyncio front-end mutates from the event loop and the execution
-    thread reports batch timings, hence the lock; every operation is a
-    few integer bumps, so contention is negligible next to an encrypted
-    tape pass.
+    thread reports guard trips and escalations, hence the lock; every
+    operation is a few integer bumps, so contention is negligible next to
+    an encrypted tape pass.
     """
 
     def __init__(self, latency_window: int = 4096):
@@ -109,12 +108,6 @@ class MetricsRegistry:
             for stats in (self.overall, self._kernel(kernel)):
                 stats.degraded_compiles += 1
 
-    def batch(self, kernel: str, size: int) -> None:
-        """One coalesced lockstep batch of ``size`` requests dispatched."""
-        with self._lock:
-            self.overall.record(size)
-            self._kernel(kernel).record(size)
-
     def depth(self, kernel: str, depth: int) -> None:
         """Gauge update: requests currently queued for ``kernel``."""
         with self._lock:
@@ -125,8 +118,8 @@ class MetricsRegistry:
             self.overall.queue_peak = max(self.overall.queue_peak, total)
 
     def noise_escalations(self, kernel: str, count: int) -> None:
-        """``count`` parameter escalations recovered batches for
-        ``kernel`` (drained from the engine after each batch)."""
+        """``count`` parameter escalations recovered requests for
+        ``kernel`` (drained from the engine after each request)."""
         if count <= 0:
             return
         with self._lock:
@@ -134,7 +127,7 @@ class MetricsRegistry:
                 stats.noise_escalations += count
 
     def guard_trip(self, kernel: str) -> None:
-        """A runtime noise guard stopped a batch mid-tape."""
+        """A runtime noise guard stopped a request mid-tape."""
         with self._lock:
             for stats in (self.overall, self._kernel(kernel)):
                 stats.guard_trips += 1

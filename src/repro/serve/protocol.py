@@ -15,8 +15,8 @@ Requests
     Compile (cached) and execute one kernel.  ``inputs`` maps logical
     input names to nested integer lists matching the spec's shapes;
     omit it to draw random in-range inputs from ``seed`` server-side.
-    Concurrent ``run`` requests for the same program coalesce into one
-    lockstep batch.
+    Each ``run`` is executed alone: one ciphertext per input, one pass
+    of the tape.
 
 ``{"op": "compile", "kernel": "gx"}``
     Warm the compile cache without executing.
@@ -32,8 +32,9 @@ Responses
 
 ``run`` replies carry the decrypted logical ``output`` (nested list) and
 its ``shape``, ``matches_reference``, ``noise_budget`` (HE only),
-``batched`` (how many requests shared the tape pass), and ``latency_s``
-(arrival to completion, queueing included).
+``batched`` (always 1: requests are no longer stacked, and the field is
+kept for wire compatibility), ``execute_s`` (the tape's wall time), and
+``latency_s`` (arrival to completion, queueing included).
 """
 
 from __future__ import annotations
@@ -99,8 +100,7 @@ def decode_inputs(
     """Validate and convert a request's ``inputs`` against the spec.
 
     Checked here, before the request is enqueued, so a malformed request
-    fails alone instead of poisoning the whole coalesced batch it would
-    have joined.
+    fails at the front door instead of on the execution lane.
     """
     if payload is None:
         raise ProtocolError("missing 'inputs'")
@@ -144,23 +144,3 @@ def random_inputs(spec: Spec, seed: int) -> dict[str, np.ndarray]:
         )
         for p in spec.layout.inputs
     }
-
-
-def plaintext_digest(spec: Spec, env: dict[str, np.ndarray]) -> str:
-    """Content digest of the server-side (plaintext) operands.
-
-    ``run_many`` shares plaintext operands across a lockstep batch, so
-    requests may only coalesce when theirs agree — the digest goes into
-    the scheduler's group key.  Kernels without plaintext inputs all map
-    to the empty digest and coalesce freely.
-    """
-    names = spec.layout.pt_names
-    if not names:
-        return ""
-    import hashlib
-
-    digest = hashlib.sha256()
-    for name in names:
-        digest.update(name.encode())
-        digest.update(np.ascontiguousarray(env[name], dtype=np.int64).tobytes())
-    return digest.hexdigest()

@@ -1,20 +1,19 @@
-"""The asyncio front-end: accept requests, coalesce, execute, respond.
+"""The asyncio front-end: accept requests, queue, execute, respond.
 
 One :class:`PorcupineServer` owns a compiler session, a
-:class:`~repro.serve.batcher.BatchScheduler`, a
+:class:`~repro.serve.batcher.BatchScheduler` (the admission queue), a
 :class:`~repro.serve.compilepool.CompilePool`, and a
 :class:`~repro.serve.metrics.MetricsRegistry`.  The event loop only ever
 parses JSON and moves queue entries; all heavy work happens elsewhere —
 synthesis in the compile pool's worker processes, encrypted execution on
 a dedicated executor thread (one thread models the one-accelerator
-deployment; batching is the throughput mechanism, and the HE executor
-itself shards large-ring batches across the host's cores).
+deployment).
 
-The execution path is exactly the library path: a coalesced batch runs
-through :meth:`Porcupine.execute_batch` → ``HEExecutor.run_many``, so a
-response served through the batcher is bit-identical to a direct
-``session.run`` of the same request — the lockstep tape broadcasts the
-same instructions over a stacked batch axis and BFV decryption is exact.
+The execution path is exactly the library path: each request runs alone
+through :meth:`Porcupine.execute_batch` as a one-element list, i.e. one
+``HEExecutor.run`` — one ciphertext per input, one pass of the tape — so
+a served response is bit-identical to a direct ``session.execute`` of
+the same request.
 
 Servers are usable without TCP for tests and embedding: ``await
 server.startup()`` then ``await server.handle_request({...})`` drives
@@ -30,7 +29,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Hashable
+from typing import Callable
 
 import numpy as np
 
@@ -55,7 +54,6 @@ from repro.serve.protocol import (
     decode_message,
     encode_message,
     error_response,
-    plaintext_digest,
     random_inputs,
 )
 
@@ -74,8 +72,6 @@ class ServeConfig:
     backend: str = "interpreter"  # default execution backend
     params: str | None = None  # HE params preset override (toy/small/large)
     seed: int = 0  # execution-backend seed (keys); NOT per-request
-    max_batch: int = 8  # coalesced requests per lockstep tape pass
-    linger_ms: float = 2.0  # max wait for co-batchable requests
     compile_workers: int = 0  # 0: inline; N: process pool on shared cache
     cache_dir: str | None = None  # on-disk compile cache (workers share it)
     precompile: tuple[str, ...] = ()  # hot kernels to compile at boot
@@ -88,10 +84,10 @@ class ServeConfig:
     pool_max_restarts: int = 3  # compile-pool respawns before degrading
     # to in-process compiles
     exec_options: ExecOptions = SERVE_EXEC_OPTIONS  # HE noise guards,
-    # admission margin, and escalation for every served batch
-    shadow_verify: float = 0.0  # fraction of HE batches cross-checked
+    # admission margin, and escalation for every served request
+    shadow_verify: float = 0.0  # fraction of HE requests cross-checked
     # against the interpreter backend (deterministic sampling; 0: off,
-    # 1.0: every batch) — a mismatch withholds the result as a typed
+    # 1.0: every request) — a mismatch withholds the result as a typed
     # retryable NOISE_BUDGET error instead of returning wrong plaintext
 
     def resolve_precompile(self, session: Porcupine) -> list[str]:
@@ -187,8 +183,6 @@ class PorcupineServer:
         self.metrics = MetricsRegistry(latency_window=config.latency_window)
         self.scheduler = BatchScheduler(
             self._run_batch,
-            max_batch=config.max_batch,
-            linger_s=config.linger_ms / 1e3,
             max_backlog=config.max_backlog,
             metrics=self.metrics,
         )
@@ -251,7 +245,7 @@ class PorcupineServer:
             self._stop_event.set()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain batches, close pools."""
+        """Graceful shutdown: stop accepting, drain the queue, close pools."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -331,12 +325,8 @@ class PorcupineServer:
         arrived = time.perf_counter()
         try:
             await self._ensure_compiled(kernel, deadline=deadline)
-            # requests coalesce only when lockstep-compatible: same
-            # program, same backend, and identical server-side plaintext
-            # operands (run_many shares those across the batch)
-            key = (kernel, backend, plaintext_digest(spec, env))
             item = WorkItem(
-                key=key, kernel=kernel, tenant=tenant, payload=env,
+                kernel=kernel, tenant=tenant, payload=(backend, env),
                 deadline=deadline,
             )
             result = await self.scheduler.submit(item)
@@ -359,7 +349,7 @@ class PorcupineServer:
             "shape": list(output.shape),
             "matches_reference": bool(result.matches_reference),
             "noise_budget": result.noise_budget,
-            "batched": item.batch_size,
+            "batched": 1,  # one request per tape pass; kept for the wire
             "latency_s": round(latency, 6),
             "execute_s": round(result.wall_time, 6),
         }
@@ -390,8 +380,6 @@ class PorcupineServer:
                 "hot_kernels": sorted(self._hot),
                 "config": {
                     "backend": self.config.backend,
-                    "max_batch": self.config.max_batch,
-                    "linger_ms": self.config.linger_ms,
                     "compile_workers": self.config.compile_workers,
                     "default_timeout_ms": self.config.default_timeout_ms,
                     "max_backlog": self.config.max_backlog,
@@ -464,7 +452,7 @@ class PorcupineServer:
             self._hot[kernel] = compiled
             # pin the hot program's tape on the default backend so its
             # keys/constants survive executor-side cache eviction across
-            # scheduler ticks (HE only; pinning is optional per backend)
+            # requests (HE only; pinning is optional per backend)
             engine = self._engine(self.config.backend)
             pin = getattr(engine, "pin", None)
             if pin is not None:
@@ -482,9 +470,10 @@ class PorcupineServer:
             )
         return self.session.backend(backend)
 
-    async def _run_batch(self, key: Hashable, envs: list) -> list:
-        """Scheduler callback: one lockstep pass on the executor thread."""
-        kernel, backend, _digest = key
+    async def _run_batch(self, kernel: str, payloads: list) -> list:
+        """Queue callback: one request on the executor thread."""
+        [(backend, env)] = payloads  # the queue passes one request per call
+        envs = [env]
         compiled = self._hot[kernel]
         spec = self.session.spec(kernel)
         engine = self._engine(backend)
@@ -511,7 +500,7 @@ class PorcupineServer:
         return batch.results
 
     def _sample_shadow(self, backend: str) -> bool:
-        """Deterministic sampling: shadow-verify this batch?"""
+        """Deterministic sampling: shadow-verify this request?"""
         fraction = self.config.shadow_verify
         if fraction <= 0 or backend == "interpreter":
             return False
@@ -524,7 +513,7 @@ class PorcupineServer:
     def _execute_batch_job(
         self, fault, compiled, envs, engine, spec, kernel, shadow
     ):
-        """The executor-thread body: injected fault, then the tape pass.
+        """The executor-thread body: injected fault, then the execution.
 
         A :class:`~repro.he.errors.NoiseBudgetExhausted` that survives
         the engine's own escalation ladder converts to a typed retryable
@@ -551,7 +540,7 @@ class PorcupineServer:
         return batch
 
     def _shadow_check(self, kernel, compiled, envs, spec, batch) -> None:
-        """Cross-check one sampled batch against the interpreter backend.
+        """Cross-check one sampled request against the interpreter backend.
 
         The last line of defense against silent corruption: whatever the
         encrypted path returned must agree with the plaintext behavioral
@@ -620,8 +609,8 @@ class PorcupineServer:
                 if not line:
                     break
                 # each request is its own task so pipelined requests on
-                # one connection still coalesce (responses carry ids and
-                # may complete out of order)
+                # one connection queue concurrently (responses carry ids
+                # and may complete out of order)
                 request = asyncio.get_running_loop().create_task(
                     self._serve_line(line, writer, write_lock)
                 )

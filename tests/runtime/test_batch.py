@@ -1,10 +1,10 @@
-"""Tests for the compiled instruction tape and batched program execution.
+"""Tests for the compiled instruction tape and program execution.
 
-Covers the executor-side tentpole pieces: one-time program compilation
-(displacement check, Galois keys, constants, liveness slots),
-``run_many`` lockstep batching, the bounded/frozen plaintext cache, and
-the requirement that the RNS executor decrypts bit-identically to the
-retained ``slow_reference`` executor on every seed kernel.
+Covers one-time program compilation (displacement check, Galois keys,
+constants, liveness slots), input validation before encryption, the
+bounded/frozen plaintext cache, the session's ``execute_batch`` loop,
+and the requirement that the RNS executor decrypts bit-identically to
+the retained ``slow_reference`` executor on every seed kernel.
 """
 
 import numpy as np
@@ -103,43 +103,30 @@ def test_unsafe_programs_rejected_at_compile_time():
 
 
 # ---------------------------------------------------------------------------
-# Batched execution
+# Input validation
 # ---------------------------------------------------------------------------
 
-def test_run_many_matches_single_runs():
+def test_run_names_missing_and_extra_inputs_before_encrypting(monkeypatch):
     spec = get_spec("box_blur")
     executor = HEExecutor(spec, params=toy_params(), seed=4)
     program = baseline_for("box_blur")
-    rng = np.random.default_rng(1)
-    envs = [_logical(spec, rng) for _ in range(5)]
-    batch = executor.run_many(program, envs)
-    assert batch.batch_size == 5
-    assert batch.all_match
-    assert batch.total_seconds > 0
-    for env, report in zip(envs, batch.reports):
-        single = executor.run(program, env)
-        assert np.array_equal(report.logical_output, single.logical_output)
-        assert report.output_noise_budget > 0
+    good = _logical(spec, np.random.default_rng(7))
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("encrypted before the environment was checked")
 
-def test_run_many_rejects_divergent_plaintext_inputs():
-    spec = get_spec("dot_product")
-    executor = HEExecutor(spec, params=toy_params(), seed=4)
-    program = baseline_for("dot_product")
-    rng = np.random.default_rng(2)
-    envs = [
-        {"x": rng.integers(0, 5, 8), "w": rng.integers(0, 5, 8)}
-        for _ in range(2)
-    ]
-    with pytest.raises(ValueError):
-        executor.run_many(program, envs)
-
-
-def test_run_many_requires_inputs():
-    spec = get_spec("box_blur")
-    executor = HEExecutor(spec, params=toy_params(), seed=4)
-    with pytest.raises(ValueError):
-        executor.run_many(baseline_for("box_blur"), [])
+    monkeypatch.setattr(executor.ctx, "encrypt_vector", refuse)
+    with pytest.raises(ValueError, match=r"missing input\(s\) \['img'\]"):
+        executor.run(program, {})
+    renamed = {"image": good["img"]}
+    with pytest.raises(ValueError) as excinfo:
+        executor.run(program, renamed)
+    # the error names both problems and the expected inputs
+    assert "'img'" in str(excinfo.value) and "'image'" in str(excinfo.value)
+    extra = {**good, "stray": np.zeros(4, dtype=np.int64)}
+    with pytest.raises(ValueError, match=r"unexpected input\(s\) \['stray'\]"):
+        executor.run(program, extra)
+    assert executor.stats.runs == 0
 
 
 # ---------------------------------------------------------------------------
@@ -199,90 +186,22 @@ def test_plaintext_cache_hits_return_same_object():
 
 
 # ---------------------------------------------------------------------------
-# Session / backend wiring
+# Session wiring and tape pinning
 # ---------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def session():
-    return Porcupine(seed=0)
-
-
-def test_session_run_many_interpreter(session):
-    batch = session.run_many("box_blur", 3, backend="interpreter")
+def test_session_execute_batch_loops_over_execute():
+    session = Porcupine(seed=0)
+    compiled = session.compile("dot_product")
+    spec = session.spec("dot_product")
+    rng = np.random.default_rng(3)
+    envs = [_logical(spec, rng) for _ in range(3)]
+    batch = session.execute_batch(compiled, envs, backend="interpreter")
     assert batch.backend == "interpreter"
     assert batch.batch_size == 3
     assert batch.all_match
-
-
-def test_session_run_many_explicit_envs(session):
-    spec = session.spec("box_blur")
-    rng = np.random.default_rng(3)
-    envs = [_logical(spec, rng) for _ in range(2)]
-    batch = session.run_many("box_blur", envs, backend="interpreter")
-    assert batch.batch_size == 2
-    assert batch.all_match
-
-
-def test_session_run_many_rejects_bad_batch_size(session):
-    with pytest.raises(ValueError):
-        session.run_many("box_blur", 0, backend="interpreter")
-
-
-def test_session_run_many_shares_server_side_plaintexts(session):
-    """Integer batch sizes draw fresh ct inputs per run but keep the
-    server-side plaintext operands fixed (dot_product's weights), so the
-    lockstep HE path accepts them."""
-    batch = session.run_many("dot_product", 3, backend="interpreter")
-    assert batch.batch_size == 3
-    assert batch.all_match
-    # outputs differ because the user-side inputs differ
-    outs = [tuple(np.ravel(r.logical_output)) for r in batch.results]
-    assert len(set(outs)) > 1
-
-
-# ---------------------------------------------------------------------------
-# run_many hardening and tape pinning (serving-path edge cases)
-# ---------------------------------------------------------------------------
-
-def test_run_many_empty_batch_message_names_the_fix():
-    spec = get_spec("box_blur")
-    executor = HEExecutor(spec, params=toy_params(), seed=4)
-    with pytest.raises(ValueError, match="at least one environment"):
-        executor.run_many(baseline_for("box_blur"), [])
-
-
-def test_run_many_single_element_batch_matches_run():
-    spec = get_spec("box_blur")
-    executor = HEExecutor(spec, params=toy_params(), seed=4)
-    program = baseline_for("box_blur")
-    rng = np.random.default_rng(6)
-    env = _logical(spec, rng)
-    batch = executor.run_many(program, [env])
-    assert batch.batch_size == 1
-    assert batch.all_match
-    single = executor.run(program, env)
-    assert np.array_equal(
-        batch.reports[0].logical_output, single.logical_output
-    )
-
-
-def test_run_many_names_missing_and_extra_inputs():
-    spec = get_spec("box_blur")
-    executor = HEExecutor(spec, params=toy_params(), seed=4)
-    program = baseline_for("box_blur")
-    rng = np.random.default_rng(7)
-    good = _logical(spec, rng)
-    renamed = {"image": next(iter(good.values()))}
-    with pytest.raises(ValueError) as excinfo:
-        executor.run_many(program, [good, renamed])
-    message = str(excinfo.value)
-    # the error names the offending environment and both problems
-    assert "environment 1 of 2" in message
-    assert "img" in message and "image" in message
-    extra = dict(good)
-    extra["stray"] = np.zeros(4, dtype=np.int64)
-    with pytest.raises(ValueError, match="unexpected input.*stray"):
-        executor.run_many(program, [extra])
+    for env, result in zip(envs, batch.results):
+        single = session.execute(compiled, env, backend="interpreter")
+        assert np.array_equal(result.logical_output, single.logical_output)
 
 
 def test_pinned_tapes_survive_cache_eviction():

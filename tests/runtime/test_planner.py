@@ -1,13 +1,12 @@
 """Property tests for the executor's always-on performance paths: the
-tape-level NTT-domain plan, scratch-buffer arenas, and multicore lockstep
-sharding must all be bit-identical to lazy single-pass execution — same
-decrypted outputs, same model vectors, same noise budgets.  The lazy
-reference is the ``slow_reference`` oracle (it has no plan) for single
-runs and the ``workers=1`` override for sharded batches.
+tape-level NTT-domain plan and scratch-buffer arenas must be
+bit-identical to lazy execution — same decrypted outputs, same model
+vectors, same noise budgets.  The lazy reference is the
+``slow_reference`` oracle, which has no plan.
 
 The planner's counters are also checked *exactly*: the plan is built by
 simulating the executor's domain-state machine, so the predicted NTT row
-counts must equal the measured ones, not just bound them.
+counts must equal the measured ones on every run, not just bound them.
 """
 
 import numpy as np
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 from repro.api import Porcupine
 from repro.baselines import BASELINE_BUILDERS, baseline_for
 from repro.he.params import toy_params
-from repro.runtime.executor import HEExecutor, shard_count
+from repro.runtime.executor import HEExecutor
 from repro.spec import get_spec
 
 # every registry kernel with a hand-written baseline; l2/roberts/harris
@@ -35,23 +34,6 @@ def _env(spec, seed, bound=5):
     }
 
 
-def _batch_envs(spec, seed, batch, bound=5):
-    """Batch envs in the run_many contract: ciphertext inputs vary per
-    element, server-side plaintext operands are shared."""
-    base = _env(spec, seed, bound)
-    ct_names = set(spec.packed_env(base)[0])
-    envs = [base]
-    for i in range(1, batch):
-        drawn = _env(spec, seed + 1000 + i, bound)
-        envs.append(
-            {
-                name: drawn[name] if name in ct_names else base[name]
-                for name in base
-            }
-        )
-    return envs
-
-
 def _assert_reports_identical(a, b):
     assert np.array_equal(a.model_output, b.model_output)
     assert np.array_equal(a.logical_output, b.logical_output)
@@ -62,7 +44,7 @@ def _assert_reports_identical(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Planned == lazy, sharded == single pass, bit for bit
+# Planned == lazy, bit for bit
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ALL_KERNELS)
@@ -79,43 +61,22 @@ def test_planner_bit_identical_single_run(name):
     _assert_reports_identical(lazy.run(program, env), planned.run(program, env))
 
 
-@pytest.mark.parametrize("name", ALL_KERNELS)
-def test_workers_and_planner_bit_identical_batch(name):
-    spec = get_spec(name)
-    program = baseline_for(name)
-    envs = _batch_envs(spec, seed=hash(name) % 2**32, batch=3)
-    single = HEExecutor(spec, params=toy_params(), seed=12)
-    sharded = HEExecutor(spec, params=toy_params(), seed=12)
-    base = single.run_many(program, envs, workers=1)
-    fast = sharded.run_many(program, envs, workers=3)
-    assert fast.batch_size == base.batch_size == 3
-    for a, b in zip(base.reports, fast.reports):
-        _assert_reports_identical(a, b)
-
-
 @given(
     name=st.sampled_from(FAST_KERNELS),
     seed=st.integers(0, 2**16),
-    batch=st.integers(1, 4),
-    workers=st.integers(2, 4),
 )
 @settings(
     max_examples=10,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_random_inputs_bit_identical_across_configs(
-    name, seed, batch, workers
-):
+def test_random_inputs_bit_identical_across_configs(name, seed):
     spec = get_spec(name)
     program = baseline_for(name)
-    envs = _batch_envs(spec, seed=seed, batch=batch)
-    single = HEExecutor(spec, params=toy_params(), seed=7)
-    sharded = HEExecutor(spec, params=toy_params(), seed=7)
-    base = single.run_many(program, envs, workers=1)
-    fast = sharded.run_many(program, envs, workers=workers)
-    for a, b in zip(base.reports, fast.reports):
-        _assert_reports_identical(a, b)
+    env = _env(spec, seed=seed)
+    lazy = HEExecutor(spec, params=toy_params(), seed=7, slow_reference=True)
+    planned = HEExecutor(spec, params=toy_params(), seed=7)
+    _assert_reports_identical(lazy.run(program, env), planned.run(program, env))
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +107,16 @@ def test_ntt_counts_match_plan_exactly(name):
     assert lazy.stats.ntts_elided == 0  # nothing planned, nothing claimed
 
 
-def test_ntt_counts_scale_linearly_with_batch():
+def test_ntt_counts_match_plan_on_every_run():
     spec = get_spec("box_blur")
     program = baseline_for("box_blur")
     executor = HEExecutor(spec, params=toy_params(), seed=14)
     plan = executor.compile(program).plan
-    envs = _batch_envs(spec, seed=3, batch=4)
-    executor.run_many(program, envs)
-    assert executor.stats.ntts_performed == 4 * plan.ntts_planned
-    assert executor.stats.ntts_elided == 4 * plan.ntts_elided
+    for runs in range(1, 5):
+        executor.run(program, _env(spec, seed=runs))
+        assert executor.stats.runs == runs
+        assert executor.stats.ntts_performed == runs * plan.ntts_planned
+        assert executor.stats.ntts_elided == runs * plan.ntts_elided
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +144,6 @@ def test_arena_reuse_does_not_alias_results():
     assert executor.stats.arena_bytes > 0
 
 
-def test_worker_arenas_are_private_and_counted():
-    spec = get_spec("box_blur")
-    program = baseline_for("box_blur")
-    executor = HEExecutor(spec, params=toy_params(), seed=10)
-    envs = _batch_envs(spec, seed=4, batch=4)
-    batch = executor.run_many(program, envs, workers=2)
-    assert batch.all_match
-    assert len(executor._worker_arenas) == 2
-    assert executor.stats.max_shards == 2
-    assert executor.stats.arena_bytes > 0
-
-
 # ---------------------------------------------------------------------------
 # Counters surface through the executor stats and the session
 # ---------------------------------------------------------------------------
@@ -209,7 +159,6 @@ def test_executor_stats_summary_shape():
         "ntts_planned",
         "ntts_elided",
         "arena_bytes",
-        "max_shards",
     ):
         assert key in summary
     assert summary["runs"] == 1
@@ -217,42 +166,16 @@ def test_executor_stats_summary_shape():
 
 
 def test_session_flags_are_bit_identical_and_surfaced():
-    """Session batches (planned, automatically sharded) match a direct
-    single-pass executor run, and the counters reach the session."""
+    """Session runs match a direct executor run, and the counters reach
+    the session."""
     session = Porcupine(seed=0)
     spec = session.spec("box_blur")
-    envs = _batch_envs(spec, seed=0, batch=3)
-    batch = session.run_many("box_blur", envs, backend="he", seed=0)
+    env = _env(spec, seed=0)
+    result = session.run("box_blur", env, backend="he", seed=0)
     program = session.compile("box_blur").program
-    executor = HEExecutor(spec, seed=0)
-    reference = executor.run_many(program, envs, workers=1)
-    for x, y in zip(reference.reports, batch.results):
-        assert np.array_equal(x.logical_output, y.logical_output)
-        assert x.output_noise_budget == y.noise_budget
+    reference = HEExecutor(spec, seed=0).run(program, env)
+    assert np.array_equal(reference.logical_output, result.logical_output)
+    assert reference.output_noise_budget == result.noise_budget
     stats = session.executor_stats()
     assert stats.runs == 1
     assert stats.ntts_performed == stats.ntts_planned > 0
-    assert stats.max_shards == shard_count(executor.params, 3)
-
-
-# ---------------------------------------------------------------------------
-# The executor chooses the shard count
-# ---------------------------------------------------------------------------
-
-def test_shard_count_rule(monkeypatch):
-    from repro.he.params import large_params, small_params
-    from repro.runtime import executor as executor_module
-
-    monkeypatch.setattr(executor_module, "usable_cpus", lambda: 4)
-    assert shard_count(toy_params(), 8) == 1  # toy: overhead dominates
-    assert shard_count(small_params(), 1) == 1  # batch-1 never shards
-    assert shard_count(small_params(), 3) == 3  # one shard per element
-    assert shard_count(small_params(), 8) == 4  # one per usable CPU
-    assert shard_count(large_params(), 8) == 4
-
-
-def test_workers_override_must_be_positive():
-    spec = get_spec("box_blur")
-    executor = HEExecutor(spec, params=toy_params(), seed=16)
-    with pytest.raises(ValueError, match="workers"):
-        executor.run_many(baseline_for("box_blur"), [_env(spec, 1)], workers=0)

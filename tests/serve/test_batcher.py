@@ -1,4 +1,4 @@
-"""Unit tests for the batch scheduler (no HE involved: opaque payloads)."""
+"""Unit tests for the admission queue (no HE involved: opaque payloads)."""
 
 import asyncio
 
@@ -8,88 +8,49 @@ from repro.serve.batcher import BatchScheduler, WorkItem
 from repro.serve.metrics import MetricsRegistry
 
 
-def _item(key="k", tenant="default", payload=None, deadline=None):
+def _item(tenant="default", payload=None, deadline=None):
     return WorkItem(
-        key=key, kernel="gx", tenant=tenant, payload=payload,
-        deadline=deadline,
+        kernel="gx", tenant=tenant, payload=payload, deadline=deadline
     )
 
 
 class _Recorder:
-    """A run_batch callable that records every dispatched batch."""
+    """A runner that records every dispatch, in order."""
 
     def __init__(self, result=None, delay=0.0):
-        self.batches = []
+        self.dispatches = []
         self.result = result
         self.delay = delay
 
-    async def __call__(self, key, payloads):
-        self.batches.append(list(payloads))
+    async def __call__(self, kernel, payloads):
+        self.dispatches.append(list(payloads))
         if self.delay:
             await asyncio.sleep(self.delay)
         if self.result is not None:
-            return self.result(key, payloads)
+            return self.result(kernel, payloads)
         return [f"out:{payload}" for payload in payloads]
 
 
-def test_scheduler_validates_config():
-    recorder = _Recorder()
-    with pytest.raises(ValueError, match="max_batch"):
-        BatchScheduler(recorder, max_batch=0)
-    with pytest.raises(ValueError, match="linger_s"):
-        BatchScheduler(recorder, linger_s=-1)
-
-
-def test_full_batch_dispatches_immediately():
+def test_items_dispatch_one_per_call_in_order():
     async def scenario():
-        recorder = _Recorder()
-        scheduler = BatchScheduler(recorder, max_batch=3, linger_s=10.0)
+        recorder = _Recorder(delay=0.002)
+        scheduler = BatchScheduler(recorder)
         results = await asyncio.gather(
             *(scheduler.submit(_item(payload=i)) for i in range(3))
         )
-        return recorder.batches, results
+        return recorder.dispatches, results
 
-    batches, results = asyncio.run(scenario())
-    # linger is 10s: only the max_batch trigger can explain the dispatch
-    assert batches == [[0, 1, 2]]
+    dispatches, results = asyncio.run(scenario())
+    assert dispatches == [[0], [1], [2]]
     assert results == ["out:0", "out:1", "out:2"]
-
-
-def test_linger_flushes_partial_batch():
-    async def scenario():
-        recorder = _Recorder()
-        scheduler = BatchScheduler(recorder, max_batch=64, linger_s=0.005)
-        results = await asyncio.gather(
-            *(scheduler.submit(_item(payload=i)) for i in range(2))
-        )
-        return recorder.batches, results
-
-    batches, results = asyncio.run(scenario())
-    assert batches == [[0, 1]]
-    assert results == ["out:0", "out:1"]
-
-
-def test_distinct_keys_never_coalesce():
-    async def scenario():
-        recorder = _Recorder()
-        scheduler = BatchScheduler(recorder, max_batch=8, linger_s=0.003)
-        await asyncio.gather(
-            scheduler.submit(_item(key="a", payload="a0")),
-            scheduler.submit(_item(key="b", payload="b0")),
-            scheduler.submit(_item(key="a", payload="a1")),
-        )
-        return recorder.batches
-
-    batches = asyncio.run(scenario())
-    assert sorted(map(sorted, batches)) == [["a0", "a1"], ["b0"]]
 
 
 def test_fair_share_across_tenants():
     async def scenario():
-        recorder = _Recorder(delay=0.01)
-        scheduler = BatchScheduler(recorder, max_batch=4, linger_s=0.005)
-        # tenant A floods: the first 4 dispatch at once; while that batch
-        # executes, 4 more A's and one each from B and C pile up behind it
+        recorder = _Recorder(delay=0.005)
+        scheduler = BatchScheduler(recorder)
+        # tenant A floods: a0 and a1 fill the lane at once; six more A's
+        # and one each from B and C pile up behind them
         submissions = [
             scheduler.submit(_item(tenant="a", payload=f"a{i}"))
             for i in range(8)
@@ -97,102 +58,85 @@ def test_fair_share_across_tenants():
         submissions.append(scheduler.submit(_item(tenant="b", payload="b0")))
         submissions.append(scheduler.submit(_item(tenant="c", payload="c0")))
         await asyncio.gather(*submissions)
-        return recorder.batches
+        return [payloads[0] for payloads in recorder.dispatches]
 
-    batches = asyncio.run(scenario())
+    order = asyncio.run(scenario())
     # round-robin drain of the backlog: the flooding tenant cannot keep
-    # B and C out of the first post-backlog batch
-    assert "b0" in batches[1] and "c0" in batches[1]
-    assert len(batches[1]) == 4  # two A slots, one B, one C
-    assert sum(len(batch) for batch in batches) == 10
-
-
-def test_batch_size_stamped_on_items():
-    async def scenario():
-        recorder = _Recorder()
-        scheduler = BatchScheduler(recorder, max_batch=2, linger_s=10.0)
-        items = [_item(payload=i) for i in range(2)]
-        await asyncio.gather(*(scheduler.submit(item) for item in items))
-        return [item.batch_size for item in items]
-
-    assert asyncio.run(scenario()) == [2, 2]
+    # B and C behind its whole backlog
+    assert order[:5] == ["a0", "a1", "a2", "b0", "c0"]
+    assert sorted(order) == sorted([f"a{i}" for i in range(8)] + ["b0", "c0"])
 
 
 def test_runner_exception_reaches_every_waiter():
     async def scenario():
-        async def explode(key, payloads):
+        calls = []
+
+        async def explode(kernel, payloads):
+            calls.append(payloads[0])
             raise RuntimeError("backend down")
 
-        scheduler = BatchScheduler(explode, max_batch=2, linger_s=10.0)
+        scheduler = BatchScheduler(explode)
         results = await asyncio.gather(
             scheduler.submit(_item(payload=0)),
             scheduler.submit(_item(payload=1)),
             return_exceptions=True,
         )
-        return results
+        return results, calls
 
-    results = asyncio.run(scenario())
-    assert len(results) == 2
+    results, calls = asyncio.run(scenario())
     assert all(isinstance(r, RuntimeError) for r in results)
     assert all("backend down" in str(r) for r in results)
+    assert calls == [0, 1]  # a failed dispatch does not stall the queue
 
 
 def test_result_count_mismatch_is_an_error():
     async def scenario():
-        recorder = _Recorder(result=lambda key, payloads: ["only-one"])
-        scheduler = BatchScheduler(recorder, max_batch=2, linger_s=10.0)
+        recorder = _Recorder(result=lambda kernel, payloads: ["a", "b"])
+        scheduler = BatchScheduler(recorder)
         return await asyncio.gather(
-            scheduler.submit(_item(payload=0)),
-            scheduler.submit(_item(payload=1)),
-            return_exceptions=True,
+            scheduler.submit(_item(payload=0)), return_exceptions=True
         )
 
-    results = asyncio.run(scenario())
-    assert all(isinstance(r, RuntimeError) for r in results)
-    assert all("2 items" in str(r) for r in results)
+    [result] = asyncio.run(scenario())
+    assert isinstance(result, RuntimeError)
+    assert "2 results for 1 item" in str(result)
 
 
 def test_drain_flushes_pending_work():
     async def scenario():
-        recorder = _Recorder()
-        # linger far beyond the test: only drain() can dispatch
-        scheduler = BatchScheduler(recorder, max_batch=64, linger_s=60.0)
+        recorder = _Recorder(delay=0.005)
+        scheduler = BatchScheduler(recorder)
         pending = [
             asyncio.ensure_future(scheduler.submit(_item(payload=i)))
             for i in range(3)
         ]
         await asyncio.sleep(0)  # let submissions enqueue
-        assert scheduler.depth("k") == 3
+        assert scheduler.depth() == 1  # two in flight, one queued
         await scheduler.drain()
+        assert all(task.done() for task in pending)
         results = await asyncio.gather(*pending)
-        return recorder.batches, results, scheduler.depth()
+        return recorder.dispatches, results, scheduler.depth()
 
-    batches, results, depth = asyncio.run(scenario())
-    assert batches == [[0, 1, 2]]
+    dispatches, results, depth = asyncio.run(scenario())
+    assert dispatches == [[0], [1], [2]]
     assert results == ["out:0", "out:1", "out:2"]
     assert depth == 0
 
 
-def test_metrics_record_batches_and_occupancy():
+def test_metrics_track_queue_peak():
     async def scenario():
-        recorder = _Recorder()
         metrics = MetricsRegistry()
-        scheduler = BatchScheduler(
-            recorder, max_batch=4, linger_s=0.003, metrics=metrics
-        )
+        scheduler = BatchScheduler(_Recorder(delay=0.002), metrics=metrics)
         await asyncio.gather(
-            *(scheduler.submit(_item(payload=i)) for i in range(8))
+            *(scheduler.submit(_item(payload=i)) for i in range(4))
         )
         return metrics
 
     metrics = asyncio.run(scenario())
-    stats = metrics.overall
-    assert stats.batches == 2
-    assert stats.batched_requests == 8
-    assert stats.mean_occupancy == pytest.approx(4.0)
-    assert stats.coalesce_ratio == pytest.approx(1.0)
-    assert stats.max_batch == 4
-    assert metrics.per_kernel["gx"].batches == 2
+    # two items go straight to the lane; the other two wait behind them
+    assert metrics.overall.queue_peak == 2
+    assert metrics.per_kernel["gx"].queue_peak == 2
+    assert metrics.queue_depth["gx"] == 0
 
 
 # -- failure handling: admission, deadlines, dispatch containment ------------
@@ -202,25 +146,23 @@ def test_backlog_bound_rejects_typed_overloaded():
     from repro.serve.errors import Overloaded
 
     async def scenario():
-        recorder = _Recorder()
-        scheduler = BatchScheduler(
-            recorder, max_batch=64, linger_s=60.0, max_backlog=2
-        )
+        recorder = _Recorder(delay=0.01)
+        scheduler = BatchScheduler(recorder, max_backlog=2)
         first = [
             asyncio.ensure_future(scheduler.submit(_item(payload=i)))
-            for i in range(2)
+            for i in range(4)
         ]
-        await asyncio.sleep(0)  # both enqueued, backlog now full
+        await asyncio.sleep(0)  # two in flight, two queued: backlog full
         with pytest.raises(Overloaded) as info:
             await scheduler.submit(_item(payload=99))
         assert info.value.retryable
         await scheduler.drain()
-        return await asyncio.gather(*first), recorder.batches
+        return await asyncio.gather(*first), recorder.dispatches
 
-    results, batches = asyncio.run(scenario())
+    results, dispatches = asyncio.run(scenario())
     # the rejected item never occupied a slot; the admitted ones ran
-    assert results == ["out:0", "out:1"]
-    assert batches == [[0, 1]]
+    assert results == ["out:0", "out:1", "out:2", "out:3"]
+    assert dispatches == [[0], [1], [2], [3]]
 
 
 def test_backlog_validation():
@@ -233,15 +175,15 @@ def test_expired_deadline_rejected_before_enqueue():
 
     async def scenario():
         recorder = _Recorder()
-        scheduler = BatchScheduler(recorder, max_batch=4, linger_s=0.001)
+        scheduler = BatchScheduler(recorder)
         with pytest.raises(DeadlineExceeded):
             await scheduler.submit(
                 _item(payload=0, deadline=Deadline.after(-1.0))
             )
-        return recorder.batches, scheduler.depth()
+        return recorder.dispatches, scheduler.depth()
 
-    batches, depth = asyncio.run(scenario())
-    assert batches == []  # nothing was ever queued
+    dispatches, depth = asyncio.run(scenario())
+    assert dispatches == []  # nothing was ever queued
     assert depth == 0
 
 
@@ -250,9 +192,10 @@ def test_deadline_races_the_queue_without_corrupting_the_batch():
 
     async def scenario():
         recorder = _Recorder(delay=0.05)
-        scheduler = BatchScheduler(recorder, max_batch=2, linger_s=60.0)
-        # both dispatch together; the impatient one times out while the
-        # batch is in flight, the patient one still gets its result
+        scheduler = BatchScheduler(recorder)
+        # the impatient item is in flight when its deadline passes: its
+        # waiter gets the typed error, the dispatch itself runs to the end
+        # and the patient item behind it still gets its result
         impatient = asyncio.ensure_future(
             scheduler.submit(
                 _item(payload=0, deadline=Deadline.after(0.01))
@@ -263,98 +206,69 @@ def test_deadline_races_the_queue_without_corrupting_the_batch():
             impatient, patient, return_exceptions=True
         )
         await scheduler.drain()
-        return done, recorder.batches
+        return done, recorder.dispatches
 
-    (timed_out, result), batches = asyncio.run(scenario())
+    (timed_out, result), dispatches = asyncio.run(scenario())
     assert isinstance(timed_out, DeadlineExceeded)
     assert result == "out:1"
-    assert batches == [[0, 1]]  # the shared batch ran intact
+    assert dispatches == [[0], [1]]
 
 
 def test_expired_items_dropped_before_dispatch():
     from repro.serve.errors import Deadline, DeadlineExceeded
 
     async def scenario():
-        recorder = _Recorder()
-        scheduler = BatchScheduler(recorder, max_batch=64, linger_s=0.03)
+        recorder = _Recorder(delay=0.03)
+        scheduler = BatchScheduler(recorder)
+        busy = [
+            asyncio.ensure_future(scheduler.submit(_item(payload=f"busy{i}")))
+            for i in range(BatchScheduler.LANE_DEPTH)
+        ]
         doomed = asyncio.ensure_future(
             scheduler.submit(
                 _item(payload="dead", deadline=Deadline.after(0.005))
             )
         )
         alive = asyncio.ensure_future(scheduler.submit(_item(payload="ok")))
-        done = await asyncio.gather(doomed, alive, return_exceptions=True)
-        return done, recorder.batches
+        done = await asyncio.gather(
+            *busy, doomed, alive, return_exceptions=True
+        )
+        return done, recorder.dispatches
 
-    (dead, ok), batches = asyncio.run(scenario())
+    (*first, dead, ok), dispatches = asyncio.run(scenario())
+    assert first == ["out:busy0", "out:busy1"]
     assert isinstance(dead, DeadlineExceeded)
     assert ok == "out:ok"
-    # the expired item never reached the runner: no dead lockstep slot
-    assert batches == [["ok"]]
+    # the expired item never reached the runner
+    assert dispatches == [["busy0"], ["busy1"], ["ok"]]
 
 
 def test_dispatch_path_failure_releases_the_group():
-    """A batch that fails to *form* must not wedge its group (satellite:
-    the linger-timer leak fix)."""
+    """A dispatch that fails to *start* hands its item the error and
+    leaves the lane free for the next item."""
 
     class _ExplodingMetrics(MetricsRegistry):
         def __init__(self):
             super().__init__()
-            self.armed = True
+            self.calls = 0
 
-        def batch(self, kernel, size):
-            if self.armed:
-                self.armed = False
+        def depth(self, kernel, depth):
+            self.calls += 1
+            if self.calls == 2:  # the gauge taken as item 0 dispatches
                 raise RuntimeError("metrics backend down")
-            super().batch(kernel, size)
+            super().depth(kernel, depth)
 
     async def scenario():
         recorder = _Recorder()
-        metrics = _ExplodingMetrics()
-        scheduler = BatchScheduler(
-            recorder, max_batch=2, linger_s=0.002, metrics=metrics
-        )
+        scheduler = BatchScheduler(recorder, metrics=_ExplodingMetrics())
         first = await asyncio.gather(
-            scheduler.submit(_item(payload=0)),
-            scheduler.submit(_item(payload=1)),
-            return_exceptions=True,
+            scheduler.submit(_item(payload=0)), return_exceptions=True
         )
-        # the group must be fully released: no stale busy flag, no
-        # leaked linger timer — the next batch goes through normally
-        second = await asyncio.gather(
-            scheduler.submit(_item(payload=2)),
-            scheduler.submit(_item(payload=3)),
-        )
-        group = scheduler._groups["k"]
-        return first, second, recorder.batches, group.busy, group.timer
+        second = await scheduler.submit(_item(payload=1))
+        return first, second, recorder.dispatches, scheduler._inflight
 
-    first, second, batches, busy, timer = asyncio.run(scenario())
-    assert all(isinstance(r, RuntimeError) for r in first)
-    assert second == ["out:2", "out:3"]
-    assert batches == [[2, 3]]
-    assert busy is False
-    assert timer is None
-
-
-def test_group_pruning_cancels_stale_timers():
-    async def scenario():
-        recorder = _Recorder()
-        scheduler = BatchScheduler(recorder, max_batch=8, linger_s=0.001)
-        # churn through many one-off groups to push past GROUP_LIMIT
-        for wave in range(3):
-            await asyncio.gather(
-                *(
-                    scheduler.submit(
-                        _item(key=f"g{wave}-{i}", payload=i)
-                    )
-                    for i in range(BatchScheduler.GROUP_LIMIT // 2)
-                )
-            )
-        # force one more group creation to trigger pruning
-        await scheduler.submit(_item(key="last", payload=0))
-        return scheduler
-
-    scheduler = asyncio.run(scenario())
-    # pruning kept the table bounded instead of growing one group per
-    # one-off key forever (their linger timers were cancelled with them)
-    assert len(scheduler._groups) <= BatchScheduler.GROUP_LIMIT + 1
+    [failed], second, dispatches, inflight = asyncio.run(scenario())
+    assert isinstance(failed, RuntimeError)
+    assert second == "out:1"
+    assert dispatches == [[1]]
+    assert inflight == set()

@@ -1,5 +1,5 @@
 """Fault-injection harness: the server under chaos never hangs, never
-corrupts a batch, and every failure crosses the wire typed.
+returns a corrupt result, and every failure crosses the wire typed.
 
 Faults are armed by site (``compile:<kernel>``, ``execute:<kernel>``)
 through :class:`~repro.serve.faults.FaultInjector` and fire exactly the
@@ -204,9 +204,7 @@ def test_slow_compile_hits_deadline_not_a_hang(session):
 def test_slow_execute_hits_deadline_then_serves_identically(session):
     faults = FaultInjector()
     faults.arm("execute:gx", ("sleep", 0.5))
-    config = ServeConfig(
-        backend="interpreter", precompile=("gx",), linger_ms=0.0
-    )
+    config = ServeConfig(backend="interpreter", precompile=("gx",))
     spec = session.spec("gx")
     env = random_inputs(spec, seed=11)
     request = {
@@ -238,8 +236,7 @@ def test_slow_execute_hits_deadline_then_serves_identically(session):
 
 def test_backlog_overflow_is_typed_overloaded(session):
     config = ServeConfig(
-        backend="interpreter", precompile=("gx",),
-        max_batch=64, linger_ms=30.0, max_backlog=1,
+        backend="interpreter", precompile=("gx",), max_backlog=1,
     )
     spec = session.spec("gx")
     envs = [random_inputs(spec, seed=s) for s in range(4)]
@@ -342,7 +339,7 @@ def test_half_open_and_dropped_connections_never_wedge_the_server(session):
         writer.write(b'{"op": "run", "kernel": "gx"}\n')
         await writer.drain()
         writer.close()
-        await asyncio.sleep(0.05)  # let the orphaned batch land
+        await asyncio.sleep(0.05)  # let the orphaned request land
         # the server is still fully alive for the next client
         return await _raw_exchange(host, port, [b'{"op": "ping"}\n'])
 
@@ -496,15 +493,12 @@ def test_sync_client_without_retry_raises_typed():
 
 
 def test_request_storm_under_chaos_is_bit_identical_to_serial(session):
-    """Executor poison + slow batches + retrying clients: every surviving
+    """Executor poison + slow executions + retrying clients: every surviving
     response matches serial ``session.run`` byte-for-byte."""
     faults = FaultInjector()
     faults.arm("execute:gx", ("raise", "injected chaos"), times=1)
     faults.arm("execute:gx", ("sleep", 0.05), times=1)
-    config = ServeConfig(
-        backend="interpreter", precompile=("gx",),
-        max_batch=4, linger_ms=5.0,
-    )
+    config = ServeConfig(backend="interpreter", precompile=("gx",))
     spec = session.spec("gx")
     envs = [random_inputs(spec, seed=s) for s in range(8)]
 
@@ -532,7 +526,7 @@ def test_request_storm_under_chaos_is_bit_identical_to_serial(session):
     assert faults.tripped("execute:gx")
     assert stats["health"]["executor_restarts"] >= 1
     assert stats["scheduler"]["retried_requests"] >= 1
-    # the poisoned batch's failures all crossed the wire typed
+    # the poisoned execution's failure crossed the wire typed
     assert stats["scheduler"]["errors"] >= 1
 
 
@@ -699,7 +693,7 @@ def test_genuine_exhaustion_without_escalation_is_typed():
 
 def test_shadow_verify_catches_corruption_with_guards_off(session):
     """Defense in depth: noise guards disabled, but shadow verification
-    cross-checks the batch against the interpreter and withholds the
+    cross-checks the run against the interpreter and withholds the
     corrupt result typed — the client never sees wrong plaintext."""
     from repro.serve.errors import NOISE_BUDGET
 

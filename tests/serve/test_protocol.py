@@ -1,4 +1,4 @@
-"""Tests for the serve wire protocol: framing, validation, digests."""
+"""Tests for the serve wire protocol: framing and validation."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from repro.serve.protocol import (
     decode_message,
     encode_message,
     error_response,
-    plaintext_digest,
     random_inputs,
 )
 from repro.spec import get_spec
@@ -78,21 +77,3 @@ def test_decode_inputs_reports_bad_shape_and_type():
         decode_inputs(spec, {"img": [1, 2, 3]})
     with pytest.raises(ProtocolError, match="not an integer array"):
         decode_inputs(spec, {"img": "not numbers"})
-
-
-def test_plaintext_digest_groups_by_pt_operands():
-    # dot_product has a server-side plaintext weight vector: requests may
-    # only coalesce when it agrees, so the digest must separate them
-    spec = get_spec("dot_product")
-    assert spec.layout.pt_names == ["w"]
-    a = random_inputs(spec, 0)
-    b = dict(a, w=a["w"] + 1)
-    c = {name: value.copy() for name, value in a.items()}
-    c["x"] = c["x"] + 1  # ct-side change: digest must NOT move
-    assert plaintext_digest(spec, a) == plaintext_digest(spec, c)
-    assert plaintext_digest(spec, a) != plaintext_digest(spec, b)
-
-
-def test_plaintext_digest_empty_for_ct_only_kernels():
-    spec = get_spec("gx")
-    assert plaintext_digest(spec, random_inputs(spec, 0)) == ""

@@ -1,10 +1,9 @@
-"""End-to-end server tests: scheduling, TCP, and batched-vs-serial identity.
+"""End-to-end server tests: scheduling, TCP, and served-vs-serial identity.
 
-The determinism property (satellite of the serving tentpole): any
-interleaving of k concurrent same-program requests must return outputs
-byte-identical to k serial ``session.run`` calls.  Most tests drive the
-fast interpreter backend; one closes the loop on real BFV execution with
-the toy parameter preset.
+The determinism property: any interleaving of k concurrent same-program
+requests must return outputs byte-identical to k serial ``session.run``
+calls.  Most tests drive the fast interpreter backend; one closes the
+loop on real BFV execution with the toy parameter preset.
 """
 
 import asyncio
@@ -65,73 +64,6 @@ def test_run_matches_direct_session_run(session):
     assert _output(response).tobytes() == direct.logical_output.tobytes()
 
 
-def test_concurrent_requests_coalesce_and_match_serial(session):
-    config = ServeConfig(
-        backend="interpreter", max_batch=4, linger_ms=20.0,
-        precompile=("gx",),
-    )
-    spec = session.spec("gx")
-    envs = [random_inputs(spec, seed=s) for s in range(4)]
-
-    async def body(server):
-        return await asyncio.gather(
-            *(
-                server.handle_request(
-                    {
-                        "op": "run",
-                        "kernel": "gx",
-                        "tenant": f"t{i}",
-                        "inputs": {
-                            name: arr.tolist() for name, arr in env.items()
-                        },
-                    }
-                )
-                for i, env in enumerate(envs)
-            )
-        )
-
-    responses = asyncio.run(_with_server(session, config, body))
-    assert [r["batched"] for r in responses] == [4, 4, 4, 4]
-    for env, response in zip(envs, responses):
-        direct = session.run("gx", env, backend="interpreter")
-        assert _output(response).tobytes() == direct.logical_output.tobytes()
-
-
-def test_plaintext_operands_split_batches(session):
-    # dot_product carries a server-side plaintext weight vector; two
-    # requests with different weights are not lockstep-compatible and
-    # must not land in one run_many batch
-    config = ServeConfig(
-        backend="interpreter", max_batch=8, linger_ms=20.0,
-        precompile=("dot_product",),
-    )
-    spec = session.spec("dot_product")
-    env_a = random_inputs(spec, seed=0)
-    env_b = dict(env_a, w=env_a["w"] + 1)
-
-    async def body(server):
-        return await asyncio.gather(
-            *(
-                server.handle_request(
-                    {
-                        "op": "run",
-                        "kernel": "dot_product",
-                        "inputs": {
-                            name: arr.tolist() for name, arr in env.items()
-                        },
-                    }
-                )
-                for env in (env_a, env_a, env_b)
-            )
-        )
-
-    responses = asyncio.run(_with_server(session, config, body))
-    assert sorted(r["batched"] for r in responses) == [1, 2, 2]
-    for env, response in zip((env_a, env_a, env_b), responses):
-        direct = session.run("dot_product", env, backend="interpreter")
-        assert _output(response).tobytes() == direct.logical_output.tobytes()
-
-
 def test_error_paths_return_clean_responses(session):
     config = ServeConfig(backend="interpreter")
 
@@ -157,10 +89,7 @@ def test_error_paths_return_clean_responses(session):
 
 
 def test_stats_op_reports_scheduler_counters(session):
-    config = ServeConfig(
-        backend="interpreter", max_batch=2, linger_ms=20.0,
-        precompile=("gx",),
-    )
+    config = ServeConfig(backend="interpreter", precompile=("gx",))
 
     async def body(server):
         await asyncio.gather(
@@ -179,21 +108,18 @@ def test_stats_op_reports_scheduler_counters(session):
     scheduler = stats["scheduler"]
     assert scheduler["requests"] == 2
     assert scheduler["responses"] == 2
-    assert scheduler["batches"] == 1
-    assert scheduler["mean_occupancy"] == pytest.approx(2.0)
-    assert scheduler["coalesce_ratio"] == pytest.approx(1.0)
+    assert scheduler["errors"] == 0
+    assert scheduler["queue_peak"] >= 0
+    assert scheduler["deadline_exceeded"] == scheduler["overloaded"] == 0
     assert scheduler["compile_hits"] == 2  # hot-map hits, boot not counted
-    assert stats["kernels"]["gx"]["batches"] == 1
+    assert stats["kernels"]["gx"]["responses"] == 2
     assert stats["tenants"]["acme"]["responses"] == 2
     assert stats["hot_kernels"] == ["gx"]
-    assert stats["config"]["max_batch"] == 2
+    assert {"runs", "ntts_performed"} <= set(stats["executor"])
 
 
 def test_tcp_round_trip_with_pipelined_client(session):
-    config = ServeConfig(
-        backend="interpreter", max_batch=4, linger_ms=10.0,
-        precompile=("gx",),
-    )
+    config = ServeConfig(backend="interpreter", precompile=("gx",))
     spec = session.spec("gx")
     envs = [random_inputs(spec, seed=s) for s in range(4)]
 
@@ -215,7 +141,7 @@ def test_tcp_round_trip_with_pipelined_client(session):
     pong, responses, shutdown = asyncio.run(scenario())
     assert pong["pong"] and "gx" in pong["kernels"]
     assert shutdown["ok"] and shutdown["stopping"]
-    assert [r["batched"] for r in responses] == [4, 4, 4, 4]
+    assert [r["batched"] for r in responses] == [1, 1, 1, 1]
     for env, response in zip(envs, responses):
         direct = session.run("gx", env, backend="interpreter")
         assert _output(response).tobytes() == direct.logical_output.tobytes()
@@ -228,23 +154,14 @@ def test_tcp_round_trip_with_pipelined_client(session):
 )
 @given(
     seeds=st.lists(st.integers(0, 2**16), min_size=1, max_size=6),
-    max_batch=st.integers(1, 6),
-    linger_ms=st.sampled_from([0.0, 1.0, 10.0]),
     stagger=st.lists(st.sampled_from([0.0, 0.001]), min_size=6, max_size=6),
 )
-def test_property_any_interleaving_matches_serial(
-    seeds, max_batch, linger_ms, stagger
-):
-    """Satellite 3: k concurrent requests ≡ k serial runs, byte-for-byte."""
+def test_property_any_interleaving_matches_serial(seeds, stagger):
+    """k concurrent requests ≡ k serial runs, byte-for-byte."""
     session = Porcupine()
     spec = session.spec("gx")
     envs = [random_inputs(spec, seed=s) for s in seeds]
-    config = ServeConfig(
-        backend="interpreter",
-        max_batch=max_batch,
-        linger_ms=linger_ms,
-        precompile=("gx",),
-    )
+    config = ServeConfig(backend="interpreter", precompile=("gx",))
 
     async def body(server):
         async def one(i, env):
@@ -272,34 +189,32 @@ def test_property_any_interleaving_matches_serial(
 
 @pytest.mark.parametrize("kernel", ["gx", "box_blur"])
 def test_he_batched_results_bit_identical_to_serial(session, kernel):
-    """Coalesced BFV lockstep batches decrypt to the exact serial outputs."""
+    """Concurrent HE requests pipelined on one connection each run alone
+    (``batched == 1``) and decrypt to the exact ``session.execute``
+    outputs."""
     config = ServeConfig(
-        backend="he", params="toy", seed=0,
-        max_batch=4, linger_ms=50.0, precompile=(kernel,),
+        backend="he", params="toy", seed=0, precompile=(kernel,),
     )
     spec = session.spec(kernel)
     envs = [random_inputs(spec, seed=s) for s in range(4)]
 
-    async def body(server):
-        return await asyncio.gather(
-            *(
-                server.handle_request(
-                    {
-                        "op": "run",
-                        "kernel": kernel,
-                        "inputs": {
-                            name: arr.tolist() for name, arr in env.items()
-                        },
-                    }
-                )
-                for env in envs
+    async def scenario():
+        server = PorcupineServer(session, config)
+        host, port = await server.start()
+        client = await AsyncServeClient.connect(host, port)
+        try:
+            return await asyncio.gather(
+                *(client.run(kernel, env) for env in envs)
             )
-        )
+        finally:
+            await client.close()
+            await server.stop()
 
-    responses = asyncio.run(_with_server(session, config, body))
-    assert [r["batched"] for r in responses] == [4, 4, 4, 4]
+    responses = asyncio.run(scenario())
+    assert [r["batched"] for r in responses] == [1, 1, 1, 1]
+    compiled = session.compile(kernel)
     engine = HEBackend(seed=0, params="toy")
     for env, response in zip(envs, responses):
-        direct = session.run(kernel, env, backend=engine)
+        direct = session.execute(compiled, env, backend=engine)
         assert response["matches_reference"] is True
         assert _output(response).tobytes() == direct.logical_output.tobytes()
