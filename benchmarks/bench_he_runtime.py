@@ -82,6 +82,10 @@ def _best(fn, repeats: int) -> float:
 def bench_opcodes(params, repeats: int) -> dict:
     """Per-opcode µs: reference vs RNS.
 
+    ``square_ct`` is ``multiply(x, x)``: the runtime takes its squaring
+    tensor (two operand parts transformed, not four) where the reference
+    squares like any product.
+
     The reference path runs on its own ``slow_reference`` context with
     freshly encrypted operands, so no fast-path NTT caches leak into the
     baseline measurement.
@@ -106,6 +110,11 @@ def bench_opcodes(params, repeats: int) -> dict:
             lambda c, x, y: c.multiply(x, y),
             (a1, b1),
             (ra, rb),
+        ),
+        "square_ct": (
+            lambda c, x, _: c.multiply(x, x),
+            (a1, None),
+            (ra, None),
         ),
         "rotate": (
             lambda c, x, _: c.rotate_rows(x, 1),

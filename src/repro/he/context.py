@@ -24,6 +24,7 @@ the baseline the runtime benchmarks measure speedups against).
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -31,6 +32,7 @@ import numpy as np
 from repro.he.encoder import BatchEncoder
 from repro.he.errors import HEError, NoiseBudgetExhausted
 from repro.he.keys import GaloisKeys, KSwitchKey, PublicKey, SecretKey
+from repro.he.ntt import BatchNTT
 from repro.he.params import BFVParams
 from repro.he.poly import RingContext, RingElement, exact_negacyclic_product
 from repro.he.primes import find_ntt_primes
@@ -166,6 +168,11 @@ class BFVContext:
         self._q_inv_ext = np.array(
             [pow(q % p, -1, p) for p in ext.basis.primes], dtype=np.int64
         )[:, None]
+        # v_i * (E/p_i) mod p_i undoes the Garner lift (exact fallback)
+        self._e_over_p_mod = np.array(
+            [w % p for w, p in zip(ext.basis._m_over_p, ext.basis.primes)],
+            dtype=np.int64,
+        )[:, None]
         # HPS scale-and-round tables: t*(E/P_i)/q = omega_i + theta_i with
         # omega_i integer (kept mod each q-prime, 16-bit hi/lo split for
         # exact float64 BLAS dots) and theta_i in [0, 1) as float64.
@@ -205,6 +212,15 @@ class BFVContext:
         self._t_mod_q = np.array(
             [t % p for p in self.params.coeff_primes], dtype=np.int64
         )[:, None]
+
+    @functools.cached_property
+    def _tensor_inverse(self) -> BatchNTT:
+        """The tensor's inverse NTT with the CRT weights ``(E/p_i)^-1``
+        folded into its last table, so it emits the rescale's Garner lift
+        directly.  Built on the first ciphertext multiply: programs
+        without one never hold its table."""
+        ext = self._ext_ring
+        return ext.batch_ntt.scaled_inverse(ext.basis._m_over_p_inv)
 
     def _sample_ternary(self) -> RingElement:
         coeffs = self._rng.integers(-1, 2, self.params.poly_degree)
@@ -392,11 +408,10 @@ class BFVContext:
         basis = self.ring.basis
         # x = t*c mod q, via residues (p_i | q keeps this exact)
         cols = acc.residues * self._t_mod_q % self.ring._primes_col
-        v = basis._garner_lift(cols)
-        vf = v.astype(np.float64)
-        plain = basis.overflow_counts(v, vf=vf)
+        vf = basis._garner_lift(cols).astype(np.float64)
+        plain = basis.overflow_counts(vf)
         flip = (
-            basis.overflow_counts(v, centered=True, vf=vf) != plain
+            basis.overflow_counts(vf, centered=True) != plain
         )  # x > q/2
         limbs, _ = basis._limbs(cols, vf=vf, alpha=plain)
         # q - x in limb space (borrow-propagated subtraction)
@@ -462,8 +477,7 @@ class BFVContext:
     def add_plain(
         self, ct: Ciphertext, pt: Plaintext, out_domain: str | None = None
     ) -> Ciphertext:
-        lift = self._plain_operand(pt, out_domain)
-        m_scaled = lift.scalar_mul(self.delta)
+        m_scaled = pt.lift(self.ring, self.t).scalar_mul(self.delta)
         parts = [ct.parts[0].add(m_scaled, out_domain)]
         parts += [p.copy() for p in ct.parts[1:]]
         return Ciphertext(parts)
@@ -471,25 +485,10 @@ class BFVContext:
     def sub_plain(
         self, ct: Ciphertext, pt: Plaintext, out_domain: str | None = None
     ) -> Ciphertext:
-        lift = self._plain_operand(pt, out_domain)
-        m_scaled = lift.scalar_mul(self.delta)
+        m_scaled = pt.lift(self.ring, self.t).scalar_mul(self.delta)
         parts = [ct.parts[0].sub(m_scaled, out_domain)]
         parts += [p.copy() for p in ct.parts[1:]]
         return Ciphertext(parts)
-
-    def _plain_operand(
-        self, pt: Plaintext, out_domain: str | None
-    ) -> RingElement:
-        """The plaintext's ring lift, with its NTT cache primed if the
-        plan wants the evaluation domain.
-
-        The lazy path forward-transforms the *transient* scaled operand
-        on every call; priming the cached lift instead pays the transform
-        once per plaintext (``scalar_mul`` scales every cached form)."""
-        lift = pt.lift(self.ring, self.t)
-        if out_domain == "eval":
-            lift.eval_rows()
-        return lift
 
     def multiply_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         lift = pt.lift(self.ring, self.t)
@@ -517,34 +516,52 @@ class BFVContext:
     def _tensor_rns(self, ct1: Ciphertext, ct2: Ciphertext) -> list[RingElement]:
         """Vectorized tensor-and-rescale in the extended RNS basis.
 
-        The four operand parts are base-converted (exactly, centered) into
-        the extension basis, tensored with one batched forward NTT and
-        Karatsuba's three pointwise products, and rescaled without ever
-        leaving int64 residue land.
+        The operand parts are base-converted (exactly, centered) into the
+        extension basis and tensored with one batched forward NTT: a
+        general product transforms four parts and takes Karatsuba's three
+        pointwise products; a square (``ct1 is ct2``) transforms two and
+        forms ``a0^2``, ``a1^2`` and ``a0*a1``, doubled into the cross
+        term.  The inverse NTT carries the CRT weights ``(E/p_i)^-1``, so
+        it hands the rescale Garner-lifted values and the product never
+        leaves int64 residue land.
         """
         ext = self._ext_ring
         n = self.params.poly_degree
-        # one conversion call over all four parts
+        square = ct1 is ct2
+        cts = (ct1,) if square else (ct1, ct2)
         stack = np.stack(
-            [part.residues for ct in (ct1, ct2) for part in ct.parts]
-        )  # (4, k, n)
+            [part.residues for ct in cts for part in ct.parts]
+        )  # (2 or 4, k, n)
         converted = self._conv_q_to_ext(self._cols(stack), centered=True)
         k_ext = len(ext.basis)
-        operands = np.moveaxis(converted.reshape(k_ext, 4, n), 0, -2)
-        fa0, fa1, fb0, fb1 = ext.batch_ntt.forward(operands, assume_reduced=True)
+        operands = np.moveaxis(converted.reshape(k_ext, len(stack), n), 0, -2)
+        evals = ext.batch_ntt.forward(operands, assume_reduced=True)
         p_col = ext._primes_col
-        fsa = RingElement._mod_add(fa0, fa1, p_col)
-        fsb = RingElement._mod_add(fb0, fb1, p_col)
-        products = np.stack(
-            [fa0 * fb0 % p_col, fa1 * fb1 % p_col, fsa * fsb % p_col]
-        )
-        t00, t11, tss = ext.batch_ntt.inverse(products, assume_reduced=True)
-        t01 = RingElement._mod_sub(
-            RingElement._mod_sub(tss, t00, p_col), t11, p_col
-        )
-        # rescale all three tensor parts in one vectorized sweep
-        tensors = np.stack([t00, t01, t11])  # (3, k_ext, n)
-        rescaled = self._rns_rescale(self._cols(tensors))
+        if square:
+            fa0, fa1 = evals
+            pairs = ((fa0, fa0), (fa0, fa1), (fa1, fa1))
+        else:
+            fa0, fa1, fb0, fb1 = evals
+            fsa = RingElement._mod_add(fa0, fa1, p_col)
+            fsb = RingElement._mod_add(fb0, fb1, p_col)
+            pairs = ((fa0, fb0), (fsa, fsb), (fa1, fb1))
+        products = np.stack([x * y % p_col for x, y in pairs])
+        lifted = self._tensor_inverse.inverse(products, assume_reduced=True)
+        # the cross term: 2*a0*a1 for a square, else Karatsuba's
+        # (a0+a1)*(b0+b1) - a0*b0 - a1*b1 (v_i is linear in T)
+        if square:
+            lifted[1] = RingElement._mod_add(lifted[1], lifted[1], p_col)
+        else:
+            lifted[1] = RingElement._mod_sub(
+                RingElement._mod_sub(lifted[1], lifted[0], p_col),
+                lifted[2],
+                p_col,
+            )
+        # (3, k_ext, n) -> (k_ext, 3n) float64 in one pass, so the rescale
+        # sweeps all three tensor parts at once
+        vf = np.empty((k_ext, 3, n))
+        vf[...] = np.moveaxis(lifted, 0, 1)
+        rescaled = self._rns_rescale(vf.reshape(k_ext, 3 * n))
         k = len(self.ring.basis)
         parts = np.moveaxis(rescaled.reshape(k, 3, n), 0, -2)
         return [
@@ -552,24 +569,25 @@ class BFVContext:
             for i in range(3)
         ]
 
-    def _rns_rescale(self, tensor_res: np.ndarray) -> np.ndarray:
-        """``round(t * T / q) mod q`` on extension-basis residues, exactly.
+    def _rns_rescale(self, vf: np.ndarray) -> np.ndarray:
+        """``round(t * T / q) mod q`` from Garner-lifted residues, exactly.
 
-        HPS-style scale-and-round: with ``T = sum_i v_i*(E/P_i) - alpha*E``
-        (``alpha`` exact, ``T`` centered), ``t*T/q`` splits into an integer
-        part — accumulated mod each q-prime through exact float64 BLAS dot
-        products against ``omega_i = floor(t*(E/P_i)/q)`` — plus a small
-        real ``sum_i v_i*theta_i - alpha*Theta`` whose rounding is decided
-        in float64.  ``q`` is odd so exact .5 ties are impossible; columns
-        within the float guard band of a boundary are recomputed through
+        ``vf`` holds (as float64) the CRT weights ``v_i = T * (E/p_i)^-1
+        mod p_i`` of the tensor ``T`` in the extension basis, one column
+        per coefficient; the tensor's inverse NTT emits them directly.
+        HPS-style scale-and-round: with ``T = sum_i v_i*(E/P_i) -
+        alpha*E`` (``alpha`` exact, ``T`` centered), ``t*T/q`` splits into
+        an integer part — accumulated mod each q-prime through exact
+        float64 BLAS dot products against ``omega_i = floor(t*(E/P_i)/q)``
+        — plus a small real ``sum_i v_i*theta_i - alpha*Theta`` whose
+        rounding is decided in float64.  ``q`` is odd so exact .5 ties are
+        impossible; columns within the float guard band of a boundary get
+        their residues back (``v_i * (E/p_i)``) and are recomputed through
         the exact floor-division path.  Bit-identical to the big-integer
-        ``(t*v + q//2) // q`` of the reference path, vectorized over
-        however many columns the caller concatenates.
+        ``(t*T + q//2) // q`` of the reference path.
         """
-        basis = self._ext_ring.basis
-        v = basis._garner_lift(tensor_res)
-        vf = v.astype(np.float64)
-        alpha = basis.overflow_counts(v, centered=True, vf=vf)
+        ext = self._ext_ring
+        alpha = ext.basis.overflow_counts(vf, centered=True)
         p_col = self.ring._primes_col
         s_hi = (self._sr_w_hi_f @ vf).astype(np.int64)
         s_lo = (self._sr_w_lo_f @ vf).astype(np.int64)
@@ -583,7 +601,9 @@ class BFVContext:
         risky = np.abs(d - 0.5) < 1e-5
         if risky.any():
             cols = np.nonzero(risky)[0]
-            out[:, cols] = self._rns_rescale_exact(tensor_res[:, cols])
+            v = vf[:, cols].astype(np.int64)
+            residues = v * self._e_over_p_mod % ext._primes_col
+            out[:, cols] = self._rns_rescale_exact(residues)
         return out
 
     def _rns_rescale_exact(self, tensor_res: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ domain realise negacyclic convolution, i.e. ring multiplication.
 
 from __future__ import annotations
 
+import copy
 from functools import lru_cache
 
 import numpy as np
@@ -205,7 +206,7 @@ class BatchNTT:
         n1 = self.n1 = 1 << ((n.bit_length() - 1) // 2)
         n2 = self.n2 = n // n1
         bits = max(primes).bit_length()
-        s = -(-bits // 2)
+        s = self._s = -(-bits // 2)
         if (bits + 1) + s + (max(n1, n2).bit_length() - 1) > 52:
             raise ValueError(
                 f"{bits}-bit primes at n={n} exceed the exact float64 "
@@ -399,6 +400,21 @@ class BatchNTT:
         np.matmul(lo_m, w, out=lo)
         self._combine(z, lo, w, canonical=True)
         return self._store(z, shape, batch, out)
+
+    def scaled_inverse(self, scales) -> "BatchNTT":
+        """A twin whose inverse also multiplies row ``i`` by ``scales[i]``.
+
+        The scale folds into the inverse's last table (``iM1``, which
+        already carries ``n^-1``), so the twin costs no extra pass; every
+        other table is shared with this transform, not copied.
+        """
+        twin = copy.copy(self)
+        hi, lo = self._im1
+        col = self.primes[:, None, None]
+        scale = np.asarray(scales, dtype=np.int64).reshape(col.shape) % col
+        twin._im1 = _limbs((hi + lo).astype(np.int64) * scale % col, self._s)
+        return twin
+
 
 def naive_negacyclic_convolve(a, b, prime: int) -> np.ndarray:
     """Reference O(n^2) negacyclic convolution, used only in tests."""

@@ -19,10 +19,10 @@ vectorized primitives the RNS-native BFV hot path is built on:
   coefficients straight from residues, vectorized over the whole polynomial.
 
 All three share one trick for the overflow count: ``alpha =
-floor(sum_i v_i / p_i)`` is evaluated in float64 with a provable error
-bound far below the detection threshold, and the rare coefficients that
-land near a rounding boundary are recomputed with exact big-int
-arithmetic.  The result is bit-for-bit identical to schoolbook CRT while
+floor(sum_i v_i / p_i)`` (or, centered, its ``rint``) is evaluated in
+float64 with a provable error bound far below the detection threshold,
+and the rare coefficients that land near a rounding boundary are settled
+by an exact limb-space sign test.  The result is bit-for-bit identical to schoolbook CRT while
 the common path stays pure numpy.
 """
 
@@ -116,10 +116,7 @@ class RNSBasis:
         return residues * self._inv_col % self._primes_col
 
     def overflow_counts(
-        self,
-        v: np.ndarray,
-        centered: bool = False,
-        vf: np.ndarray | None = None,
+        self, v: np.ndarray, centered: bool = False
     ) -> np.ndarray:
         """Exact ``alpha`` with ``x = sum_i v_i*(M/p_i) - alpha*M``.
 
@@ -128,14 +125,33 @@ class RNSBasis:
         ``x`` in ``(-M/2, M/2]``.  The float64 estimate has error far below
         ``_ALPHA_GUARD``, so it is exact except for coefficients landing
         within the guard of a rounding boundary; those are settled by an
-        exact (still vectorized) limb-space sign test.  Values tiny
-        relative to ``M`` — e.g. an RNS floor-division quotient carried in
-        a much wider basis — hit the boundary on *every* coefficient, so
-        the correction must not fall back to per-coefficient Python.
+        exact (still vectorized) limb-space sign test.  ``v`` is the
+        ``(k, cols)`` Garner lift, as integers or (no copy) as float64.
+
+        The centered count is ``rint(sum_i v_i/p_i)``, whose only rounding
+        boundary is ``x`` near ``M/2``.  Values tiny relative to ``M`` —
+        a tensor product or an RNS floor-division quotient carried in a
+        much wider basis — sit next to an integer, which is a boundary of
+        the uncentered floor but not of the centered round, so they never
+        reach the limb test.
         """
-        if vf is None:
-            vf = v.astype(np.float64)
+        vf = np.asarray(v, dtype=np.float64)
         frac = self._inv_primes_f @ vf
+        if centered:
+            alpha = np.rint(frac).astype(np.int64)
+            floor = np.floor(frac)
+            near_half = np.abs(frac - floor - 0.5) < _ALPHA_GUARD
+            if near_half.any():
+                # x vs M/2 via the sign of 2*S - (2*floor+1)*M (M is odd,
+                # so x == M/2 never occurs and the sign is decisive; frac
+                # is ~1/2 away from an integer, so its floor is exact).
+                cols = np.nonzero(near_half)[0]
+                base = floor[cols].astype(np.int64)
+                below = self._limb_sign_negative(
+                    vf[:, cols], 2 * base + 1, scale=2
+                )
+                alpha[cols] = base + (~below)
+            return alpha
         alpha = np.floor(frac).astype(np.int64)
         near_floor = np.abs(frac - np.rint(frac)) < _ALPHA_GUARD
         if near_floor.any():
@@ -145,21 +161,6 @@ class RNSBasis:
             boundary = np.rint(frac[cols]).astype(np.int64)
             negative = self._limb_sign_negative(vf[:, cols], boundary, scale=1)
             alpha[cols] = boundary - negative
-        if centered:
-            # x/M relative to 1/2, measured against the *corrected* alpha
-            # (frac - floor(frac) would mislead wherever the float estimate
-            # rounded across an integer boundary).
-            rel = frac - alpha
-            half_up = rel > 0.5
-            near_half = np.abs(rel - 0.5) < _ALPHA_GUARD
-            if near_half.any():
-                # x vs M/2 via the sign of 2*S - (2*alpha+1)*M (M is odd,
-                # so x == M/2 never occurs and the sign is decisive).
-                cols = np.nonzero(near_half)[0]
-                odd = 2 * alpha[cols] + 1
-                below = self._limb_sign_negative(vf[:, cols], odd, scale=2)
-                half_up[cols] = ~below
-            alpha += half_up
         return alpha
 
     def _limb_sign_negative(
@@ -195,7 +196,7 @@ class RNSBasis:
         if vf is None:
             vf = self._garner_lift(residues).astype(np.float64)
         if alpha is None:
-            alpha = self.overflow_counts(vf.astype(np.int64), vf=vf)
+            alpha = self.overflow_counts(vf)
         acc = (self._m_limbs_f @ vf).astype(np.int64)
         acc -= alpha[None, :] * self._modulus_limbs[:, None]
         limbs = np.empty_like(acc)
@@ -309,9 +310,8 @@ class _BaseConversion:
     def __call__(
         self, residues: np.ndarray, centered: bool = False
     ) -> np.ndarray:
-        v = self.source._garner_lift(residues)
-        vf = v.astype(np.float64)
-        alpha = self.source.overflow_counts(v, centered=centered, vf=vf)
+        vf = self.source._garner_lift(residues).astype(np.float64)
+        alpha = self.source.overflow_counts(vf, centered=centered)
         p_col = self._target_col
         s_hi = (self._w_hi_f @ vf).astype(np.int64)
         s_lo = (self._w_lo_f @ vf).astype(np.int64)

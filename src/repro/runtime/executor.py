@@ -684,7 +684,9 @@ class HEExecutor:
         The cache is bounded (cleared wholesale past
         ``PLAINTEXT_CACHE_LIMIT`` entries, mirroring the solver's shift
         cache policy) and cached plaintexts are frozen so no caller can
-        mutate a shared entry.
+        mutate a shared entry.  Each new entry's ring lift is built in
+        both domains here, outside the tape, so every run of a tape pays
+        the same transforms (the domain plan counts none for plaintexts).
         """
         key = vec.tobytes()
         cached = self._plaintext_cache.get(key)
@@ -692,6 +694,7 @@ class HEExecutor:
             if len(self._plaintext_cache) >= self.PLAINTEXT_CACHE_LIMIT:
                 self._plaintext_cache.clear()
             cached = self.ctx.encode(vec).freeze()
+            cached.lift(self.ctx.ring, self.ctx.t).eval_rows()
             self._plaintext_cache[key] = cached
         return cached
 

@@ -21,7 +21,8 @@ mirroring :mod:`repro.he.context` op for op):
 
 Counts are in *row* units (one length-``N`` transform; a ``(k, N)``
 element costs ``k`` rows, a key-switch digit stack ``digits * k``, the
-multiply tensor ``7 * k_ext``) per run, so a measured run must equal the
+multiply tensor ``7 * k_ext``, or ``5 * k_ext`` for a square, whose two
+operands are one value) per run, so a measured run must equal the
 prediction — the property tests pin exactly that.  Because the NTT is an
 exact linear bijection mod each prime and automorphisms commute with it,
 *any* hint assignment yields bit-identical residues; the plan changes
@@ -78,11 +79,11 @@ class _Sim:
 
     Mutable state mirrors what the runtime actually caches: slot values
     and ciphertext inputs hold per-part form sets (forcing a missing form
-    caches it, like ``RingElement`` lazy materialisation), plaintext
-    lifts hold one persistent form set per name (the ``Plaintext._lift``
-    cache), and transient operands (the scaled plaintext in add_plain,
-    the rotated c1 under lazy routing) pay their transform without
-    caching anything.
+    caches it, like ``RingElement`` lazy materialisation), and transient
+    operands (the rotated c1 under lazy routing) pay their transform
+    without caching anything.  Plaintext lifts carry both forms before
+    the tape starts: the executor primes them when a plaintext enters its
+    cache, so they never cost a row.
     """
 
     def __init__(self, k: int, k_ext: int, digits: int):
@@ -92,7 +93,6 @@ class _Sim:
         self.rows = 0
         self.slots: dict[int, list[set]] = {}
         self.ct_inputs: dict[str, list[set]] = {}
-        self.pt_lifts: dict[str, set] = {}
 
     # -- state access ---------------------------------------------------
 
@@ -103,9 +103,6 @@ class _Sim:
         # fresh encryptions arrive in NTT form (encrypt primes the masking
         # sums' caches and the public-key products are pointwise)
         return self.ct_inputs.setdefault(key, [{_E}, {_E}])
-
-    def pt_value(self, name: str) -> set:
-        return self.pt_lifts.setdefault(name, {_C})
 
     # -- primitives -----------------------------------------------------
 
@@ -120,18 +117,15 @@ class _Sim:
         if dom not in forms:
             self.rows += self.k
 
-    def binary(
-        self, a: set, b: set, hint: str | None, b_transient: bool = False
-    ) -> set:
+    def binary(self, a: set, b: set, hint: str | None) -> set:
         """Mirror ``RingElement._binary``: domains computed and forced."""
-        force_b = self.force_transient if b_transient else self.force
         if hint == "coeff":
             self.force(a, _C)
-            force_b(b, _C)
+            self.force(b, _C)
             return {_C}
         if hint == "eval":
             self.force(a, _E)
-            force_b(b, _E)
+            self.force(b, _E)
             return {_E}
         out = set()
         if _C in a and _C in b:
@@ -140,7 +134,7 @@ class _Sim:
             out.add(_E)
         if not out:  # mixed domains: the lazy policy prefers evaluation
             self.force(a, _E)
-            force_b(b, _E)
+            self.force(b, _E)
             out.add(_E)
         return out
 
@@ -173,16 +167,11 @@ class _Sim:
             return [self.binary(p, q, hint) for p, q in zip(a, b)]
         if opcode in _CP_OPS:
             a = self.ct_value(a_desc)
-            lift = self.pt_value(b_desc[1])
-            if hint == "eval":
-                self.force(lift, _E)  # prime the cached lift, paid once
-            scaled = set(lift)  # scalar_mul copies every cached form
-            head = self.binary(a[0], scaled, hint, b_transient=True)
+            # the scaled lift: scalar_mul copies both of the lift's forms
+            head = self.binary(a[0], {_C, _E}, hint)
             return [head] + [set(p) for p in a[1:]]
         if opcode is Opcode.MUL_CP:
             a = self.ct_value(a_desc)
-            lift = self.pt_value(b_desc[1])
-            self.force(lift, _E)
             for p in a:
                 self.force(p, _E)
             return [{_E} for _ in a]
@@ -192,7 +181,10 @@ class _Sim:
             for j in (0, 1):  # the tensor stacks coefficient residues
                 self.force(a[j], _C)
                 self.force(b[j], _C)
-            self.rows += 7 * self.k_ext  # 4 forward + 3 inverse, ext basis
+            # ext basis: 4 forward + 3 inverse, or 2 + 3 for a square
+            # (both operands fetch one object, so the tensor sees ct1 is ct2)
+            square = a_desc == b_desc
+            self.rows += (5 if square else 7) * self.k_ext
             product = [{_C}, {_C}, {_C}]
             if eager:
                 return self.relinearize(product, hint)
@@ -316,7 +308,6 @@ def _probe_cost(sim: _Sim, step, hint, eager, dm) -> int:
     probe.ct_inputs = {
         key: [set(p) for p in parts] for key, parts in sim.ct_inputs.items()
     }
-    probe.pt_lifts = {key: set(v) for key, v in sim.pt_lifts.items()}
     result = probe.apply(opcode, a_desc, b_desc, hint, True, eager)
     deferred = sum(
         sim.k * len(doms - forms) for doms, forms in zip(dm, result)

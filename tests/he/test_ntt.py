@@ -205,6 +205,23 @@ def test_batch_ntt_extreme_residues(name, fill):
     _assert_matches_oracle(name, _stack(name, (2,), fill, 0))
 
 
+@pytest.mark.parametrize("name", ["n4096-ext", "n8192-ext"])
+@pytest.mark.parametrize("fill", ["random", "max"])
+def test_scaled_inverse_folds_its_scale_and_shares_tables(name, fill):
+    """The tensor's inverse with CRT weights folded into ``iM1`` equals
+    the plain inverse times the weights, and copies no other table."""
+    batch, _ = _ring(name)
+    col = batch.primes[:, None]
+    scales = np.random.default_rng(5).integers(0, 1 << 62, len(col)) % col[:, 0]
+    scaled = batch.scaled_inverse(scales)
+    x = _stack(name, (3,), fill, 4)
+    expected = batch.inverse(x, assume_reduced=True) * scales[:, None] % col
+    assert np.array_equal(scaled.inverse(x, assume_reduced=True), expected)
+    for table in ("_m1", "_m2t", "_im2t", "_t", "_it"):
+        assert getattr(scaled, table) is getattr(batch, table)
+    assert scaled._im1 is not batch._im1
+
+
 def test_batch_ntt_reduces_unreduced_inputs():
     batch, ntts = _ring("toy-q")
     col = batch.primes[:, None]

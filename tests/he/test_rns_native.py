@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.he import BFVContext, toy_params
 from repro.he.ntt import BatchNTT, NTTContext
+from repro.he.params import large_params, small_params
 from repro.he.poly import RingContext
 from repro.he.primes import find_ntt_primes
 from repro.he.rns import DigitDecomposer, RNSBasis
@@ -169,6 +170,129 @@ def test_multiply_paths_bit_identical(seed):
     _assert_ct_equal(rns, ref)
     assert context.noise_budget(rns) == context.noise_budget(ref)
     assert np.array_equal(context.decrypt_vector(rns)[:300], a * b)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_square_paths_bit_identical(seed):
+    """``multiply(ca, ca)`` takes the squaring tensor (two operand parts
+    transformed, the cross term doubled); the oracle squares through
+    Karatsuba like any product."""
+    context = _PROPERTY_CTX
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-50, 51, 300)
+    ca = context.encrypt_vector(a)
+    context.slow_reference = True
+    ref = context.multiply(ca, ca)
+    context.slow_reference = False
+    rns = context.multiply(ca, ca)
+    _assert_ct_equal(rns, ref)
+    assert context.noise_budget(rns) == context.noise_budget(ref)
+    assert np.array_equal(context.decrypt_vector(rns)[:300], a * a)
+
+
+def test_square_path_matches_general_path(ctx):
+    """A copy is a different object, so it takes the general tensor."""
+    rng = np.random.default_rng(16)
+    ca = ctx.encrypt_vector(rng.integers(-50, 51, 64))
+    for relinearize in (False, True):
+        square = ctx.multiply(ca, ca, relinearize=relinearize)
+        general = ctx.multiply(ca, ca.copy(), relinearize=relinearize)
+        _assert_ct_equal(square, general)
+
+
+@pytest.mark.parametrize("preset", [small_params, large_params])
+@pytest.mark.parametrize("square", [True, False], ids=["square", "general"])
+def test_multiply_bit_identical_on_secure_presets(preset, square):
+    context = BFVContext(preset(), seed=21)
+    rng = np.random.default_rng(22)
+    a = rng.integers(-20, 21, 64)
+    b = a if square else rng.integers(-20, 21, 64)
+    ca = context.encrypt_vector(a)
+    cb = ca if square else context.encrypt_vector(b)
+    context.slow_reference = True
+    ref = context.multiply(ca, cb)
+    context.slow_reference = False
+    rns = context.multiply(ca, cb)
+    _assert_ct_equal(rns, ref)
+    assert context.noise_budget(rns) == context.noise_budget(ref)
+    assert np.array_equal(context.decrypt_vector(rns)[:64], a * b)
+
+
+@pytest.mark.parametrize("preset", [toy_params, small_params, large_params])
+def test_rescale_guard_band_takes_exact_path(preset, monkeypatch):
+    """Tensor coefficients whose ``t*T/q`` sits within 1e-5 of a half
+    integer must be settled by the exact floor-division fallback, and
+    must still round exactly like the big-integer formula."""
+    context = BFVContext(preset(), seed=3)
+    q, t, n = context.q, context.t, context.params.poly_degree
+    rng = random.Random(preset.__name__)
+    crafted = []
+    for _ in range(40):
+        m = rng.randrange(-(t * n * q) // 4, (t * n * q) // 4)
+        crafted.append(q * (2 * m + 1) // (2 * t) + rng.randrange(-3, 4))
+    bound = n * q * q // 4
+    plain = [rng.randrange(-bound, bound) for _ in range(40)] + [0, 1, -1]
+    tensor = crafted + plain
+    for value in crafted:
+        frac = (t * value % q) / q
+        assert abs(frac - 0.5) < 1e-5
+    basis = context._ext_ring.basis
+    v = basis._garner_lift(basis.decompose(tensor))
+
+    seen = []
+    exact = context._rns_rescale_exact
+
+    def spy(residues):
+        seen.append(residues.shape[1])
+        return exact(residues)
+
+    monkeypatch.setattr(context, "_rns_rescale_exact", spy)
+    out = context._rns_rescale(v.astype(np.float64))
+    assert seen == [len(crafted)]
+    expected = context.ring.basis.decompose(
+        [(t * value + q // 2) // q for value in tensor]
+    )
+    assert np.array_equal(out, expected)
+
+
+def test_centered_counts_of_tiny_values_need_no_limb_test(monkeypatch):
+    """Tiny values sit next to an integer multiple of the modulus, a
+    boundary of the uncentered count only: rounding settles them all."""
+    rng = random.Random(8)
+    tiny = [0, 1, -1] + [rng.randrange(-(10**12), 10**12) for _ in range(500)]
+    residues = WIDE.decompose(tiny)
+    v = WIDE._garner_lift(residues)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("centered count fell back to the limb test")
+
+    monkeypatch.setattr(WIDE, "_limb_sign_negative", refuse)
+    alpha = WIDE.overflow_counts(v, centered=True)
+    for j, value in enumerate(tiny):
+        weighted = sum(
+            int(v[i, j]) * w for i, w in enumerate(WIDE._m_over_p)
+        )
+        assert weighted - int(alpha[j]) * WIDE.modulus == value
+
+
+def test_centered_counts_near_half_use_the_limb_test(monkeypatch):
+    """The one boundary of the centered count, ``x`` next to ``M/2``,
+    is decided exactly in limb space."""
+    half = M // 2
+    values = [half + d for d in range(-3, 4)]
+    calls = []
+    sign = BASIS._limb_sign_negative
+
+    def spy(vf, multiple, scale):
+        calls.append(vf.shape[1])
+        return sign(vf, multiple, scale)
+
+    monkeypatch.setattr(BASIS, "_limb_sign_negative", spy)
+    out = BASIS.conversion_to(WIDE)(BASIS.decompose(values), centered=True)
+    assert calls and sum(calls) == len(values)
+    for j, pj in enumerate(WIDE.primes):
+        assert list(out[j]) == [(v - M if v > half else v) % pj for v in values]
 
 
 @settings(max_examples=8, deadline=None)

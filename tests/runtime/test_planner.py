@@ -107,13 +107,21 @@ def test_ntt_counts_match_plan_exactly(name):
     assert lazy.stats.ntts_elided == 0  # nothing planned, nothing claimed
 
 
-def test_ntt_counts_match_plan_on_every_run():
-    spec = get_spec("box_blur")
-    program = baseline_for("box_blur")
+@pytest.mark.parametrize("name", ["box_blur", "harris", "l2", "dot_product"])
+def test_ntt_counts_match_plan_on_every_run(name):
+    """Cached plaintexts (program constants, and dot_product's weight
+    vector held fixed across runs) keep their lift between runs; the plan
+    must hold on the runs that reuse them as on the first."""
+    spec = get_spec(name)
+    program = baseline_for(name)
     executor = HEExecutor(spec, params=toy_params(), seed=14)
     plan = executor.compile(program).plan
+    weights = np.arange(8) % 5
     for runs in range(1, 5):
-        executor.run(program, _env(spec, seed=runs))
+        env = _env(spec, seed=runs)
+        if name == "dot_product":
+            env["w"] = weights
+        executor.run(program, env)
         assert executor.stats.runs == runs
         assert executor.stats.ntts_performed == runs * plan.ntts_planned
         assert executor.stats.ntts_elided == runs * plan.ntts_elided
