@@ -3,8 +3,8 @@
 Measures, per kernel, and records everything into ``BENCH_synthesis.json``
 at the repository root:
 
-* the search engine's enumeration rate (nodes/sec), batched vs the
-  pre-batching scalar path (``SearchOptions(batched=False)``);
+* the search engine's enumeration rate (nodes/sec) on exhaustive
+  fixed-length searches;
 * the **per-rule pruning ablation**: exhaustive-search node counts with
   each pruning rule individually disabled, and with all of them off,
   attributing the searched-space reduction rule by rule;
@@ -29,16 +29,12 @@ Run it after touching anything on the synthesis hot path::
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py --quick  # CI
 
 ``--check-floor`` compares this run against ``benchmarks/
-throughput_floor.json``: batched nodes/sec must stay within 5x of the
+throughput_floor.json``: engine nodes/sec must stay within 5x of the
 checked-in floor (a loose tripwire that survives noisy CI machines), and
 searched-node counts must not exceed their exact ceilings — node counts
 are deterministic, so a pruning regression fails CI deterministically
 instead of via flaky timing.  Refresh with ``--update-floor`` after an
 intentional change.
-
-The scalar ablation runs under a per-kernel time cap (nodes/sec is
-meaningful on a partial run; full-space equivalence is covered by
-``tests/solver/test_engine_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -161,7 +157,6 @@ SHARD_CASES = {
     "full": (("box_blur", 0, 2), ("dot_product", 5, 3)),
 }
 
-SCALAR_CAP_SECONDS = 15.0
 ABLATION_CAP_SECONDS = 30.0
 
 
@@ -191,24 +186,14 @@ def _exhaust(case: EngineCase, options: SearchOptions, cap: float | None):
     return outcome, time.perf_counter() - started
 
 
-def run_engine_case(case: EngineCase, scalar_cap: float) -> dict:
-    payload: dict = {
+def run_engine_case(case: EngineCase) -> dict:
+    outcome, seconds = _exhaust(case, SearchOptions(), None)
+    return {
         "kernel": case.kernel,
         "length": case.length,
         "examples": case.examples,
+        **_outcome_payload(outcome, seconds),
     }
-    for label, options, cap in (
-        ("batched", SearchOptions(), None),
-        ("scalar", SearchOptions(batched=False), scalar_cap),
-    ):
-        outcome, seconds = _exhaust(case, options, cap)
-        payload[label] = _outcome_payload(outcome, seconds)
-    batched_nps = payload["batched"]["nodes_per_sec"]
-    scalar_nps = payload["scalar"]["nodes_per_sec"]
-    payload["speedup"] = (
-        round(batched_nps / scalar_nps, 2) if scalar_nps else None
-    )
-    return payload
 
 
 def run_ablation_case(case: EngineCase, cap: float) -> dict:
@@ -504,7 +489,7 @@ def check_floor(
         return []
     failures = []
     for key, floor in floors.get("engine", {}).items():
-        measured = engine_results.get(key, {}).get("batched", {})
+        measured = engine_results.get(key, {})
         if not measured:
             continue  # floor entry for a case this run did not measure
         nps = measured.get("nodes_per_sec")
@@ -611,8 +596,8 @@ def update_floor(
     floors.setdefault("seeded", {})
     for key, payload in engine_results.items():
         floors["engine"][key] = {
-            "nodes_per_sec": payload["batched"]["nodes_per_sec"],
-            "max_nodes": payload["batched"]["nodes"],
+            "nodes_per_sec": payload["nodes_per_sec"],
+            "max_nodes": payload["nodes"],
         }
     for kernel, payload in synthesis_results.items():
         if payload.get("proof_complete"):
@@ -632,7 +617,7 @@ def main(argv: list[str] | None = None) -> int:
         description="engine throughput benchmark -> BENCH_synthesis.json"
     )
     parser.add_argument("--quick", action="store_true",
-                        help="CI subset: fast kernels, short scalar cap")
+                        help="CI subset: fast kernels, short ablation cap")
     parser.add_argument("--check-floor", action="store_true",
                         help="fail on >5x nodes/sec regressions or any "
                              "searched-node ceiling violation")
@@ -648,19 +633,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
-    scalar_cap = 5.0 if args.quick else SCALAR_CAP_SECONDS
     ablation_cap = 10.0 if args.quick else ABLATION_CAP_SECONDS
     cases = [c for c in ENGINE_CASES if c.quick] if args.quick else ENGINE_CASES
 
     engine_results: dict[str, dict] = {}
     for case in cases:
         print(f"engine {case.key} ...", flush=True)
-        payload = run_engine_case(case, scalar_cap)
+        payload = run_engine_case(case)
         engine_results[case.key] = payload
         print(
-            f"  batched {payload['batched']['nodes_per_sec']:>12,.0f} nodes/s"
-            f"  scalar {payload['scalar']['nodes_per_sec']:>12,.0f} nodes/s"
-            f"  speedup {payload['speedup']}x"
+            f"  {payload['nodes']:,} nodes"
+            f"  {payload['nodes_per_sec']:>12,.0f} nodes/s"
         )
 
     ablation_results: dict[str, dict] = {}
@@ -743,7 +726,7 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     report = {
-        "schema": 3,
+        "schema": 4,
         "mode": mode,
         "engine": engine_results,
         "ablation": ablation_results,
@@ -754,11 +737,7 @@ def main(argv: list[str] | None = None) -> int:
         "shards": shard_results,
         "metrics": {
             **{
-                f"{key}.nodes_per_sec": payload["batched"]["nodes_per_sec"]
-                for key, payload in engine_results.items()
-            },
-            **{
-                f"{key}.speedup": payload["speedup"]
+                f"{key}.nodes_per_sec": payload["nodes_per_sec"]
                 for key, payload in engine_results.items()
             },
             **{

@@ -54,7 +54,6 @@ CONFIGS = [
     ("no symmetry breaking", SearchOptions().without("commutative", "adjacent")),
     ("no dead-value bound", SearchOptions(dead_value=False)),
     ("no pruning at all", SearchOptions.no_prune()),
-    ("scalar evaluation", SearchOptions(batched=False)),
 ]
 
 

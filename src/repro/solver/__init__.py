@@ -71,12 +71,15 @@ length-``L`` searches seed length ``L+1`` (``set_length``), and resumed
 rounds skip root branches already exhausted without a match
 (``run(start_rank=...)``).
 
-Evaluation is batched (stacked numpy over all operand fills of a prefix,
-vectorized hash dedup, single-comparison goal checks); the scalar path
-survives behind ``SearchOptions(batched=False)`` for ablations, and
-root-slot partitioning (``run(root_ranks=...)``) plus mid-run bound
-polling (``run(bound_poll=...)``) support the work-stealing
-process-parallel driver in :mod:`repro.core.parallel`.
+Evaluation is batched: all operand fills of a prefix are one gather of
+pre-rotated value-block rows (each push fills its rotations with one
+gather through a cached source-index table), dedup is one vectorized
+hash pass, and the final slot's goal check compares flat output-column
+rows against the flattened goal.  The scalar engine survives only as the
+equivalence oracle in the tests.  Root-slot partitioning
+(``run(root_ranks=...)``) plus mid-run bound polling
+(``run(bound_poll=...)``) support the work-stealing process-parallel
+driver in :mod:`repro.core.parallel`.
 """
 
 from repro.solver.engine import (

@@ -10,13 +10,14 @@ examples.
 
 The hot loop is *batched*: for a fixed ``(component, operand1, rotation1)``
 prefix, every ``(operand2, rotation2)`` fill is evaluated in one stacked
-numpy operation, deduplicated through one vectorized 64-bit hash pass
+numpy operation over a single gather of rotation-block rows,
+deduplicated through one vectorized 64-bit hash pass
 (:meth:`ValueStore.hash_block`), and — on the final slot — goal-checked
-with a single ``(K, E, |out_slots|)`` comparison.  The pre-batching
-scalar path is kept behind ``SearchOptions(batched=False)`` for the
-optimization-ablation benchmark; both paths enumerate candidates in the
-same canonical order and visit the same node count (timeout cutoffs,
-which interrupt a batch mid-flight, aside).
+with one ``(K, E*|out_slots|)`` comparison against the flattened goal.
+Node accounting is per candidate, as if each fill were evaluated on its
+own: an early stop uncharges the fills of a batch never reached.  (The
+one-candidate-at-a-time scalar engine lives on as the equivalence oracle
+in ``tests/solver/scalar_engine.py``.)
 
 The caller (the CEGIS loop in :mod:`repro.core.cegis`) owns verification,
 counterexamples, and cost accounting; the engine calls back on every
@@ -85,7 +86,7 @@ class SearchOutcome:
     nodes: int
     candidates: int  # assignments that matched the examples
     seconds: float = 0.0  # wall time inside run()
-    batches: int = 0  # stacked evaluations (batched mode only)
+    batches: int = 0  # stacked evaluations
     dedup_hits: int = 0  # values rejected as observationally equivalent
     #: per-rule prune counters: rule name -> candidates/branches skipped
     pruned: dict[str, int] = field(default_factory=dict)
@@ -117,7 +118,7 @@ class SearchStats:
     nodes: int = 0
     candidates: int = 0
     seconds: float = 0.0  # engine wall time (summed across shards)
-    batches: int = 0  # stacked evaluations (batched engine only)
+    batches: int = 0  # stacked evaluations
     dedup_hits: int = 0  # values rejected as observationally equivalent
     pruned: dict[str, int] = field(default_factory=dict)  # per-rule skips
     reused_values: int = 0  # store entries carried across CEGIS rounds
@@ -262,14 +263,11 @@ PRUNE_RULES: dict[str, str] = {
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Pruning and evaluation toggles, used by the ablation benchmarks.
+    """Pruning toggles, used by the ablation benchmarks.
 
     One boolean per :data:`PRUNE_RULES` entry; all rules are sound, so
     disabling them only slows the search down (the defaults match the
     paper's section 6.2 configuration plus this port's extensions).
-    ``batched`` is not a pruning rule: it switches between the
-    stacked-numpy evaluation of the inner enumeration and the historical
-    scalar path — both produce the same candidates in the same order.
     """
 
     dedup: bool = True
@@ -279,7 +277,6 @@ class SearchOptions:
     rotation_collapse: bool = True
     zero_elide: bool = True
     cost_bound: bool = True
-    batched: bool = True  # stacked evaluation of (op2, r2) fills
 
     def __post_init__(self):
         missing = [
@@ -397,17 +394,14 @@ class SketchSearch:
         self.out_slots = list(layout.output_slots)
 
         rots_with_identity = (0,) + tuple(sketch.rotations)
-        if self.options.batched:
-            self.store = ValueStore(
-                base,
-                amounts=rots_with_identity,
-                out_slots=self.out_slots,
-                capacity=len(base) + length,
-            )
-        else:
-            self.store = ValueStore(base)
+        self.store = ValueStore(
+            base,
+            amounts=rots_with_identity,
+            out_slots=self.out_slots,
+            capacity=len(base) + length,
+        )
         self._pair_cache: dict[tuple, tuple] = {}
-        self._gather_cache: dict[tuple, tuple] = {}
+        self._gather_cache: dict[tuple, np.ndarray] = {}
         self._final_cache: dict[tuple, tuple] = {}
         self._final_gather_cache: dict[tuple, tuple] = {}
         self.components: list[_Comp] = []
@@ -787,14 +781,9 @@ class SketchSearch:
                         self._pruned["zero_elide"] += len(pairs)
                         continue
                     v1 = store.rotated(op1, r1)
-                    if self.options.batched:
-                        self._fill_ct_batched(
-                            slot, comp, op1, r1, v1, avail, prev, prev_wire
-                        )
-                    else:
-                        self._fill_ct_scalar(
-                            slot, comp, op1, r1, v1, avail, prev, prev_wire
-                        )
+                    self._fill_ct(
+                        slot, comp, op1, r1, v1, avail, prev, prev_wire
+                    )
                     if self._stopped:
                         return
 
@@ -844,22 +833,7 @@ class SketchSearch:
             self._pair_cache[key] = cached
         return cached
 
-    def _fill_ct_scalar(
-        self, slot, comp, op1, r1, v1, avail, prev, prev_wire
-    ) -> None:
-        store = self.store
-        pairs, skipped = self._pairs_for(comp, op1, r1, avail)
-        self._pruned["commutative"] += skipped
-        for op2, r2 in pairs:
-            self._tick()
-            value = _apply(comp.opcode, v1, store.shifted(op2, r2))
-            self._try_push(
-                slot, comp, op1, r1, op2, r2, value, prev, prev_wire
-            )
-            if self._stopped:
-                return
-
-    def _fill_ct_batched(
+    def _fill_ct(
         self, slot, comp, op1, r1, v1, avail, prev, prev_wire
     ) -> None:
         store = self.store
@@ -868,19 +842,12 @@ class SketchSearch:
         if not pairs:
             return
         key = (comp.choice_index, avail, op1, r1)
-        cached = self._gather_cache.get(key)
-        if cached is None:
-            ops = np.array([p[0] for p in pairs], dtype=np.intp)
-            rot_positions = np.array(
-                [store.rot_pos[p[1]] for p in pairs], dtype=np.intp
-            )
-            cached = (ops, rot_positions)
-            self._gather_cache[key] = cached
-        ops, rot_positions = cached
+        rows = self._gather_cache.get(key)
+        if rows is None:
+            rows = store.rows(pairs)
+            self._gather_cache[key] = rows
         self._advance(len(pairs))
-        values = _apply(
-            comp.opcode, v1[None, :, :], store.gather(ops, rot_positions)
-        )
+        values = _apply(comp.opcode, v1[None, :, :], store.gather(rows))
         hashes = store.hash_block(values).tolist()
         for k, (op2, r2) in enumerate(pairs):
             self._try_push(
@@ -888,8 +855,8 @@ class SketchSearch:
                 key_hash=hashes[k],
             )
             if self._stopped:
-                # keep node accounting identical to the scalar path on
-                # early stops: uncharge the candidates never reached
+                # per-candidate node accounting on early stops: uncharge
+                # the candidates never reached
                 self._nodes -= len(pairs) - 1 - k
                 return
 
@@ -969,8 +936,11 @@ class SketchSearch:
         depth = self.store.depths[op1] + comp.depth_inc
         if op2 is not None:
             depth = max(depth, self.store.depths[op2] + comp.depth_inc)
+        # a value pushed at slot L-2 is read only by the final slot's
+        # goal checks, so its full rotation-block row is never needed
         if not self.store.try_push(
-            value, depth, force=not self.options.dedup, key_hash=key_hash
+            value, depth, force=not self.options.dedup, key_hash=key_hash,
+            out_only=slot == self.length - 2,
         ):
             return  # observational-equivalence dedup
         self._used_flags.append(False)
@@ -1075,10 +1045,7 @@ class SketchSearch:
                 if cands and self._lemma_skip_component(tap, comp, cands):
                     self._lemma_skips += len(cands)
                     continue
-            if self.options.batched:
-                self._final_ct_batched(unused, comp)
-            else:
-                self._final_ct_scalar(unused, comp)
+            self._final_ct(unused, comp)
             if self._stopped:
                 return
 
@@ -1128,20 +1095,7 @@ class SketchSearch:
         self._final_cache[key] = cached
         return cached
 
-    def _final_ct_scalar(self, unused, comp) -> None:
-        store = self.store
-        cands, skipped = self._final_ct_cands(unused, comp)
-        self._pruned["commutative"] += skipped
-        for op1, r1, op2, r2 in cands:
-            self._tick()
-            value = _apply(
-                comp.opcode, store.shifted(op1, r1), store.shifted(op2, r2)
-            )
-            self._check_goal(comp, op1, r1, op2, r2, value)
-            if self._stopped:
-                return
-
-    def _final_ct_batched(self, unused, comp) -> None:
+    def _final_ct(self, unused, comp) -> None:
         store = self.store
         cands, skipped = self._final_ct_cands(unused, comp)
         self._pruned["commutative"] += skipped
@@ -1150,34 +1104,31 @@ class SketchSearch:
         key = (comp.choice_index, len(store), tuple(unused))
         cached = self._final_gather_cache.get(key)
         if cached is None:
-            ops1 = np.array([c[0] for c in cands], dtype=np.intp)
-            pos1 = np.array(
-                [store.rot_pos[c[1]] for c in cands], dtype=np.intp
+            cached = (
+                store.rows([(c[0], c[1]) for c in cands]),
+                store.rows([(c[2], c[3]) for c in cands]),
             )
-            ops2 = np.array([c[2] for c in cands], dtype=np.intp)
-            pos2 = np.array(
-                [store.rot_pos[c[3]] for c in cands], dtype=np.intp
-            )
-            cached = (ops1, pos1, ops2, pos2)
             self._final_gather_cache[key] = cached
-        ops1, pos1, ops2, pos2 = cached
+        rows1, rows2 = cached
         self._advance(len(cands))
-        # evaluate only the output-slot columns: the goal check never
-        # needs the full vectors, and the final slot pushes nothing
+        # evaluate only the output-slot columns, as flat (K, E*|out|)
+        # rows: the goal check never needs the full vectors, and the
+        # final slot pushes nothing
         values = _apply(
-            comp.opcode,
-            store.gather_out(ops1, pos1),
-            store.gather_out(ops2, pos2),
+            comp.opcode, store.gather_out(rows1), store.gather_out(rows2)
         )
         if self.lemma_tap is not None:
-            self.lemma_tap.record_final_block(values)
-        # one (K, E, |out_slots|) comparison against the goal
-        hits = (values == self.goal[None, :, :]).all(axis=(1, 2))
+            self.lemma_tap.record_final_block(
+                values.reshape((len(cands),) + self.goal.shape)
+            )
+        hits = (values == self.goal.reshape(-1)).all(axis=1)
+        if not hits.any():
+            return
         for k in np.flatnonzero(hits):
             op1, r1, op2, r2 = cands[int(k)]
             self._record_candidate(comp, op1, r1, op2, r2)
             if self._stopped:
-                # scalar would have ticked only up to this candidate
+                # charge only the candidates up to this one
                 self._nodes -= len(cands) - 1 - int(k)
                 return
 

@@ -12,6 +12,10 @@ is an ``(E, n)`` int64 matrix: one row per CEGIS example.  The store keeps
   are handed out as read-only views and the cache is hard-bounded at
   ``shift_cache_limit`` entries (cleared wholesale before the insert that
   would overflow it),
+* with ``amounts``, a *rotation block* of every legal rotation of every
+  live value, filled with one gather per push through a cached
+  source-index table (no per-amount shifts), plus its restriction to the
+  output columns, which the final slot reads as flat rows,
 * the multiplicative depth of each value for cost lower bounds,
 * the nonzero-column support of each value, so the ``zero_elide`` pruning
   rule can decide "this rotation is the all-zero vector" in O(1) without
@@ -20,7 +24,7 @@ is an ``(E, n)`` int64 matrix: one row per CEGIS example.  The store keeps
 Stores are *persistent across CEGIS rounds*: when a counterexample
 arrives, :meth:`ValueStore.append_example` extends every live value with
 the new example's column in place — copying the already-evaluated
-``(K, E)`` rotation blocks and computing only the new column's rotations
+``(K, E)`` rotation blocks and gathering only the new column's rotations
 — instead of rebuilding the store and re-rotating all ``E`` examples
 from scratch.  The reuse counters (``appended_examples``,
 ``reused_values``) feed the engine's :class:`SearchOutcome`.
@@ -86,11 +90,15 @@ class ValueStore:
 
     With ``amounts`` given, the store additionally keeps a *rotation
     block*: a ``(capacity, len(amounts), E, n)`` tensor holding every
-    legal rotation of every live value, filled once per push.  Batched
+    legal rotation of every live value.  Each push fills its block row
+    with one gather through a cached source-index table (out-of-range
+    positions read an appended zero column), so rotating a value costs
+    one copy and one ``take`` whatever the number of amounts.  Batched
     enumeration then materializes a whole candidate operand stack with a
-    single fancy-index :meth:`gather` instead of one ``np.stack`` over K
-    cached views; ``out_slots`` adds a companion block restricted to the
-    output columns for the final slot's vectorized goal check.
+    single :meth:`gather` of flat block rows (see :meth:`rows`) instead of
+    one ``np.stack`` over K cached views; ``out_slots`` adds a companion
+    block restricted to the output columns, which :meth:`gather_out`
+    hands to the final slot's goal check as flat ``(K, E*|out|)`` rows.
     """
 
     def __init__(
@@ -133,6 +141,16 @@ class ValueStore:
         self._capacity = capacity or max(len(base_vectors) * 2, 8)
         self._block: np.ndarray | None = None
         self._block_out: np.ndarray | None = None
+        # flat (capacity * len(amounts), E * columns) views of the blocks
+        self._block_rows: np.ndarray | None = None
+        self._block_out_rows: np.ndarray | None = None
+        # (len(amounts), n) source column of each rotated position; n
+        # names the zero column appended to the fill buffer
+        self._src: np.ndarray | None = None
+        self._fill_buf: np.ndarray | None = None  # (E, n + 1), last col 0
+        self._fill_idx: np.ndarray | None = None  # flat buf index per cell
+        self._fill_idx_out: np.ndarray | None = None
+        self._out_only: set[int] = set()  # live values without a full row
         for vec in base_vectors:
             contiguous = np.ascontiguousarray(vec, dtype=np.int64)
             if contiguous is vec:
@@ -183,6 +201,7 @@ class ValueStore:
         depth: int,
         force: bool = False,
         key_hash: int | None = None,
+        out_only: bool = False,
     ) -> bool:
         """Add a value unless it duplicates an existing one.
 
@@ -192,6 +211,12 @@ class ValueStore:
         ``force`` admits duplicates under a unique serial key (used only by
         the deduplication-ablation benchmark).  ``key_hash`` supplies a
         precomputed :meth:`value_hash`/:meth:`hash_block` result.
+
+        ``out_only`` fills only the value's output-column block row, for a
+        value that nothing but a goal check reads (:meth:`gather_out`).
+        Its full rotation-block row is left unfilled: :meth:`rotated`
+        serves it from the shift cache, and :meth:`gather` must not name
+        it.
         """
         key: object = (
             key_hash if key_hash is not None else self.value_hash(vec)
@@ -232,16 +257,19 @@ class ValueStore:
         if support[0] == support[1]:
             self._zero_live += 1
         if self._amounts is not None:
-            self._fill_block(index, vec)
+            self._fill_block(index, vec, out_only)
+            if out_only:
+                self._out_only.add(index)
         return True
 
     @staticmethod
     def _support(vec: np.ndarray) -> tuple[int, int]:
         """Smallest ``[lo, hi)`` column range containing every nonzero."""
-        nonzero = np.flatnonzero(vec.any(axis=0))
-        if nonzero.size == 0:
+        columns = vec.any(axis=0)
+        lo = int(columns.argmax())
+        if not columns[lo]:
             return (0, 0)
-        return (int(nonzero[0]), int(nonzero[-1]) + 1)
+        return (lo, columns.size - int(columns[::-1].argmax()))
 
     def is_zero_rotated(self, index: int, amount: int) -> bool:
         """True when ``rotated(index, amount)`` is the all-zero vector.
@@ -260,43 +288,83 @@ class ValueStore:
         """True when some live value is the all-zero vector."""
         return self._zero_live > 0
 
-    def _fill_block(self, index: int, vec: np.ndarray) -> None:
+    def _fill_tables(self, examples: int, n: int) -> None:
+        """Gather tables for ``(examples, n)`` values (rebuilt when a
+        counterexample column changes ``examples``)."""
+        if self._src is None:
+            src = np.arange(n)[None, :] + np.array(self._amounts)[:, None]
+            self._src = np.where((src >= 0) & (src < n), src, n)
+        offsets = (np.arange(examples) * (n + 1))[None, :, None]
+        self._fill_idx = offsets + self._src[:, None, :]
+        self._fill_buf = np.zeros((examples, n + 1), dtype=np.int64)
+        if self._out_idx is not None:
+            self._fill_idx_out = np.ascontiguousarray(
+                self._fill_idx[:, :, self._out_idx]
+            )
+
+    def _set_blocks(self, block: np.ndarray, block_out) -> None:
+        self._block = block
+        capacity, amounts, examples, n = block.shape
+        self._block_rows = block.reshape(capacity * amounts, examples * n)
+        self._block_out = block_out
+        if block_out is not None:
+            self._block_out_rows = block_out.reshape(
+                capacity * amounts, examples * block_out.shape[3]
+            )
+
+    def _fill_block(self, index: int, vec: np.ndarray, out_only: bool) -> None:
         if self._block is None:
             rows, n = vec.shape
+            self._fill_tables(rows, n)
             shape = (self._capacity, len(self._amounts), rows, n)
-            self._block = np.empty(shape, dtype=np.int64)
-            if self._out_idx is not None:
-                self._block_out = np.empty(
-                    shape[:3] + (self._out_idx.size,), dtype=np.int64
-                )
-        elif index >= self._block.shape[0]:
-            grow = (self._block.shape[0],) + self._block.shape[1:]
-            self._block = np.concatenate(
-                [self._block, np.empty(grow, dtype=np.int64)]
+            self._set_blocks(
+                np.empty(shape, dtype=np.int64),
+                None
+                if self._out_idx is None
+                else np.empty(shape[:3] + (self._out_idx.size,), np.int64),
             )
-            if self._block_out is not None:
-                grow_out = (self._block_out.shape[0],) + self._block_out.shape[1:]
-                self._block_out = np.concatenate(
-                    [self._block_out, np.empty(grow_out, dtype=np.int64)]
-                )
-        row = self._block[index]
-        for j, amount in enumerate(self._amounts):
-            if amount == 0:
-                row[j] = vec
-            else:
-                row[j] = shift_matrix(vec, amount)
+        elif index >= self._block.shape[0]:
+            self._set_blocks(
+                np.concatenate([self._block, np.empty_like(self._block)]),
+                None
+                if self._block_out is None
+                else np.concatenate(
+                    [self._block_out, np.empty_like(self._block_out)]
+                ),
+            )
+        # one copy into the zero-padded buffer, one gather per block
+        # (mode="clip" skips numpy's bounds-check buffering; every table
+        # entry is in range)
+        buf = self._fill_buf
+        buf[:, :-1] = vec
+        if not out_only:
+            buf.take(self._fill_idx, out=self._block[index], mode="clip")
         if self._block_out is not None:
-            self._block_out[index] = row[:, :, self._out_idx]
+            buf.take(
+                self._fill_idx_out, out=self._block_out[index], mode="clip"
+            )
 
-    def gather(self, indices: np.ndarray, rot_positions: np.ndarray) -> np.ndarray:
-        """Stack ``rotated(indices[k], amounts[rot_positions[k]])`` as (K, E, n)."""
-        return self._block[indices, rot_positions]
+    def rows(self, pairs) -> np.ndarray:
+        """Flat rotation-block row numbers ``index * len(amounts) + j``
+        of ``(index, amount)`` pairs, for :meth:`gather`/:meth:`gather_out`."""
+        width = len(self._amounts)
+        rot_pos = self.rot_pos
+        return np.array(
+            [index * width + rot_pos[amount] for index, amount in pairs],
+            dtype=np.intp,
+        )
 
-    def gather_out(
-        self, indices: np.ndarray, rot_positions: np.ndarray
-    ) -> np.ndarray:
-        """Like :meth:`gather`, restricted to the output-slot columns."""
-        return self._block_out[indices, rot_positions]
+    def gather(self, rows: np.ndarray) -> np.ndarray:
+        """Stack the rotated values named by :meth:`rows` as (K, E, n)."""
+        _, _, examples, n = self._block.shape
+        return self._block_rows.take(rows, axis=0).reshape(
+            rows.size, examples, n
+        )
+
+    def gather_out(self, rows: np.ndarray) -> np.ndarray:
+        """Like :meth:`gather`, restricted to the output-slot columns and
+        flat: one ``(K, E * |out_slots|)`` row per rotated value."""
+        return self._block_out_rows.take(rows, axis=0)
 
     def rotated(self, index: int, amount: int) -> np.ndarray:
         """The value at ``index`` rotated by ``amount`` (read-only).
@@ -308,7 +376,11 @@ class ValueStore:
         (:meth:`gather`/:meth:`gather_out` return fancy-indexed copies,
         so those are safe to hand out writable.)
         """
-        if self._block is not None and amount in self.rot_pos:
+        if (
+            self._block is not None
+            and amount in self.rot_pos
+            and index not in self._out_only
+        ):
             view = self._block[index, self.rot_pos[amount]]
             view.flags.writeable = False
             return view
@@ -319,6 +391,7 @@ class ValueStore:
         if len(self.vectors) <= self.base_count:
             raise IndexError("cannot pop base input values")
         self.vectors.pop()
+        self._out_only.discard(len(self.vectors))
         self.depths.pop()
         lo, hi = self.supports.pop()
         if lo == hi:
@@ -413,21 +486,21 @@ class ValueStore:
                 self._zero_live += 1
         self.clear_shift_cache()
         if self._block is not None:
-            examples = self._block.shape[2]
             shape = self._block.shape
+            examples = shape[2]
             block = np.empty(
                 (shape[0], shape[1], examples + 1, shape[3]), dtype=np.int64
             )
             # carry the evaluated (K, E) columns forward untouched ...
             block[:, :, :examples, :] = self._block
-            # ... and evaluate only the new column's rotations
+            # ... and evaluate only the new column's rotations: one gather
+            # of the zero-padded new rows through the source-index table
+            live = len(self.vectors)
+            padded = np.zeros((live, shape[3] + 1), dtype=np.int64)
             for index, vec in enumerate(self.vectors):
-                row = vec[-1:]
-                for j, amount in enumerate(self._amounts):
-                    block[index, j, examples] = (
-                        row[0] if amount == 0 else shift_matrix(row, amount)[0]
-                    )
-            self._block = block
+                padded[index, :-1] = vec[-1]
+            block[:live, :, examples, :] = padded[:, self._src]
+            block_out = None
             if self._block_out is not None:
                 out_shape = self._block_out.shape
                 block_out = np.empty(
@@ -435,9 +508,10 @@ class ValueStore:
                     dtype=np.int64,
                 )
                 block_out[:, :, :examples, :] = self._block_out
-                block_out[:, :, examples, :] = block[
-                    :, :, examples, :
-                ][:, :, self._out_idx]
-                self._block_out = block_out
+                block_out[:live, :, examples, :] = padded[
+                    :, self._src[:, self._out_idx]
+                ]
+            self._set_blocks(block, block_out)
+            self._fill_tables(examples + 1, shape[3])
         self.appended_examples += 1
         self.reused_values += len(self.vectors)

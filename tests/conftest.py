@@ -42,6 +42,11 @@ def _fallback_active() -> bool:
 
 
 def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "slow: a long-running test (runs by default; deselect with "
+        "-m 'not slow')",
+    )
     if not _HAVE_PYTEST_TIMEOUT:
         # pytest-timeout registers this marker itself when present
         config.addinivalue_line(

@@ -49,16 +49,13 @@ MODEL = default_latency_model()
 
 def test_catalog_matches_options_fields():
     option_fields = {f for f in SearchOptions.__dataclass_fields__}
-    for rule in PRUNE_RULES:
-        assert rule in option_fields
-    # batched is an evaluation toggle, not a pruning rule
-    assert "batched" not in PRUNE_RULES
+    # every option is a pruning rule
+    assert option_fields == set(PRUNE_RULES)
 
 
 def test_no_prune_disables_every_rule():
     options = SearchOptions.no_prune()
     assert options.enabled_rules() == ()
-    assert options.batched  # evaluation mode untouched
     assert SearchOptions().enabled_rules() == tuple(PRUNE_RULES)
 
 

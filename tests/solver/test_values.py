@@ -219,18 +219,16 @@ def test_append_example_extends_rotation_block_in_place():
         [_mat([1, 2, 3, 4])], amounts=(0, 1, -2), out_slots=[0, 2], capacity=4
     )
     store.append_example([np.array([5, 6, 7, 8])])
-    for amount in (0, 1, -2):
-        expected = shift_matrix(store.vectors[0], amount)
-        assert store.rotated(0, amount).tolist() == expected.tolist()
-    ops = np.array([0, 0], dtype=np.intp)
-    rots = np.array([store.rot_pos[a] for a in (1, -2)], dtype=np.intp)
-    gathered = store.gather(ops, rots)
+    _assert_block_matches_shift_matrix(store)
+    rows = store.rows([(0, 1), (0, -2)])
+    gathered = store.gather(rows)
     assert gathered.shape == (2, 2, 4)
-    out = store.gather_out(ops, rots)
-    assert out.tolist() == gathered[:, :, [0, 2]].tolist()
+    out = store.gather_out(rows)
+    assert out.tolist() == gathered[:, :, [0, 2]].reshape(2, -1).tolist()
     # pushes after the append land in the grown block
     assert store.try_push(_mat([0, 1, 0, 0], [0, 0, 2, 0]), 1)
     assert store.rotated(1, 1).tolist() == [[1, 0, 0, 0], [0, 2, 0, 0]]
+    _assert_block_matches_shift_matrix(store)
 
 
 def test_append_example_clears_stale_shift_cache():
@@ -277,10 +275,110 @@ def test_rotation_block_matches_shift_cache():
         for amount in (0, 1, -2):
             expected = shift_matrix(store.vectors[index], amount)
             assert store.rotated(index, amount).tolist() == expected.tolist()
-    ops = np.array([1, 0, 1], dtype=np.intp)
-    rots = np.array([store.rot_pos[a] for a in (1, -2, 0)], dtype=np.intp)
-    gathered = store.gather(ops, rots)
+    rows = store.rows([(1, 1), (0, -2), (1, 0)])
+    gathered = store.gather(rows)
     assert gathered.shape == (3, 1, 4)
     assert gathered[0].tolist() == shift_matrix(store.vectors[1], 1).tolist()
-    out = store.gather_out(ops, rots)
-    assert out.tolist() == gathered[:, :, [0, 2]].tolist()
+    out = store.gather_out(rows)
+    assert out.tolist() == gathered[:, :, [0, 2]].reshape(3, -1).tolist()
+
+
+# -- the rotation block against shift_matrix --------------------------------
+
+#: every sign, the identity, and amounts at and beyond the width (5)
+WIDE_AMOUNTS = (0, 1, -1, 4, -4, 5, -5, 7, -9)
+OUT_SLOTS = [0, 3, 4]
+
+
+def _assert_block_matches_shift_matrix(store):
+    """Every live row of the block (and of its output-column companion)
+    equals ``shift_matrix`` of the stored value."""
+    amounts = store._amounts
+    out_slots = store._out_idx
+    for index, vec in enumerate(store.vectors):
+        rows = store.rows([(index, amount) for amount in amounts])
+        gathered = store.gather(rows)
+        out = store.gather_out(rows)
+        for k, amount in enumerate(amounts):
+            expected = shift_matrix(vec, amount)
+            assert store.rotated(index, amount).tolist() == expected.tolist()
+            assert gathered[k].tolist() == expected.tolist()
+            assert out[k].tolist() == expected[:, out_slots].ravel().tolist()
+        # the output block is exactly the full rows' out_slots columns
+        assert np.array_equal(
+            store._block_out[index], store._block[index][:, :, out_slots]
+        )
+
+
+def _wide_store(capacity):
+    return ValueStore(
+        [_mat([1, 2, 3, 4, 5], [6, 7, 8, 9, 10])],
+        amounts=WIDE_AMOUNTS,
+        out_slots=OUT_SLOTS,
+        capacity=capacity,
+    )
+
+
+def test_rotation_block_rows_match_shift_matrix_for_every_amount():
+    store = _wide_store(capacity=4)
+    assert store.try_push(_mat([0, -3, 0, 0, 11], [12, 0, 0, 0, 0]), 1)
+    _assert_block_matches_shift_matrix(store)
+
+
+def test_rotation_block_rows_survive_capacity_growth():
+    store = _wide_store(capacity=1)
+    for k in range(6):  # grows 1 -> 2 -> 4 -> 8
+        assert store.try_push(_mat([k, 1, 2, 3, -k], [4, k, 5, 6, 7]), 1)
+    assert store._block.shape[0] == 8
+    _assert_block_matches_shift_matrix(store)
+    # popped rows are refilled by the next push
+    store.pop()
+    store.pop()
+    assert store.try_push(_mat([9, 9, 0, 9, 9], [1, 0, 1, 0, 1]), 1)
+    _assert_block_matches_shift_matrix(store)
+
+
+def test_rotation_block_rows_after_append_example():
+    store = _wide_store(capacity=1)
+    store.append_example([np.array([11, 12, 13, 14, 15])])
+    _assert_block_matches_shift_matrix(store)
+    # a push after the append grows the block with three-example rows
+    for k in range(3):
+        value = _mat([k, 0, 0, 0, 1], [0, 0, k, 0, 0], [1, 2, 3, 4, k])
+        assert store.try_push(value, 1)
+    _assert_block_matches_shift_matrix(store)
+    for _ in range(3):
+        store.pop()
+    store.append_example([np.array([0, 0, 0, 0, -1])])
+    value = _mat([1, 0, 0, 0, 0], [0] * 5, [0] * 5, [0, 0, 0, 0, 2])
+    assert store.try_push(value, 1)
+    _assert_block_matches_shift_matrix(store)
+
+
+def test_supports_edge_columns():
+    assert ValueStore._support(_mat([5, 0, 0, 0])) == (0, 1)  # column 0
+    assert ValueStore._support(_mat([0, 0, 0, 5])) == (3, 4)  # last column
+    assert ValueStore._support(_mat([5, 0, 0, 7])) == (0, 4)
+    assert ValueStore._support(_mat([0, 0], [0, 5])) == (1, 2)
+    # a single column
+    assert ValueStore._support(_mat([3])) == (0, 1)
+    assert ValueStore._support(_mat([0], [4])) == (0, 1)
+    assert ValueStore._support(_mat([0], [0])) == (0, 0)
+    assert ValueStore._support(_mat([0, 0, 0])) == (0, 0)
+
+
+def test_out_only_push_fills_the_output_row_alone():
+    store = _wide_store(capacity=4)
+    value = _mat([0, 1, 2, 3, 4], [5, 0, 0, 6, 0])
+    assert store.try_push(value, 1, out_only=True)
+    rows = store.rows([(1, amount) for amount in WIDE_AMOUNTS])
+    out = store.gather_out(rows)
+    for k, amount in enumerate(WIDE_AMOUNTS):
+        expected = shift_matrix(value, amount)
+        assert out[k].tolist() == expected[:, OUT_SLOTS].ravel().tolist()
+        # no full block row: rotated() serves the shift cache instead
+        assert store.rotated(1, amount).tolist() == expected.tolist()
+    store.pop()
+    # the next push at that index fills its full row again
+    assert store.try_push(value, 1)
+    _assert_block_matches_shift_matrix(store)
