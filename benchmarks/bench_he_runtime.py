@@ -12,8 +12,8 @@ Measures, against the retained big-integer reference path
 * the batched NTT itself: per-row forward/inverse µs of ``BatchNTT``
   (the four-step float64 matrix transform) against the radix-2
   per-prime ``NTTContext`` reference, at n4096 and n8192, on one ring
-  element, the key-switch digit stack and the tensor stack (always
-  measured, ``--quick`` included).
+  element, the key-switch digits (the shared-row transform) and the
+  tensor stack (always measured, ``--quick`` included).
 
 Everything is recorded into ``BENCH_runtime.json`` (schema 3) at the
 repository root.  Run it after touching anything in ``repro.he`` or the
@@ -37,6 +37,7 @@ growth is a planner regression, not noise.  Refresh with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -148,25 +149,38 @@ def bench_ntt(repeats: int) -> dict:
     """Per-row µs of ``BatchNTT`` vs the per-prime radix-2 reference.
 
     Three stacks per secure preset, shaped as the runtime transforms
-    them: one ring element ``(k, n)``, the key-switch digit stack
-    ``(digits, k, n)``, and the tensor stack ``(4, k_ext, n)`` in the
-    extension basis.  The batched transform runs inside an execution
-    scope, as on the executor's tape, so its workspaces come from a
-    warm scratch arena.
+    them: one ring element ``(k, n)``, the key-switch digits, and the
+    tensor stack ``(4, k_ext, n)`` in the extension basis.  The digits
+    are a real ``DigitDecomposer`` matrix ``(digits, n)`` of a fresh
+    ciphertext part; its forward row is the shared-row transform the key
+    switch runs (``digits * k`` rows), its inverse row the plain inverse
+    of the resulting ``(digits, k, n)`` stack.  The batched transforms
+    run inside an execution scope, as on the executor's tape, so their
+    workspaces come from a warm scratch arena.
     """
     out: dict[str, dict] = {}
     for params in (small_params(), large_params()):
         ctx = BFVContext(params, seed=1)
         rng = np.random.default_rng(1)
-        stacks = {
-            "ring": (ctx.ring, ()),
-            "keyswitch_digits": (ctx.ring, (ctx._digit_count,)),
-            "tensor": (ctx._ext_ring, (4,)),
-        }
+        part = ctx.encrypt_vector(rng.integers(-20, 21, 64)).parts[1]
+        digits = ctx._digit_decomposer.digits(part.residues)
         rows_out: dict[str, dict] = {}
-        for name, (ring, lead) in stacks.items():
+        for name, ring, lead in (
+            ("ring", ctx.ring, ()),
+            ("keyswitch_digits", ctx.ring, None),
+            ("tensor", ctx._ext_ring, (4,)),
+        ):
             col = ring._primes_col
-            x = rng.integers(0, 1 << 62, lead + (len(col), ring.n)) % col
+            if lead is None:  # digit rows shared by every prime
+                x = ctx._digit_ntt.forward(digits)
+                forward = functools.partial(ctx._digit_ntt.forward, digits)
+                inputs = [digits] * len(col)
+            else:
+                x = rng.integers(0, 1 << 62, lead + (len(col), ring.n)) % col
+                forward = functools.partial(
+                    ring.batch_ntt.forward, x, assume_reduced=True
+                )
+                inputs = [x[..., j, :] for j in range(len(col))]
             rows = x.size // ring.n
 
             def per_row(fn) -> float:
@@ -174,12 +188,13 @@ def bench_ntt(repeats: int) -> dict:
 
             def reference(direction: str) -> None:
                 for j, ntt in enumerate(ring.ntts):
-                    getattr(ntt, direction)(x[..., j, :])
+                    if direction == "forward":
+                        ntt.forward(inputs[j])
+                    else:
+                        ntt.inverse(x[..., j, :])
 
             with execution_scope(ScratchArena()):
-                fwd = per_row(
-                    lambda: ring.batch_ntt.forward(x, assume_reduced=True)
-                )
+                fwd = per_row(forward)
                 inv = per_row(
                     lambda: ring.batch_ntt.inverse(x, assume_reduced=True)
                 )

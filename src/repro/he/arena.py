@@ -17,14 +17,31 @@ A thread-local *scope* makes the active arena (and transform counters)
 visible to the NTT layer without threading parameters through every ring
 operation; each thread enters its own scope, so two executions never
 share buffers.
+
+:func:`pin_allocator` keeps the freed workspaces of one op resident for
+the next.  By default glibc returns large freed blocks to the kernel
+(blocks above its dynamic mmap threshold, and free heap top past its
+trim threshold), so every op faults the same pages in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import threading
 from contextlib import contextmanager
 
 import numpy as np
+
+# glibc's mallopt parameters and the values pinned: blocks up to 32 MiB
+# (glibc's largest mmap threshold on 64-bit) come from the heap, and up
+# to 128 MiB of free heap top stays resident
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 32 << 20
+TRIM_THRESHOLD = 128 << 20
+
+_pin_lock = threading.Lock()
+_pinned: bool | None = None  # None until the first call
 
 
 class ExecCounters:
@@ -123,3 +140,29 @@ def execution_scope(
     finally:
         _scope.arena = prev_arena
         _scope.counters = prev_counters
+
+
+def pin_allocator() -> bool:
+    """Fix glibc's mmap and trim thresholds, once per process.
+
+    Both are set together: setting either one turns glibc's dynamic
+    thresholds off, and with only the trim threshold fixed, blocks above
+    the static 128 KiB mmap threshold still go back to the kernel on
+    every free.  Process-wide and idempotent; a no-op returning ``False``
+    where the C library has no ``mallopt`` (non-glibc platforms).
+    """
+    global _pinned
+    with _pin_lock:
+        if _pinned is None:
+            try:
+                mallopt = ctypes.CDLL(None).mallopt
+            except (AttributeError, OSError, TypeError):
+                _pinned = False
+            else:
+                mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+                mallopt.restype = ctypes.c_int
+                _pinned = bool(
+                    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+                    and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+                )
+        return _pinned

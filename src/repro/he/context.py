@@ -15,8 +15,9 @@ The hot path is RNS-native: ciphertext multiplication lifts the operands
 into an extended RNS basis with an exact vectorized base conversion,
 tensors them with batched NTTs, and performs the ``round(t/q * .)``
 rescale entirely on int64 residue matrices; key switching decomposes
-digits vectorized and runs one batched NTT over the whole
-``(digits, k, N)`` stack.  Both are bit-for-bit identical to the textbook
+digits vectorized and transforms the ``(digits, N)`` digit matrix once
+for every prime (:class:`~repro.he.ntt.SharedRowNTT`).  Both are
+bit-for-bit identical to the textbook
 big-integer formulation, which is retained behind
 ``BFVContext(..., slow_reference=True)`` as the equivalence oracle (and as
 the baseline the runtime benchmarks measure speedups against).
@@ -29,10 +30,11 @@ import math
 
 import numpy as np
 
+from repro.he.arena import pin_allocator
 from repro.he.encoder import BatchEncoder
 from repro.he.errors import HEError, NoiseBudgetExhausted
 from repro.he.keys import GaloisKeys, KSwitchKey, PublicKey, SecretKey
-from repro.he.ntt import BatchNTT
+from repro.he.ntt import BatchNTT, SharedRowNTT
 from repro.he.params import BFVParams
 from repro.he.poly import RingContext, RingElement, exact_negacyclic_product
 from repro.he.primes import find_ntt_primes
@@ -95,6 +97,7 @@ class BFVContext:
         seed: int | None = None,
         slow_reference: bool = False,
     ):
+        pin_allocator()
         self.params = params
         self.slow_reference = slow_reference
         self.ring = RingContext(params.poly_degree, list(params.coeff_primes))
@@ -107,15 +110,11 @@ class BFVContext:
         self._digit_decomposer = DigitDecomposer(
             self.ring.basis, params.decomp_bits, self._digit_count
         )
-        # key-switch MAC overflow budget for int64 accumulation of
-        # canonical (< p) NTT outputs times canonical key residues
+        self._digit_ntt = SharedRowNTT(self.ring.batch_ntt, params.decomp_bits)
+        # key-switch MAC overflow budget: how many products of canonical
+        # (< p) residues an int64 sum holds
         pmax = max(params.coeff_primes)
-        self._mac_needs_reduce = self._digit_count * pmax**2 >= 1 << 63
-        # base-T digits below every prime are already canonical residues,
-        # so the key-switch digit stack can skip its reduction entirely
-        self._digits_canonical = (1 << params.decomp_bits) <= min(
-            params.coeff_primes
-        )
+        self._mac_digits = ((1 << 63) - 1) // (pmax - 1) ** 2
         self._ext_ring = self._build_extension_ring()
         self._init_rescale_tables()
         self._keygen()
@@ -742,37 +741,41 @@ class BFVContext:
     ) -> tuple[RingElement, RingElement]:
         """Inner product of base-T digits with an NTT-domain switch key.
 
-        Digit decomposition is vectorized (no big-int compose), the whole
-        ``(digits, k, N)`` stack goes through one batched forward NTT, and
-        the accumulators stay in the evaluation domain — the returned
-        elements inverse-transform only if a consumer needs coefficients.
+        Digit decomposition is vectorized (no big-int compose), the
+        ``(digits, N)`` digit matrix goes through one shared-row forward
+        transform for every prime, and the multiply-accumulate sums into two
+        fresh ``(k, N)`` accumulators.  They stay in the evaluation domain:
+        the returned elements inverse-transform only if a consumer needs
+        coefficients.
         """
         ring = self.ring
-        n = self.params.poly_degree
         digits = self._digit_decomposer.digits(poly.residues)
-        depth = digits.shape[0]
-        shaped = digits.reshape(depth, 1, n)
-        if self._digits_canonical:
-            # digits < 2^T <= every prime: the broadcast across the prime
-            # axis is already canonical, so the transform's working copy
-            # materialises it without a division pass
-            stack = np.broadcast_to(shaped, (depth, len(ring.basis), n))
-        else:
-            stack = shaped % ring._primes_col  # (digits, k, n)
-        evals = ring.batch_ntt.forward(stack, assume_reduced=True)
-        p_col = ring._primes_col
-        key0, key1 = key._stack_0, key._stack_1
-        if self._mac_needs_reduce:
-            acc0 = np.sum(evals * key0 % p_col, axis=0) % p_col
-            acc1 = np.sum(evals * key1 % p_col, axis=0) % p_col
-        else:
-            # digit_count * p^2 < 2^63: accumulate unreduced, reduce once
-            acc0 = (evals * key0).sum(axis=0) % p_col
-            acc1 = (evals * key1).sum(axis=0) % p_col
+        evals = self._digit_ntt.forward(digits)
         return (
-            RingElement(ring, eval_rows=acc0),
-            RingElement(ring, eval_rows=acc1),
+            RingElement(ring, eval_rows=self._mac(evals, key._stack_0)),
+            RingElement(ring, eval_rows=self._mac(evals, key._stack_1)),
         )
+
+    def _mac(self, evals: np.ndarray, key_stack: np.ndarray) -> np.ndarray:
+        """``sum_j evals[j] * key_stack[j] mod p`` into one ``(k, N)`` array.
+
+        ``einsum`` sums the products without a ``(digits, k, N)``
+        temporary.  Canonical residues multiply to at most ``(p-1)^2``, so
+        ``_mac_digits`` products sum exactly in int64; more digits than
+        that (never on the presets) accumulate in reduced chunks.
+        """
+        p_col = self.ring._primes_col
+        step = self._mac_digits
+        acc = np.einsum("dkn,dkn->kn", evals[:step], key_stack[:step])
+        np.remainder(acc, p_col, out=acc)
+        for j in range(step, len(evals), step):
+            part = np.einsum(
+                "dkn,dkn->kn", evals[j : j + step], key_stack[j : j + step]
+            )
+            np.remainder(part, p_col, out=part)
+            np.add(acc, part, out=acc)
+            np.remainder(acc, p_col, out=acc)
+        return acc
 
     def _key_switch_reference(
         self, poly: RingElement, key: KSwitchKey

@@ -10,14 +10,42 @@ Slots are arranged exactly as in SEAL: a ``2 x (N/2)`` matrix where the
 Galois automorphism ``x -> x^(3^k)`` rotates *both* rows left by ``k`` and
 ``x -> x^(2N-1)`` swaps the rows.  Slot ``i`` of row 0 is the evaluation at
 ``psi^(3^i mod 2N)`` and slot ``i`` of row 1 at ``psi^(-3^i mod 2N)``.
+
+The slot transforms run on a one-prime :class:`~repro.he.ntt.BatchNTT`
+over ``t`` (BLAS gemms); the butterfly :class:`~repro.he.ntt.NTTContext`
+only derives the slot order.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from repro.he.ntt import NTTContext
+from repro.he.ntt import BatchNTT, NTTContext
 from repro.he.params import BFVParams
+
+
+@lru_cache(maxsize=None)
+def _slot_transform(n: int, t: int) -> tuple[BatchNTT, np.ndarray]:
+    """The one-prime transform over ``t`` and the slot -> evaluation map.
+
+    Both are read-only and depend on ``(n, t)`` alone, so every encoder
+    of a ring shares one copy of the tables.
+    """
+    ntt = NTTContext(n, t)
+    exps = ntt.evaluation_exponents()
+    pos_of_exp = {e: j for j, e in enumerate(exps)}
+    two_n = 2 * n
+    row_size = n // 2
+    slot_to_pos = np.empty(n, dtype=np.int64)
+    g = 1
+    for i in range(row_size):
+        slot_to_pos[i] = pos_of_exp[g]
+        slot_to_pos[i + row_size] = pos_of_exp[two_n - g]
+        g = g * 3 % two_n
+    slot_to_pos.flags.writeable = False
+    return BatchNTT([ntt]), slot_to_pos
 
 
 class BatchEncoder:
@@ -27,17 +55,7 @@ class BatchEncoder:
         self.n = params.poly_degree
         self.t = params.plain_modulus
         self.row_size = self.n // 2
-        self._ntt = NTTContext(self.n, self.t)
-        exps = self._ntt.evaluation_exponents()
-        pos_of_exp = {e: j for j, e in enumerate(exps)}
-        two_n = 2 * self.n
-        slot_to_pos = np.empty(self.n, dtype=np.int64)
-        g = 1
-        for i in range(self.row_size):
-            slot_to_pos[i] = pos_of_exp[g]
-            slot_to_pos[i + self.row_size] = pos_of_exp[two_n - g]
-            g = g * 3 % two_n
-        self._slot_to_pos = slot_to_pos
+        self._ntt, self._slot_to_pos = _slot_transform(self.n, self.t)
 
     def encode(self, values) -> np.ndarray:
         """Vector of signed ints -> plaintext polynomial coefficients mod t.
@@ -55,11 +73,12 @@ class BatchEncoder:
             )
         evals = np.zeros(self.n, dtype=np.int64)
         evals[self._slot_to_pos[: len(values)]] = values % t
-        return self._ntt.inverse(evals)
+        return self._ntt.inverse(evals[None], assume_reduced=True)[0]
 
     def decode(self, coeffs: np.ndarray, signed: bool = True) -> np.ndarray:
         """Plaintext polynomial coefficients mod t -> vector of n slots."""
-        evals = self._ntt.forward(np.asarray(coeffs, dtype=np.int64))
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+        evals = self._ntt.forward(coeffs[..., None, :])[..., 0, :]
         slots = evals[..., self._slot_to_pos]
         if signed:
             half = self.t // 2

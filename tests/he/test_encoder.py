@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.he.encoder import BatchEncoder
-from repro.he.ntt import naive_negacyclic_convolve
-from repro.he.params import toy_params
+from repro.he.ntt import NTTContext, naive_negacyclic_convolve
+from repro.he.params import large_params, small_params, toy_params
 
 PARAMS = toy_params()
 ENC = BatchEncoder(PARAMS)
@@ -122,3 +122,27 @@ def test_galois_element_reduction():
         ENC.galois_element_for_rotation(-1)
         == ENC.galois_element_for_rotation(row - 1)
     )
+
+
+@pytest.mark.parametrize("preset", [toy_params, small_params, large_params])
+def test_encode_and_decode_match_the_butterfly_oracle(preset):
+    """The one-prime matrix transform over ``t`` gives the butterfly
+    transform's plaintexts and slots, bit for bit."""
+    params = preset()
+    encoder = BatchEncoder(params)
+    oracle = NTTContext(params.poly_degree, params.plain_modulus)
+    t = params.plain_modulus
+    values = np.random.default_rng(2).integers(
+        -(t // 2), t // 2 + 1, params.poly_degree
+    )
+    evals = np.zeros(params.poly_degree, dtype=np.int64)
+    evals[encoder._slot_to_pos] = values % t
+    coeffs = encoder.encode(values)
+    assert np.array_equal(coeffs, oracle.inverse(evals))
+    assert np.array_equal(encoder.decode(coeffs), values)
+    unsigned = encoder.decode(coeffs + 3 * t, signed=False)
+    slots = oracle.forward(coeffs)[encoder._slot_to_pos]
+    assert np.array_equal(unsigned, slots)
+    stacked = encoder.decode(np.stack([coeffs, coeffs]))
+    assert stacked.shape == (2, params.poly_degree)
+    assert np.array_equal(stacked[1], values)

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.he.arena import ScratchArena, execution_scope
+from repro.he.arena import ExecCounters, ScratchArena, execution_scope
+from repro.he import ntt as ntt_module
 from repro.he.context import BFVContext
 from repro.he.ntt import (
     BatchNTT,
     NTTContext,
+    SharedRowNTT,
     bit_reverse,
     naive_negacyclic_convolve,
 )
@@ -222,6 +224,19 @@ def test_scaled_inverse_folds_its_scale_and_shares_tables(name, fill):
     assert scaled._im1 is not batch._im1
 
 
+@pytest.mark.parametrize("name", ["toy-q", "n4096-ext"])
+def test_batch_ntt_prime_blocks_match_the_oracle(name, monkeypatch):
+    """Big stacks run their elementwise phases prime block by prime
+    block; forced one-prime blocks on small stacks (toy's 30-bit primes
+    take the limb-split twiddles) still give the oracle's output."""
+    monkeypatch.setattr(ntt_module, "_BLOCK_MIN", 0)
+    monkeypatch.setattr(ntt_module, "_BLOCK_BYTES", 1)
+    batch, _ = _ring(name)
+    assert len(batch._blocks(np.empty((len(batch.primes), 2)))) > 1
+    _assert_matches_oracle(name, _stack(name, (2,), "random", 8))
+    _assert_matches_oracle(name, _stack(name, (2,), "max", 0))
+
+
 def test_batch_ntt_reduces_unreduced_inputs():
     batch, ntts = _ring("toy-q")
     col = batch.primes[:, None]
@@ -236,8 +251,8 @@ def test_batch_ntt_reduces_unreduced_inputs():
 
 
 def test_batch_ntt_strided_inputs_and_out():
-    """Broadcast (key-switch digits) and transposed inputs give the same
-    C-contiguous result; ``out`` is written in place and shape-checked."""
+    """Broadcast and transposed inputs give the same C-contiguous
+    result; ``out`` is written in place and shape-checked."""
     batch, ntts = _ring("n4096-q")
     k, n = len(ntts), batch.n
     digits = np.random.default_rng(3).integers(0, 1 << 24, (3, 1, n))
@@ -283,3 +298,48 @@ def test_batch_ntt_rejects_primes_beyond_the_exact_range():
     with pytest.raises(ValueError, match="exact"):
         BatchNTT(ntts)
     assert BatchNTT([NTTContext(n, p) for p in find_ntt_primes(2, 28, 2 * n)])
+
+
+# the presets' coefficient rings with their key-switch digit widths
+SHARED = {
+    "toy-q": toy_params().decomp_bits,  # 20
+    "n4096-q": small_params().decomp_bits,  # 24
+    "n8192-q": large_params().decomp_bits,  # 32
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED))
+@pytest.mark.parametrize("fill", ["random", "max"])
+def test_shared_rows_match_the_broadcast_reduced_stack(name, fill):
+    """Digits transformed once for every prime equal ``forward`` of the
+    digits broadcast over the primes and reduced, bit for bit, and count
+    ``digits * k`` rows as the full stack does."""
+    batch, ntts = _ring(name)
+    width = SHARED[name]
+    shared = SharedRowNTT(batch, width)
+    shape = (5, batch.n)
+    if fill == "max":
+        rows = np.full(shape, (1 << width) - 1, dtype=np.int64)
+    else:
+        rows = np.random.default_rng(6).integers(0, 1 << width, shape)
+    stack = rows[:, None, :] % batch.primes[:, None]
+    counters = ExecCounters()
+    with execution_scope(ScratchArena(), counters):
+        got = shared.forward(rows)
+    assert counters.ntt_rows == 5 * len(ntts)
+    assert got.shape == stack.shape and got.flags.c_contiguous
+    assert np.array_equal(got, batch.forward(stack, assume_reduced=True))
+    out = np.empty_like(stack)
+    assert shared.forward(rows, out=out) is out
+    assert np.array_equal(out, got)
+
+
+def test_shared_rows_reject_widths_beyond_the_exact_range():
+    """Rows wider than ``52 - s - log2 n1`` bits would push the stacked
+    gemm's sums past 2^52: n8192's 32-bit digits sit on the bound."""
+    batch, _ = _ring("n8192-q")
+    assert SharedRowNTT(batch, 32).width == 32
+    with pytest.raises(ValueError, match="exact"):
+        SharedRowNTT(batch, 33)
+    with pytest.raises(ValueError):
+        SharedRowNTT(batch, 32).forward(np.zeros((2, 3, batch.n), np.int64))

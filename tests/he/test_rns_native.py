@@ -320,6 +320,38 @@ def test_key_switch_paths_bit_identical(ctx):
     assert d_rns[1] == d_ref[1]
 
 
+@pytest.mark.parametrize("preset", [small_params, large_params])
+def test_key_switch_paths_bit_identical_on_secure_presets(preset):
+    """The shared-digit transform and the einsum MAC equal the big-int
+    oracle for the relinearization key and for one Galois key (n8192's
+    32-bit digits exceed its primes, n4096's do not)."""
+    context = BFVContext(preset(), seed=23)
+    rng = np.random.default_rng(24)
+    ca = context.encrypt_vector(rng.integers(-20, 21, 64))
+    g = context.encoder.galois_element_for_rotation(3)
+    context.generate_galois_key(g)
+    poly = ca.parts[1]
+    for key in (context.relin_key, context.galois_keys.get(g)):
+        d_rns = context._key_switch_rns(poly, key)
+        d_ref = context._key_switch_reference(poly, key)
+        assert d_rns[0] == d_ref[0]
+        assert d_rns[1] == d_ref[1]
+
+
+def test_key_switch_mac_in_reduced_chunks(ctx, monkeypatch):
+    """With fewer products per exact int64 sum than digits (wide custom
+    primes), the MAC reduces chunk by chunk and still equals the oracle."""
+    rng = np.random.default_rng(25)
+    ca = ctx.encrypt_vector(rng.integers(-10, 11, 32))
+    poly = ctx.multiply(ca, ca, relinearize=False).parts[2]
+    reference = ctx._key_switch_reference(poly, ctx.relin_key)
+    for digits in (1, 2):
+        monkeypatch.setattr(ctx, "_mac_digits", digits)
+        d_rns = ctx._key_switch_rns(poly, ctx.relin_key)
+        assert d_rns[0] == reference[0]
+        assert d_rns[1] == reference[1]
+
+
 def test_relinearize_paths_bit_identical(ctx):
     rng = np.random.default_rng(10)
     ca = ctx.encrypt_vector(rng.integers(-10, 11, 32))
