@@ -172,8 +172,10 @@ def bench_ntt(repeats: int) -> dict:
         ):
             col = ring._primes_col
             if lead is None:  # digit rows shared by every prime
-                x = ctx._digit_ntt.forward(digits)
-                forward = functools.partial(ctx._digit_ntt.forward, digits)
+                forward = functools.partial(
+                    ring.batch_ntt.forward, digits, width=params.decomp_bits
+                )
+                x = forward()
                 inputs = [digits] * len(col)
             else:
                 x = rng.integers(0, 1 << 62, lead + (len(col), ring.n)) % col

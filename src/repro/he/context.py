@@ -16,7 +16,7 @@ into an extended RNS basis with an exact vectorized base conversion,
 tensors them with batched NTTs, and performs the ``round(t/q * .)``
 rescale entirely on int64 residue matrices; key switching decomposes
 digits vectorized and transforms the ``(digits, N)`` digit matrix once
-for every prime (:class:`~repro.he.ntt.SharedRowNTT`).  Both are
+for every prime (``BatchNTT.forward(..., width=w)``).  Both are
 bit-for-bit identical to the textbook
 big-integer formulation, which is retained behind
 ``BFVContext(..., slow_reference=True)`` as the equivalence oracle (and as
@@ -34,7 +34,7 @@ from repro.he.arena import pin_allocator
 from repro.he.encoder import BatchEncoder
 from repro.he.errors import HEError, NoiseBudgetExhausted
 from repro.he.keys import GaloisKeys, KSwitchKey, PublicKey, SecretKey
-from repro.he.ntt import BatchNTT, SharedRowNTT
+from repro.he.ntt import BatchNTT
 from repro.he.params import BFVParams
 from repro.he.poly import RingContext, RingElement, exact_negacyclic_product
 from repro.he.primes import find_ntt_primes
@@ -110,7 +110,11 @@ class BFVContext:
         self._digit_decomposer = DigitDecomposer(
             self.ring.basis, params.decomp_bits, self._digit_count
         )
-        self._digit_ntt = SharedRowNTT(self.ring.batch_ntt, params.decomp_bits)
+        # digits load once for every prime while the shared-row transform
+        # is exact at their width (every preset); wider ones go per prime
+        self._shared_digits = (
+            params.decomp_bits <= self.ring.batch_ntt.max_shared_width
+        )
         # key-switch MAC overflow budget: how many products of canonical
         # (< p) residues an int64 sum holds
         pmax = max(params.coeff_primes)
@@ -746,11 +750,16 @@ class BFVContext:
         transform for every prime, and the multiply-accumulate sums into two
         fresh ``(k, N)`` accumulators.  They stay in the evaluation domain:
         the returned elements inverse-transform only if a consumer needs
-        coefficients.
+        coefficients.  Digits too wide for the shared-row transform's exact
+        range transform as a reduced ``(digits, k, N)`` copy instead.
         """
         ring = self.ring
         digits = self._digit_decomposer.digits(poly.residues)
-        evals = self._digit_ntt.forward(digits)
+        if self._shared_digits:
+            evals = ring.batch_ntt.forward(digits, width=self.params.decomp_bits)
+        else:
+            stack = digits[:, None, :] % ring._primes_col
+            evals = ring.batch_ntt.forward(stack, assume_reduced=True)
         return (
             RingElement(ring, eval_rows=self._mac(evals, key._stack_0)),
             RingElement(ring, eval_rows=self._mac(evals, key._stack_1)),

@@ -15,9 +15,9 @@ domain realise negacyclic convolution, i.e. ring multiplication.
   RNS stacks: Bailey's four-step decomposition as two exact float64
   matrix products per prime, so the work runs in BLAS gemms.  Its
   outputs are bit-identical to the oracle's.
-* :class:`SharedRowNTT` is its forward transform for integer rows that
-  every prime shares (key-switch digits): step 1 is one gemm against
-  every prime's ``M1`` limbs stacked, step 2 is :class:`BatchNTT`'s own.
+  Its forward also takes integer rows that every prime shares
+  (key-switch digits): step 1 is then one gemm against every prime's
+  ``M1`` limbs stacked.
 """
 
 from __future__ import annotations
@@ -158,13 +158,6 @@ class NTTContext:
         return [dlog[int(v)] for v in outputs]
 
 
-# elementwise phases over stacks above _BLOCK_MIN bytes per workspace run
-# in prime blocks of about _BLOCK_BYTES (three workspaces of that size
-# sit in a 1 MiB L2 with room to spare)
-_BLOCK_MIN = 1 << 20
-_BLOCK_BYTES = 256 << 10
-
-
 def _limbs(table: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonical int table ``-> (hi * 2^s, lo)`` float64 limbs, ``< 2^s``.
 
@@ -192,9 +185,8 @@ class BatchNTT:
     permuted so ``Z`` read row-major *is* the bit-reversed evaluation
     vector).  Every batch axis rides along the gemm columns, so a whole
     ``(4, k, n)`` tensor stack costs ``4k`` BLAS calls plus a few dozen
-    elementwise passes, which run in cache-sized prime blocks on big
-    stacks.  Key-switch digits, one integer row shared by every prime,
-    take :class:`SharedRowNTT` instead.
+    elementwise passes.  Key-switch digits, integer rows shared by every
+    prime, load once (``forward(..., width=w)``).
 
     Exactness, in three lines:
 
@@ -224,6 +216,9 @@ class BatchNTT:
                 f"{bits}-bit primes at n={n} exceed the exact float64 "
                 "range of the matrix NTT"
             )
+        # widest shared rows (forward(width=...)) whose step-1 sums of
+        # n1 row-times-limb products stay below 2^52
+        self.max_shared_width = 52 - s - (n1.bit_length() - 1)
         self.primes = np.array(primes, dtype=np.int64)
         col = (len(primes), 1, 1)  # broadcasts over (k, rows, cols)
         p = self.primes.astype(np.float64)
@@ -266,68 +261,53 @@ class BatchNTT:
 
     # -- exact float64 modular arithmetic -------------------------------
 
-    def _reduce(self, x, tmp, canonical=False, block=slice(None)) -> None:
+    def _reduce(self, x: np.ndarray, tmp: np.ndarray, canonical=False) -> None:
         """``x <- x mod p`` in place: signed (``|x| <= p/2 + 2``) or canonical.
 
         Signed: ``x - rint(x / p) * p`` for integers ``|x| <= 2^53``, where
         ``x * (1/p)`` is off by under ``2/p`` so the quotient by at most
         one.  Canonical: ``x - floor((x + 1/2) / p) * p``, exact while
         ``|x| < 2^51`` keeps the quotient error under ``1/(2p)``.
-        ``block`` selects the primes ``x`` holds (see :meth:`_blocks`).
         """
         if canonical:
             np.add(x, 0.5, out=tmp)
-            np.multiply(tmp, self._pinv[block], out=tmp)
+            np.multiply(tmp, self._pinv, out=tmp)
             np.floor(tmp, out=tmp)
         else:
-            np.multiply(x, self._pinv[block], out=tmp)
+            np.multiply(x, self._pinv, out=tmp)
             np.rint(tmp, out=tmp)
-        np.multiply(tmp, self._p[block], out=tmp)
+        np.multiply(tmp, self._p, out=tmp)
         np.subtract(x, tmp, out=x)
 
-    def _combine(self, hi, lo, tmp, canonical=False, block=slice(None)):
+    def _combine(self, hi, lo, tmp, canonical=False) -> None:
         """``hi <- (hi + lo) mod p`` for a ``2^s``-scaled ``hi``.
 
         ``hi`` reduces with ``2^s``-scaled constants (exact: powers of two
         only move exponents), which leaves ``|hi| <= (p/2 + 2) 2^s``, small
         enough to add ``lo`` and reduce again.
         """
-        np.multiply(hi, self._pinv_hi[block], out=tmp)
+        np.multiply(hi, self._pinv_hi, out=tmp)
         np.rint(tmp, out=tmp)
-        np.multiply(tmp, self._p_hi[block], out=tmp)
+        np.multiply(tmp, self._p_hi, out=tmp)
         np.subtract(hi, tmp, out=hi)
         np.add(hi, lo, out=hi)
-        self._reduce(hi, tmp, canonical, block)
+        self._reduce(hi, tmp, canonical)
 
-    def _twiddle(self, x, table, batch: int, lo, tmp, block=slice(None)):
+    def _twiddle(self, x, table, batch: int, lo, tmp) -> None:
         """``x <- x * table mod p`` elementwise (table broadcast on batch)."""
         x4 = self._batch_view(x, batch)
         if isinstance(table, tuple):
-            np.multiply(x4, table[1][block], out=self._batch_view(lo, batch))
-            np.multiply(x4, table[0][block], out=x4)
-            self._combine(x, lo, tmp, block=block)
+            np.multiply(x4, table[1], out=self._batch_view(lo, batch))
+            np.multiply(x4, table[0], out=x4)
+            self._combine(x, lo, tmp)
         else:
-            np.multiply(x4, table[block], out=x4)
-            self._reduce(x, tmp, block=block)
-
-    @staticmethod
-    def _blocks(x: np.ndarray) -> list[slice]:
-        """Prime slices that an elementwise phase runs one after another.
-
-        A phase streams three workspaces through about ten passes.  Once
-        they outgrow a core's L2 cache every pass goes to memory, so a
-        stack above ``_BLOCK_MIN`` bytes runs in blocks of whole primes of
-        about ``_BLOCK_BYTES`` each, whose passes stay in cache.
-        """
-        if x.nbytes <= _BLOCK_MIN:
-            return [slice(None)]
-        step = max(1, _BLOCK_BYTES // x[0].nbytes)
-        return [slice(i, i + step) for i in range(0, len(x), step)]
+            np.multiply(x4, table, out=x4)
+            self._reduce(x, tmp)
 
     # -- layout ---------------------------------------------------------
 
     def _batch_view(self, buf: np.ndarray, batch: int) -> np.ndarray:
-        return buf.reshape(len(buf), self.n1, batch, self.n2)
+        return buf.reshape(len(self.primes), self.n1, batch, self.n2)
 
     def _load(self, values, assume_reduced: bool):
         """Copy a ``(..., k, n)`` stack into float64 ``(k, n1, batch*n2)``.
@@ -347,6 +327,28 @@ class BatchNTT:
         batch = rows.shape[0]
         bufs = self._workspaces(batch)
         np.copyto(self._batch_view(bufs[0], batch), rows.transpose(1, 2, 0, 3))
+        return bufs, batch
+
+    def _load_shared(self, rows, width: int):
+        """Copy ``(batch, n)`` shared rows into slot 0's first prime.
+
+        The rows land as one ``(n1, batch*n2)`` operand; the other primes'
+        part of slot 0 stays unused (step 1 writes slots 1 and 2).
+        """
+        if not 1 <= width <= self.max_shared_width:
+            raise ValueError(
+                f"{width}-bit rows at n={self.n} exceed the exact float64 "
+                f"range of the matrix NTT (at most {self.max_shared_width})"
+            )
+        x = np.asarray(rows, dtype=np.int64)
+        if x.ndim != 2 or x.shape[1] != self.n:
+            raise ValueError(f"expected a (batch, {self.n}) matrix of rows")
+        batch = x.shape[0]
+        bufs = self._workspaces(batch)
+        np.copyto(
+            bufs[0, 0].reshape(self.n1, batch, self.n2),
+            x.reshape(batch, self.n1, self.n2).transpose(1, 0, 2),
+        )
         return bufs, batch
 
     def _workspaces(self, batch: int) -> np.ndarray:
@@ -388,34 +390,52 @@ class BatchNTT:
         residues: np.ndarray,
         assume_reduced: bool = False,
         out: np.ndarray | None = None,
+        *,
+        width: int | None = None,
     ) -> np.ndarray:
         """Coefficient stack ``(..., k, n)`` -> bit-reversed evaluations.
 
         ``assume_reduced=True`` promises the input is already canonical
         (every residue in ``[0, p)``), skipping the defensive entry
         reduction — callers inside the ring layer uphold this invariant
-        by construction.  ``out`` (C-contiguous int64, the input's shape)
+        by construction.  ``out`` (C-contiguous int64, the output's shape)
         receives the result in place; otherwise a fresh C-contiguous int64
         array is returned.
-        """
-        shape = np.shape(residues)
-        (a, y, lo), batch = self._load(residues, assume_reduced)
-        hi_m, lo_m = self._m1
-        np.matmul(hi_m, a, out=y)
-        np.matmul(lo_m, a, out=lo)
-        return self._forward_rest(y, lo, a, batch, shape, out)
 
-    def _forward_rest(self, y, lo, a, batch: int, shape, out) -> np.ndarray:
-        """Forward after step 1's limb gemms: ``y``/``lo`` hold ``M1 @ A``."""
-        for b in self._blocks(y):
-            self._combine(y[b], lo[b], a[b], block=b)
-            self._twiddle(y[b], self._t, batch, lo[b], a[b], block=b)
+        ``width`` takes a ``(batch, n)`` matrix of integer rows in
+        ``[0, 2^width)`` that every prime shares (key-switch digits) and
+        returns its ``(batch, k, n)`` transform, bit-identical to that of
+        the rows broadcast over the primes and reduced.  The rows load once
+        and step 1 is one gemm against every prime's ``M1`` limbs stacked
+        to ``(2*k*n1, n1)``, with no per-prime copy and no reduction.  Each
+        prime still counts its rows (``batch * k``), as a plan predicts.
+        An entry below ``2^width`` times a limb below ``2^s``, summed
+        ``n1`` times, must stay below ``2^52``: wider rows than
+        :attr:`max_shared_width` raise ``ValueError``.
+        """
+        if width is None:
+            shape = np.shape(residues)
+            work, batch = self._load(residues, assume_reduced)
+            hi_m, lo_m = self._m1
+            np.matmul(hi_m, work[0], out=work[1])
+            np.matmul(lo_m, work[0], out=work[2])
+        else:
+            work, batch = self._load_shared(residues, width)
+            shape = (batch, len(self.primes), self.n)
+            # one gemm writes both limb products into the adjacent slots
+            np.matmul(
+                self._m1.reshape(-1, self.n1),
+                work[0, 0],
+                out=work[1:].reshape(-1, batch * self.n2),
+            )
+        a, y, lo = work
+        self._combine(y, lo, a)
+        self._twiddle(y, self._t, batch, lo, a)
         tall = (len(self.primes), self.n1 * batch, self.n2)
         hi_m, lo_m = self._m2t
         np.matmul(y.reshape(tall), hi_m, out=a.reshape(tall))
         np.matmul(y.reshape(tall), lo_m, out=lo.reshape(tall))
-        for b in self._blocks(a):
-            self._combine(a[b], lo[b], y[b], canonical=True, block=b)
+        self._combine(a, lo, y, canonical=True)
         return self._store(a, shape, batch, out)
 
     def inverse(
@@ -434,14 +454,12 @@ class BatchNTT:
         hi_m, lo_m = self._im2t
         np.matmul(z.reshape(tall), hi_m, out=w.reshape(tall))
         np.matmul(z.reshape(tall), lo_m, out=lo.reshape(tall))
-        for b in self._blocks(w):
-            self._combine(w[b], lo[b], z[b], block=b)
-            self._twiddle(w[b], self._it, batch, lo[b], z[b], block=b)
+        self._combine(w, lo, z)
+        self._twiddle(w, self._it, batch, lo, z)
         hi_m, lo_m = self._im1
         np.matmul(hi_m, w, out=z)
         np.matmul(lo_m, w, out=lo)
-        for b in self._blocks(z):
-            self._combine(z[b], lo[b], w[b], canonical=True, block=b)
+        self._combine(z, lo, w, canonical=True)
         return self._store(z, shape, batch, out)
 
     def scaled_inverse(self, scales) -> "BatchNTT":
@@ -457,61 +475,6 @@ class BatchNTT:
         scale = np.asarray(scales, dtype=np.int64).reshape(col.shape) % col
         twin._im1 = _limbs((hi + lo).astype(np.int64) * scale % col, self._s)
         return twin
-
-
-class SharedRowNTT:
-    """Forward transform of integer rows that every prime of a ring shares.
-
-    Key switching transforms the base-``2^w`` digits of one polynomial
-    under every prime.  A digit row is the same plain integer row for each
-    prime, so step 1 of the four-step transform needs no per-prime copy
-    and no reduction: the ``(batch, n)`` rows load once as one
-    ``(n1, batch*n2)`` operand, and both limbs of the primes' ``M1``
-    tables, stacked to ``(2*k*n1, n1)``, multiply it in one gemm.  That
-    product is already :class:`BatchNTT`'s pair of ``(k, n1, batch*n2)``
-    limb workspaces, so the rest of the transform is the ring's own, and
-    each prime still counts its rows (``batch * k``), as a plan predicts.
-
-    Exactness: an entry below ``2^w`` times a table limb below ``2^s``,
-    summed ``n1`` times, stays below ``2^(w + s + log2 n1)``; the
-    constructor refuses widths where that passes ``2^52``.
-    """
-
-    def __init__(self, ntt: BatchNTT, width: int):
-        bound = width + ntt._s + ntt.n1.bit_length() - 1
-        if width < 1 or bound > 52:
-            raise ValueError(
-                f"{width}-bit rows at n={ntt.n} exceed the exact float64 "
-                f"range of the matrix NTT (2^{bound} > 2^52)"
-            )
-        self.ntt = ntt
-        self.width = width
-        self._m1 = ntt._m1.reshape(-1, ntt.n1)  # (2*k*n1, n1), a view
-
-    def forward(self, rows: np.ndarray, out: np.ndarray | None = None):
-        """``(batch, n)`` rows in ``[0, 2^width)`` -> ``(batch, k, n)``.
-
-        Bit-identical to ``BatchNTT.forward`` of the rows broadcast over
-        the primes and reduced.  Entries are trusted to be in range (the
-        digit decomposer masks them); ``out`` is as in
-        :meth:`BatchNTT.forward`.
-        """
-        ntt = self.ntt
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != ntt.n:
-            raise ValueError(f"expected a (batch, {ntt.n}) matrix of rows")
-        batch = rows.shape[0]
-        work = ntt._workspaces(batch)
-        a, y, lo = work
-        x = a[0]  # (n1, batch*n2); a is free again once step 1 is done
-        np.copyto(
-            x.reshape(ntt.n1, batch, ntt.n2),
-            rows.reshape(batch, ntt.n1, ntt.n2).transpose(1, 0, 2),
-        )
-        # one gemm writes both limb products: y and lo are adjacent slots
-        np.matmul(self._m1, x, out=work[1:].reshape(-1, batch * ntt.n2))
-        shape = (batch, len(ntt.primes), ntt.n)
-        return ntt._forward_rest(y, lo, a, batch, shape, out)
 
 
 def naive_negacyclic_convolve(a, b, prime: int) -> np.ndarray:

@@ -9,12 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.he.arena import ExecCounters, ScratchArena, execution_scope
-from repro.he import ntt as ntt_module
 from repro.he.context import BFVContext
 from repro.he.ntt import (
     BatchNTT,
     NTTContext,
-    SharedRowNTT,
     bit_reverse,
     naive_negacyclic_convolve,
 )
@@ -224,19 +222,6 @@ def test_scaled_inverse_folds_its_scale_and_shares_tables(name, fill):
     assert scaled._im1 is not batch._im1
 
 
-@pytest.mark.parametrize("name", ["toy-q", "n4096-ext"])
-def test_batch_ntt_prime_blocks_match_the_oracle(name, monkeypatch):
-    """Big stacks run their elementwise phases prime block by prime
-    block; forced one-prime blocks on small stacks (toy's 30-bit primes
-    take the limb-split twiddles) still give the oracle's output."""
-    monkeypatch.setattr(ntt_module, "_BLOCK_MIN", 0)
-    monkeypatch.setattr(ntt_module, "_BLOCK_BYTES", 1)
-    batch, _ = _ring(name)
-    assert len(batch._blocks(np.empty((len(batch.primes), 2)))) > 1
-    _assert_matches_oracle(name, _stack(name, (2,), "random", 8))
-    _assert_matches_oracle(name, _stack(name, (2,), "max", 0))
-
-
 def test_batch_ntt_reduces_unreduced_inputs():
     batch, ntts = _ring("toy-q")
     col = batch.primes[:, None]
@@ -316,7 +301,6 @@ def test_shared_rows_match_the_broadcast_reduced_stack(name, fill):
     ``digits * k`` rows as the full stack does."""
     batch, ntts = _ring(name)
     width = SHARED[name]
-    shared = SharedRowNTT(batch, width)
     shape = (5, batch.n)
     if fill == "max":
         rows = np.full(shape, (1 << width) - 1, dtype=np.int64)
@@ -325,12 +309,12 @@ def test_shared_rows_match_the_broadcast_reduced_stack(name, fill):
     stack = rows[:, None, :] % batch.primes[:, None]
     counters = ExecCounters()
     with execution_scope(ScratchArena(), counters):
-        got = shared.forward(rows)
+        got = batch.forward(rows, width=width)
     assert counters.ntt_rows == 5 * len(ntts)
     assert got.shape == stack.shape and got.flags.c_contiguous
     assert np.array_equal(got, batch.forward(stack, assume_reduced=True))
     out = np.empty_like(stack)
-    assert shared.forward(rows, out=out) is out
+    assert batch.forward(rows, out=out, width=width) is out
     assert np.array_equal(out, got)
 
 
@@ -338,8 +322,11 @@ def test_shared_rows_reject_widths_beyond_the_exact_range():
     """Rows wider than ``52 - s - log2 n1`` bits would push the stacked
     gemm's sums past 2^52: n8192's 32-bit digits sit on the bound."""
     batch, _ = _ring("n8192-q")
-    assert SharedRowNTT(batch, 32).width == 32
-    with pytest.raises(ValueError, match="exact"):
-        SharedRowNTT(batch, 33)
+    assert batch.max_shared_width == 32
+    rows = np.zeros((2, batch.n), np.int64)
+    assert batch.forward(rows, width=32).shape == (2, len(batch.primes), batch.n)
+    for width in (33, 0):
+        with pytest.raises(ValueError, match="exact"):
+            batch.forward(rows, width=width)
     with pytest.raises(ValueError):
-        SharedRowNTT(batch, 32).forward(np.zeros((2, 3, batch.n), np.int64))
+        batch.forward(np.zeros((2, 3, batch.n), np.int64), width=32)

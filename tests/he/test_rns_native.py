@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.he import BFVContext, toy_params
 from repro.he.ntt import BatchNTT, NTTContext
-from repro.he.params import large_params, small_params
+from repro.he.params import BFVParams, large_params, small_params
 from repro.he.poly import RingContext
 from repro.he.primes import find_ntt_primes
 from repro.he.rns import DigitDecomposer, RNSBasis
@@ -336,6 +336,33 @@ def test_key_switch_paths_bit_identical_on_secure_presets(preset):
         d_ref = context._key_switch_reference(poly, key)
         assert d_rns[0] == d_ref[0]
         assert d_rns[1] == d_ref[1]
+
+
+def test_key_switch_digits_too_wide_for_the_shared_transform():
+    """A secure n4096 set of 30-bit primes with the default 32-bit digits
+    is past the shared-row transform's exact range (32 + 15 + 6 > 52):
+    the context builds, and its per-prime digit path equals the oracle."""
+    params = BFVParams(
+        poly_degree=4096,
+        plain_modulus=65537,
+        coeff_primes=tuple(find_ntt_primes(3, 30, 8192)),
+    )
+    context = BFVContext(params, seed=26)
+    assert params.decomp_bits > context.ring.batch_ntt.max_shared_width
+    assert not context._shared_digits
+    rng = np.random.default_rng(27)
+    ca = context.encrypt_vector(rng.integers(-20, 21, 64))
+    g = context.encoder.galois_element_for_rotation(1)
+    context.generate_galois_key(g)
+    poly = ca.parts[1]
+    for key in (context.relin_key, context.galois_keys.get(g)):
+        d_rns = context._key_switch_rns(poly, key)
+        d_ref = context._key_switch_reference(poly, key)
+        assert d_rns[0] == d_ref[0]
+        assert d_rns[1] == d_ref[1]
+    product = context.multiply(ca, ca)
+    values = context.decrypt_vector(ca)[:64]
+    assert np.array_equal(context.decrypt_vector(product)[:64], values**2)
 
 
 def test_key_switch_mac_in_reduced_chunks(ctx, monkeypatch):
