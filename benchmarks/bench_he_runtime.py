@@ -1,7 +1,8 @@
 """HE-runtime benchmark: the execution-side perf trajectory tracker.
 
-Measures, against the retained big-integer reference path
-(``slow_reference=True``, the seed implementation):
+Measures, against the textbook big-integer BFV (the seed
+implementation, kept as the test suite's equivalence oracle in
+``tests/he/reference_bfv.py``):
 
 * per-opcode microbenchmark latencies (µs) of the RNS-native BFV runtime,
 * per-kernel NTT row counts of the tape-level domain plan versus the
@@ -50,6 +51,7 @@ FLOOR_FILE = Path(__file__).resolve().parent / "runtime_floor.json"
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_runtime.json"
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))
 
 from harness import (  # noqa: E402
     ceiling_failure,
@@ -67,6 +69,10 @@ from repro.he.params import (  # noqa: E402
 )
 from repro.runtime.executor import HEExecutor  # noqa: E402
 from repro.spec import get_spec  # noqa: E402
+from tests.he.reference_bfv import (  # noqa: E402
+    ReferenceBFV,
+    reference_executor,
+)
 
 E2E_KERNELS = ("box_blur", "gx")
 
@@ -87,12 +93,12 @@ def bench_opcodes(params, repeats: int) -> dict:
     tensor (two operand parts transformed, not four) where the reference
     squares like any product.
 
-    The reference path runs on its own ``slow_reference`` context with
-    freshly encrypted operands, so no fast-path NTT caches leak into the
+    The reference path runs on its own oracle context with freshly
+    encrypted operands, so no fast-path NTT caches leak into the
     baseline measurement.
     """
     ctx = BFVContext(params, seed=1)
-    ref_ctx = BFVContext(params, seed=1, slow_reference=True)
+    ref_ctx = ReferenceBFV(params, seed=1)
     rng = np.random.default_rng(1)
     n = min(40, params.row_size)
     va = rng.integers(-20, 21, n)
@@ -260,7 +266,7 @@ def bench_end_to_end(kernel: str, params, repeats: int) -> dict:
     env = _kernel_env(spec)
 
     fast = HEExecutor(spec, params=params, seed=7)
-    slow = HEExecutor(spec, params=params, seed=7, slow_reference=True)
+    slow = reference_executor(spec, params=params, seed=7)
     # compile outside timing on both sides (keys/tape are one-time setup)
     fast.compile(program)
     slow.compile(program)

@@ -104,10 +104,9 @@ class InterpreterBackend:
 class HEBackend:
     """Execute under real BFV encryption; executors are reused per spec.
 
-    ``slow_reference=True`` runs on the retained big-integer BFV paths
-    (the oracle/baseline implementation).  ``params`` overrides the
-    spec's parameter preset by name (``"toy"``/``"small"``/``"large"``) —
-    the serving tests run on toy parameters this way.
+    ``params`` overrides the spec's parameter preset by name
+    (``"toy"``/``"small"``/``"large"``) — the serving tests run on toy
+    parameters this way.
 
     ``options`` (:class:`~repro.runtime.options.ExecOptions`) sets the
     runtime noise guards and predictive admission of every executor the
@@ -122,12 +121,10 @@ class HEBackend:
     def __init__(
         self,
         seed: int | None = None,
-        slow_reference: bool = False,
         params: str | None = None,
         options: ExecOptions | None = None,
     ):
         self.seed = seed
-        self.slow_reference = slow_reference
         self.params_preset = params
         self.options = options or ExecOptions()
         self._executors: dict[tuple[str, str], object] = {}
@@ -144,7 +141,6 @@ class HEBackend:
             spec,
             params=params,
             seed=self.seed,
-            slow_reference=self.slow_reference,
             options=self.options,
         )
 

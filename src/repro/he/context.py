@@ -17,10 +17,10 @@ tensors them with batched NTTs, and performs the ``round(t/q * .)``
 rescale entirely on int64 residue matrices; key switching decomposes
 digits vectorized and transforms the ``(digits, N)`` digit matrix once
 for every prime (``BatchNTT.forward(..., width=w)``).  Both are
-bit-for-bit identical to the textbook
-big-integer formulation, which is retained behind
-``BFVContext(..., slow_reference=True)`` as the equivalence oracle (and as
-the baseline the runtime benchmarks measure speedups against).
+bit-for-bit identical to the textbook big-integer formulation; that
+formulation lives outside the package, as the test suite's equivalence
+oracle (``tests/he/reference_bfv.py``), which the runtime benchmark also
+measures speedups against.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ from repro.he.errors import HEError, NoiseBudgetExhausted
 from repro.he.keys import GaloisKeys, KSwitchKey, PublicKey, SecretKey
 from repro.he.ntt import BatchNTT
 from repro.he.params import BFVParams
-from repro.he.poly import RingContext, RingElement, exact_negacyclic_product
+from repro.he.poly import RingContext, RingElement
 from repro.he.primes import find_ntt_primes
-from repro.he.rns import DigitDecomposer, centered
+from repro.he.rns import _LIMB_BITS, _LIMB_MASK, DigitDecomposer
 
 
 class Plaintext:
@@ -85,21 +85,15 @@ class Ciphertext:
 class BFVContext:
     """One key pair plus every homomorphic operation over it.
 
-    ``slow_reference=True`` routes ciphertext multiplication and key
-    switching through the retained big-integer textbook path; the default
-    RNS-native path produces bit-identical ciphertexts (the equivalence
-    tests pin this on every seed kernel).
+    Every operation runs RNS-native on int64 residue matrices.  The
+    equivalence tests pin the ciphertexts, plaintexts and noise budgets
+    bit for bit to a textbook big-integer BFV that shares this context's
+    keys (``tests/he/reference_bfv.py``).
     """
 
-    def __init__(
-        self,
-        params: BFVParams,
-        seed: int | None = None,
-        slow_reference: bool = False,
-    ):
+    def __init__(self, params: BFVParams, seed: int | None = None):
         pin_allocator()
         self.params = params
-        self.slow_reference = slow_reference
         self.ring = RingContext(params.poly_degree, list(params.coeff_primes))
         self.encoder = BatchEncoder(params)
         self._rng = np.random.default_rng(seed)
@@ -283,11 +277,10 @@ class BFVContext:
         e1 = self._sample_error()
         e2 = self._sample_error()
         m_scaled = plaintext.lift(self.ring, self.t).scalar_mul(self.delta)
-        if not self.slow_reference:
-            # one batched transform primes every NTT cache the masking
-            # sums need (the public-key products pull the adds into the
-            # evaluation domain)
-            self.ring.prime_evals([u, e1, e2, m_scaled])
+        # one batched transform primes every NTT cache the masking sums
+        # need (the public-key products pull the adds into the evaluation
+        # domain)
+        self.ring.prime_evals([u, e1, e2, m_scaled])
         c0 = self.public_key.p0 * u + e1 + m_scaled
         c1 = self.public_key.p1 * u + e2
         return Ciphertext([c0, c1])
@@ -300,12 +293,6 @@ class BFVContext:
         """``(parts, k, n) -> (k, parts * n)`` copy for the RNS primitives."""
         return np.moveaxis(residues, -2, 0).reshape(residues.shape[-2], -1)
 
-    def _compose(self, residues: np.ndarray) -> list[int]:
-        """Exact coefficient reconstruction, seed path under the oracle."""
-        if self.slow_reference:
-            return self.ring.basis.compose_schoolbook(residues)
-        return self.ring.basis.compose(residues)
-
     def _noise_element(self, ct: Ciphertext) -> RingElement:
         """``c0 + c1*s (+ c2*s^2)`` as a ring element."""
         s = self.secret_key.s
@@ -313,10 +300,6 @@ class BFVContext:
         if ct.size == 3:
             acc = acc + ct.parts[2] * (s * s)
         return acc
-
-    def _noise_poly(self, ct: Ciphertext) -> list[int]:
-        """Coefficients of ``c0 + c1*s (+ c2*s^2)`` in ``[0, q)``."""
-        return self._compose(self._noise_element(ct).residues)
 
     def decrypt(self, ct: Ciphertext, check_budget: bool = True) -> Plaintext:
         plaintext, _ = self.decrypt_with_budgets(
@@ -336,11 +319,10 @@ class BFVContext:
         the rounding step (the executor's epilogue needs both, and
         recomputing the noise element doubles the decryption cost).
         """
-        q, t = self.q, self.t
         acc = self._noise_element(ct)
         budget = None
         if want_budget or check_budget:
-            budget = self._budget_bits(q, self._noise_magnitude(ct, acc))
+            budget = self._budget_bits(self.q, self._noise_magnitude(ct, acc))
             if check_budget and budget <= 0:
                 raise NoiseBudgetExhausted(
                     f"ciphertext noise budget exhausted: budget {budget} "
@@ -350,14 +332,7 @@ class BFVContext:
                 )
             if not want_budget:
                 budget = None
-        if self.slow_reference:
-            w = self.ring.basis.compose_schoolbook(acc.residues)
-            coeffs = np.array(
-                [(t * c + q // 2) // q % t for c in w], dtype=np.int64
-            )
-        else:
-            coeffs = self._decrypt_round(acc.residues)
-        return Plaintext(coeffs), budget
+        return Plaintext(self._decrypt_round(acc.residues)), budget
 
     def _decrypt_round(self, residues: np.ndarray) -> np.ndarray:
         """``round(t * c / q) mod t`` straight from q-basis residues.
@@ -396,18 +371,12 @@ class BFVContext:
         """Max invariant-noise magnitude of one ciphertext.
 
         The magnitude is ``max |centered(t*c mod q, q)|`` over the
-        coefficients; the RNS path finds the maximum through exact 16-bit
-        limb reconstruction and a vectorized lexicographic scan, with no
-        per-coefficient Python arithmetic.
+        coefficients, found through exact 16-bit limb reconstruction and a
+        vectorized lexicographic scan, with no per-coefficient Python
+        arithmetic.
         """
-        q, t = self.q, self.t
         if acc is None:
             acc = self._noise_element(ct)
-        if self.slow_reference:
-            w = self.ring.basis.compose_schoolbook(acc.residues)
-            return max(abs(centered(t * c % q, q)) for c in w)
-        from repro.he.rns import _LIMB_BITS, _LIMB_MASK
-
         basis = self.ring.basis
         # x = t*c mod q, via residues (p_i | q keeps this exact)
         cols = acc.residues * self._t_mod_q % self.ring._primes_col
@@ -507,11 +476,7 @@ class BFVContext:
         """BFV multiply: exact integer tensor, rescale by t/q, relinearize."""
         if ct1.size != 2 or ct2.size != 2:
             raise HEError("multiply expects relinearized (2-part) operands")
-        if self.slow_reference:
-            parts = self._tensor_reference(ct1, ct2)
-        else:
-            parts = self._tensor_rns(ct1, ct2)
-        product = Ciphertext(parts)
+        product = Ciphertext(self._tensor_rns(ct1, ct2))
         if relinearize:
             product = self.relinearize(product, out_domain=out_domain)
         return product
@@ -587,7 +552,7 @@ class BFVContext:
         impossible; columns within the float guard band of a boundary get
         their residues back (``v_i * (E/p_i)``) and are recomputed through
         the exact floor-division path.  Bit-identical to the big-integer
-        ``(t*T + q//2) // q`` of the reference path.
+        ``(t*T + q//2) // q`` of textbook BFV.
         """
         ext = self._ext_ring
         alpha = ext.basis.overflow_counts(vf, centered=True)
@@ -626,42 +591,6 @@ class BFVContext:
         quot = (a - r_ext) % p_col * self._q_inv_ext % p_col
         return self._conv_ext_to_q(quot, centered=True)
 
-    def _tensor_reference(
-        self, ct1: Ciphertext, ct2: Ciphertext
-    ) -> list[RingElement]:
-        """Textbook big-integer tensor-and-rescale (the equivalence oracle).
-
-        This is the seed implementation kept byte-for-byte in behavior —
-        per-coefficient Garner composition, Python-int Karatsuba sums, and
-        big-int rescale — so the equivalence tests pin the RNS path to it
-        and the runtime benchmarks measure speedups against it honestly.
-        """
-        basis = self.ring.basis
-        a0 = basis.compose_centered_schoolbook(ct1.parts[0].residues)
-        a1 = basis.compose_centered_schoolbook(ct1.parts[1].residues)
-        b0 = basis.compose_centered_schoolbook(ct2.parts[0].residues)
-        b1 = basis.compose_centered_schoolbook(ct2.parts[1].residues)
-        # Karatsuba: three exact products instead of four.
-        p00 = exact_negacyclic_product(a0, b0, self._ext_ring, schoolbook=True)
-        p11 = exact_negacyclic_product(a1, b1, self._ext_ring, schoolbook=True)
-        asum = [x + y for x, y in zip(a0, a1)]
-        bsum = [x + y for x, y in zip(b0, b1)]
-        pss = exact_negacyclic_product(
-            asum, bsum, self._ext_ring, schoolbook=True
-        )
-        p01 = [s - x - y for s, x, y in zip(pss, p00, p11)]
-        return [
-            self._rescale_to_ring(p00),
-            self._rescale_to_ring(p01),
-            self._rescale_to_ring(p11),
-        ]
-
-    def _rescale_to_ring(self, coeffs: list[int]) -> RingElement:
-        """``round(t * v / q) mod q`` applied coefficient-wise (big-int)."""
-        q, t = self.q, self.t
-        scaled = [(t * v + q // 2) // q for v in coeffs]
-        return self.ring.from_int_coeffs(scaled)
-
     def relinearize(
         self, ct: Ciphertext, out_domain: str | None = None
     ) -> Ciphertext:
@@ -669,8 +598,6 @@ class BFVContext:
         if ct.size == 2:
             return ct.copy()
         d0, d1 = self._key_switch(ct.parts[2], self.relin_key)
-        if self.slow_reference:
-            return Ciphertext([ct.parts[0] + d0, ct.parts[1] + d1])
         if out_domain == "coeff":
             # the tensor parts already hold coefficients, so when every
             # consumer demands that domain it is cheaper to pull the two
@@ -712,7 +639,7 @@ class BFVContext:
     ) -> Ciphertext:
         self.generate_galois_key(galois_elt)
         key = self.galois_keys.get(galois_elt)
-        if planned and not self.slow_reference:
+        if planned:
             # Planned routing: c0 permutes cached evaluation rows (the
             # hoisted form below), while c1 routes through the coefficient
             # domain — digit decomposition needs coefficients regardless,
@@ -722,25 +649,17 @@ class BFVContext:
             c1g = ct.parts[1].automorphism(galois_elt, domains="coeff")
             d0, d1 = self._key_switch(c1g, key)
             return Ciphertext([c0g + d0, d1])
-        if not self.slow_reference:
-            # Hoist: materialise c0's NTT form on the *input* ciphertext so
-            # repeated rotations of the same ciphertext permute the cached
-            # evaluation rows instead of re-transforming (c0g + d0 happens
-            # in the evaluation domain either way).
-            ct.parts[0].eval_rows()
+        # Hoist: materialise c0's NTT form on the *input* ciphertext so
+        # repeated rotations of the same ciphertext permute the cached
+        # evaluation rows instead of re-transforming (c0g + d0 happens in
+        # the evaluation domain either way).
+        ct.parts[0].eval_rows()
         c0g = ct.parts[0].automorphism(galois_elt)
         c1g = ct.parts[1].automorphism(galois_elt)
         d0, d1 = self._key_switch(c1g, key)
         return Ciphertext([c0g + d0, d1])
 
     def _key_switch(
-        self, poly: RingElement, key: KSwitchKey
-    ) -> tuple[RingElement, RingElement]:
-        if self.slow_reference:
-            return self._key_switch_reference(poly, key)
-        return self._key_switch_rns(poly, key)
-
-    def _key_switch_rns(
         self, poly: RingElement, key: KSwitchKey
     ) -> tuple[RingElement, RingElement]:
         """Inner product of base-T digits with an NTT-domain switch key.
@@ -785,36 +704,6 @@ class BFVContext:
             np.add(acc, part, out=acc)
             np.remainder(acc, p_col, out=acc)
         return acc
-
-    def _key_switch_reference(
-        self, poly: RingElement, key: KSwitchKey
-    ) -> tuple[RingElement, RingElement]:
-        """Big-int digit decomposition with per-digit transforms (oracle)."""
-        ring = self.ring
-        bits = self.params.decomp_bits
-        mask = (1 << bits) - 1
-        coeffs = ring.basis.compose_schoolbook(poly.residues)
-        primes_col = ring._primes_col
-        acc0 = np.zeros_like(poly.residues)
-        acc1 = np.zeros_like(poly.residues)
-        for j in range(len(key)):
-            shift = bits * j
-            digit = np.array(
-                [(c >> shift) & mask for c in coeffs], dtype=np.int64
-            )
-            digit_res = digit[None, :] % primes_col
-            digit_eval = np.stack(
-                [ntt.forward(digit_res[i]) for i, ntt in enumerate(ring.ntts)]
-            )
-            acc0 = (acc0 + digit_eval * key._ntt_cache_0[j]) % primes_col
-            acc1 = (acc1 + digit_eval * key._ntt_cache_1[j]) % primes_col
-        out0 = np.stack(
-            [ntt.inverse(acc0[i]) for i, ntt in enumerate(ring.ntts)]
-        )
-        out1 = np.stack(
-            [ntt.inverse(acc1[i]) for i, ntt in enumerate(ring.ntts)]
-        )
-        return RingElement(ring, out0), RingElement(ring, out1)
 
     @staticmethod
     def _check_sizes(ct1: Ciphertext, ct2: Ciphertext) -> None:

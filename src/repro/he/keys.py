@@ -4,9 +4,8 @@ Key-switching keys (relinearization and Galois) are stored with their
 polynomials pre-transformed into the per-prime NTT evaluation domain, as
 SEAL does, so the hot key-switch inner product needs only forward
 transforms of the digit polynomials plus pointwise multiply-accumulate.
-The evaluation rows are kept both as one stacked ``(digits, k, N)`` array
-(consumed whole by the vectorized RNS key switch) and as per-digit views
-(consumed by the retained big-int reference path).
+The evaluation rows are kept as one stacked ``(digits, k, N)`` array per
+key polynomial, consumed whole by the vectorized key switch.
 """
 
 from __future__ import annotations
@@ -43,8 +42,6 @@ class KSwitchKey:
         # the keygen products already carry, so nothing transforms twice.
         self._stack_0 = np.stack([k0.eval_rows() for k0, _ in pairs])
         self._stack_1 = np.stack([k1.eval_rows() for _, k1 in pairs])
-        self._ntt_cache_0 = list(self._stack_0)
-        self._ntt_cache_1 = list(self._stack_1)
 
     def __len__(self) -> int:
         return len(self.pairs)

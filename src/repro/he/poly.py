@@ -354,33 +354,3 @@ class RingElement:
     def __repr__(self) -> str:
         return f"RingElement(n={self.ctx.n}, k={len(self.ctx.basis)})"
 
-
-def exact_negacyclic_product(
-    a_coeffs: list[int],
-    b_coeffs: list[int],
-    ext_ring: RingContext,
-    schoolbook: bool = False,
-) -> list[int]:
-    """Exact integer negacyclic product of two coefficient vectors.
-
-    Used by the *reference* BFV multiplication path, whose tensor step must
-    be computed over the integers (not mod q) before rescaling by ``t/q``.
-    The product is taken in an extended RNS basis large enough to hold
-    every coefficient of the result, then reconstructed with centered CRT
-    (``schoolbook=True`` keeps the reconstruction on the seed's
-    per-coefficient Garner loop, for the ``slow_reference`` oracle).
-
-    The caller is responsible for passing centered inputs and an extension
-    ring whose modulus exceeds ``2 * N * max|a| * max|b|``.
-    """
-    a = ext_ring.from_int_coeffs(a_coeffs)
-    b = ext_ring.from_int_coeffs(b_coeffs)
-    if schoolbook:
-        # the seed's eager per-prime convolution loop, kept verbatim
-        out = np.empty_like(a.residues)
-        for i, ntt in enumerate(ext_ring.ntts):
-            fa = ntt.forward(a.residues[i])
-            fb = ntt.forward(b.residues[i])
-            out[i] = ntt.inverse(fa * fb % ntt.prime)
-        return ext_ring.basis.compose_centered_schoolbook(out)
-    return (a * b).to_centered_coeffs()

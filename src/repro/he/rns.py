@@ -22,7 +22,7 @@ All three share one trick for the overflow count: ``alpha =
 floor(sum_i v_i / p_i)`` (or, centered, its ``rint``) is evaluated in
 float64 with a provable error bound far below the detection threshold,
 and the rare coefficients that land near a rounding boundary are settled
-by an exact limb-space sign test.  The result is bit-for-bit identical to schoolbook CRT while
+by an exact limb-space sign test.  The result is bit-for-bit identical to textbook CRT while
 the common path stays pure numpy.
 """
 
@@ -230,37 +230,6 @@ class RNSBasis:
             c - modulus if c > half else c for c in self.compose(residues)
         ]
 
-    def compose_schoolbook(self, residues: np.ndarray) -> list[int]:
-        """The original per-coefficient Garner reconstruction.
-
-        Retained verbatim as the ``slow_reference`` oracle's compose (and
-        the baseline the runtime benchmarks measure against); the
-        vectorized :meth:`compose` is pinned bit-for-bit against it by the
-        equivalence tests.
-        """
-        k, n = residues.shape
-        if k != len(self.primes):
-            raise ValueError("residue matrix does not match basis size")
-        out = [0] * n
-        modulus = self.modulus
-        for i, p in enumerate(self.primes):
-            # term_i = r_i * inv_i mod p_i, contribution term_i * (M / p_i)
-            scale = self._m_over_p[i]
-            inv = self._m_over_p_inv[i]
-            row = residues[i]
-            for j in range(n):
-                out[j] += (int(row[j]) * inv % p) * scale
-        return [c % modulus for c in out]
-
-    def compose_centered_schoolbook(self, residues: np.ndarray) -> list[int]:
-        """Schoolbook variant of :meth:`compose_centered` (oracle path)."""
-        half = self.modulus // 2
-        modulus = self.modulus
-        return [
-            c - modulus if c > half else c
-            for c in self.compose_schoolbook(residues)
-        ]
-
     # ------------------------------------------------------------------
     # Exact base conversion
     # ------------------------------------------------------------------
@@ -324,8 +293,8 @@ class DigitDecomposer:
     """Base-``2^w`` digits of composed coefficients, straight from residues.
 
     Key switching needs the digits of each coefficient of ``c in [0, q)``.
-    The schoolbook path composes every coefficient to a Python big int and
-    shifts; this class reconstructs the 16-bit limbs of every coefficient
+    A textbook implementation composes every coefficient to a Python big
+    int and shifts; this class reconstructs the 16-bit limbs of every coefficient
     vectorized (exact, via the shared overflow-count machinery) and gathers
     each ``w``-bit digit from at most three adjacent limbs with shifts and
     masks — no Python-level per-coefficient work at all.

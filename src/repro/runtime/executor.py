@@ -164,10 +164,9 @@ class CompiledProgram:
     output: tuple
     galois_elements: tuple[int, ...]
     constants: dict[str, object]
+    # NTT-domain residency plan for the tape
+    plan: DomainPlan
     extra_outputs: tuple[tuple, ...] = ()  # fetch descriptors, extras only
-    # NTT-domain residency plan for the tape; None on the slow-reference
-    # oracle, which therefore executes lazily
-    plan: DomainPlan | None = None
     # worst-case predicted output budget under this executor's params
     # (Fan-Vercauteren bounds, bits); the admission margin gates on it
     predicted_noise_budget: float | None = None
@@ -198,11 +197,10 @@ class ExecutionReport:
 class HEExecutor:
     """Runs Quill programs under real BFV encryption.
 
-    Tapes always execute their compiled NTT-domain plan, which is
-    bit-identical to lazy execution.  ``slow_reference=True`` builds the
-    executor on the retained big-int BFV paths (the seed implementation)
-    — it has no plan, so it executes lazily and is the baseline the
-    runtime benchmarks and equivalence tests compare against.
+    Tapes always execute their compiled NTT-domain plan.  The plan only
+    chooses where values live (transforms are exact bijections), so the
+    outputs and noise budgets equal those of a textbook big-integer BFV
+    replaying the same tape (``tests/he/reference_bfv.py``).
     """
 
     PLAINTEXT_CACHE_LIMIT = 256
@@ -212,7 +210,6 @@ class HEExecutor:
         spec: Spec,
         params: BFVParams | None = None,
         seed: int | None = None,
-        slow_reference: bool = False,
         options: ExecOptions | None = None,
     ):
         options = options or ExecOptions()
@@ -236,7 +233,7 @@ class HEExecutor:
                 "choose a larger polynomial degree"
             )
         self.params = params
-        self.ctx = BFVContext(params, seed=seed, slow_reference=slow_reference)
+        self.ctx = BFVContext(params, seed=seed)
         self._plaintext_cache: dict[bytes, object] = {}
         self._compiled: dict[int, CompiledProgram] = {}
         self._pinned: set[int] = set()
@@ -338,17 +335,15 @@ class HEExecutor:
         }
         output_desc = fetch(program.output)
         extra_descs = tuple(fetch(ref) for ref in program.extra_outputs)
-        plan = None
-        if not self.ctx.slow_reference:
-            plan = plan_tape(
-                steps,
-                output_desc,
-                extra_descs,
-                eager=not program.is_explicit_relin,
-                k=len(self.params.coeff_primes),
-                k_ext=len(self.ctx._ext_ring.basis),
-                digits=self.ctx._digit_count,
-            )
+        plan = plan_tape(
+            steps,
+            output_desc,
+            extra_descs,
+            eager=not program.is_explicit_relin,
+            k=len(self.params.coeff_primes),
+            k_ext=len(self.ctx._ext_ring.basis),
+            digits=self.ctx._digit_count,
+        )
         compiled = CompiledProgram(
             program=program,
             steps=steps,
@@ -467,9 +462,7 @@ class HEExecutor:
     ):
         """Replay the instruction tape under the compiled domain plan.
 
-        The plan supplies per-step residency hints and rotation routing;
-        without one (the slow-reference oracle) every step runs lazily.
-        Transforms are exact bijections, so both are bit-identical.
+        The plan supplies per-step residency hints and rotation routing.
 
         Returns ``(output ct, extra cts, per-op seconds)``.  A tripped
         guard stops the replay and raises, after counting its check.
@@ -479,7 +472,7 @@ class HEExecutor:
         stats = self.stats
         slots: list = [None] * compiled.slot_count
         per_opcode: dict[str, float] = {}
-        plan = compiled.plan
+        hints = compiled.plan.hints
         # explicit-relin programs defer the fold to their RELIN steps;
         # eager programs keep the historical relinearize-every-multiply
         eager = not compiled.program.is_explicit_relin
@@ -501,12 +494,10 @@ class HEExecutor:
         for index, (opcode, a, b, amount, out_slot, frees) in enumerate(
             compiled.steps
         ):
-            hint = plan.hints[index] if plan is not None else None
+            hint = hints[index]
             t0 = time.perf_counter()
             if opcode is Opcode.ROTATE:
-                value = ctx.rotate_rows(
-                    resolve(a), amount, planned=plan is not None
-                )
+                value = ctx.rotate_rows(resolve(a), amount, planned=True)
             elif opcode is Opcode.RELIN:
                 value = ctx.relinearize(resolve(a), out_domain=hint)
             elif opcode is Opcode.MUL_CC:
@@ -605,9 +596,8 @@ class HEExecutor:
         stats = self.stats
         stats.runs += 1
         stats.ntts_performed += counters.ntt_rows
-        if compiled.plan is not None:
-            stats.ntts_planned += compiled.plan.ntts_planned
-            stats.ntts_elided += compiled.plan.ntts_elided
+        stats.ntts_planned += compiled.plan.ntts_planned
+        stats.ntts_elided += compiled.plan.ntts_elided
         stats.arena_bytes = max(stats.arena_bytes, self._arena.bytes_held)
         plaintext, budget = self.ctx.decrypt_with_budgets(
             output_ct, check_budget=False

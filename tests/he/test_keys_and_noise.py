@@ -47,8 +47,11 @@ def test_galois_key_generated_lazily(ctx):
 def test_kswitch_key_caches_ntt_domain(ctx):
     key = ctx.relin_key
     assert isinstance(key, KSwitchKey)
-    assert len(key._ntt_cache_0) == len(key.pairs)
-    assert key._ntt_cache_0[0].shape == key.pairs[0][0].residues.shape
+    k, n = key.pairs[0][0].residues.shape
+    for j, stack in enumerate((key._stack_0, key._stack_1)):
+        assert stack.shape == (len(key.pairs), k, n)
+        # each digit's row block is its key polynomial in the NTT domain
+        assert np.array_equal(stack[0], key.pairs[0][j].eval_rows())
 
 
 def test_relinearized_matches_unrelinearized(ctx):

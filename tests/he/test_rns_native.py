@@ -2,10 +2,13 @@
 
 Every vectorized primitive introduced for the RNS runtime — limb-based
 CRT composition, exact base conversion, digit decomposition, the batched
-lazy NTT, the evaluation-domain automorphism, and the full
+NTT, the evaluation-domain automorphism, and the full
 multiply/key-switch/rotate pipeline — must agree *bit-for-bit* with the
-retained schoolbook implementation (``slow_reference=True``), including
-boundary-hugging values where float shortcuts would round the wrong way.
+textbook big-integer implementation (:mod:`tests.he.reference_bfv`),
+including boundary-hugging values where float shortcuts would round the
+wrong way.  The oracle is built over the context under test
+(``ReferenceBFV.sharing``): it shares the keys and leaves the context
+untouched, so a failing reference call cannot leak into later tests.
 """
 
 import math
@@ -22,6 +25,11 @@ from repro.he.params import BFVParams, large_params, small_params
 from repro.he.poly import RingContext
 from repro.he.primes import find_ntt_primes
 from repro.he.rns import DigitDecomposer, RNSBasis
+from tests.he.reference_bfv import (
+    ReferenceBFV,
+    compose_centered_schoolbook,
+    compose_schoolbook,
+)
 
 BASIS = RNSBasis(find_ntt_primes(4, 27, 64))
 WIDE = RNSBasis(find_ntt_primes(11, 26, 64))
@@ -40,10 +48,9 @@ def _boundary_values():
 @given(st.lists(st.integers(0, M - 1), min_size=1, max_size=40))
 def test_compose_matches_schoolbook(values):
     residues = BASIS.decompose(values)
-    assert BASIS.compose(residues) == BASIS.compose_schoolbook(residues)
-    assert (
-        BASIS.compose_centered(residues)
-        == BASIS.compose_centered_schoolbook(residues)
+    assert BASIS.compose(residues) == compose_schoolbook(BASIS, residues)
+    assert BASIS.compose_centered(residues) == compose_centered_schoolbook(
+        BASIS, residues
     )
 
 
@@ -141,7 +148,7 @@ def test_eval_domain_automorphism_matches_coefficient_domain(g):
 
 
 # ---------------------------------------------------------------------------
-# Full pipeline: RNS context == slow_reference context, bit for bit
+# Full pipeline: RNS context == big-integer oracle, bit for bit
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -163,12 +170,11 @@ def test_multiply_paths_bit_identical(seed):
     a = rng.integers(-50, 51, 300)
     b = rng.integers(-50, 51, 300)
     ca, cb = context.encrypt_vector(a), context.encrypt_vector(b)
-    context.slow_reference = True
-    ref = context.multiply(ca, cb)
-    context.slow_reference = False
+    oracle = ReferenceBFV.sharing(context)
+    ref = oracle.multiply(ca, cb)
     rns = context.multiply(ca, cb)
     _assert_ct_equal(rns, ref)
-    assert context.noise_budget(rns) == context.noise_budget(ref)
+    assert context.noise_budget(rns) == oracle.noise_budget(ref)
     assert np.array_equal(context.decrypt_vector(rns)[:300], a * b)
 
 
@@ -182,12 +188,11 @@ def test_square_paths_bit_identical(seed):
     rng = np.random.default_rng(seed)
     a = rng.integers(-50, 51, 300)
     ca = context.encrypt_vector(a)
-    context.slow_reference = True
-    ref = context.multiply(ca, ca)
-    context.slow_reference = False
+    oracle = ReferenceBFV.sharing(context)
+    ref = oracle.multiply(ca, ca)
     rns = context.multiply(ca, ca)
     _assert_ct_equal(rns, ref)
-    assert context.noise_budget(rns) == context.noise_budget(ref)
+    assert context.noise_budget(rns) == oracle.noise_budget(ref)
     assert np.array_equal(context.decrypt_vector(rns)[:300], a * a)
 
 
@@ -210,12 +215,11 @@ def test_multiply_bit_identical_on_secure_presets(preset, square):
     b = a if square else rng.integers(-20, 21, 64)
     ca = context.encrypt_vector(a)
     cb = ca if square else context.encrypt_vector(b)
-    context.slow_reference = True
-    ref = context.multiply(ca, cb)
-    context.slow_reference = False
+    oracle = ReferenceBFV.sharing(context)
+    ref = oracle.multiply(ca, cb)
     rns = context.multiply(ca, cb)
     _assert_ct_equal(rns, ref)
-    assert context.noise_budget(rns) == context.noise_budget(ref)
+    assert context.noise_budget(rns) == oracle.noise_budget(ref)
     assert np.array_equal(context.decrypt_vector(rns)[:64], a * b)
 
 
@@ -302,20 +306,19 @@ def test_rotate_paths_bit_identical(seed, steps):
     rng = np.random.default_rng(seed)
     a = rng.integers(-50, 51, 64)
     ca = context.encrypt_vector(a)
-    context.slow_reference = True
-    ref = context.rotate_rows(ca, steps)
-    context.slow_reference = False
+    oracle = ReferenceBFV.sharing(context)
+    ref = oracle.rotate_rows(ca, steps)
     rns = context.rotate_rows(ca, steps)
     _assert_ct_equal(rns, ref)
-    assert context.noise_budget(rns) == context.noise_budget(ref)
+    assert context.noise_budget(rns) == oracle.noise_budget(ref)
 
 
 def test_key_switch_paths_bit_identical(ctx):
     rng = np.random.default_rng(9)
     ca = ctx.encrypt_vector(rng.integers(-10, 11, 32))
     prod = ctx.multiply(ca, ca, relinearize=False)
-    d_rns = ctx._key_switch_rns(prod.parts[2], ctx.relin_key)
-    d_ref = ctx._key_switch_reference(prod.parts[2], ctx.relin_key)
+    d_rns = ctx._key_switch(prod.parts[2], ctx.relin_key)
+    d_ref = ReferenceBFV.sharing(ctx)._key_switch(prod.parts[2], ctx.relin_key)
     assert d_rns[0] == d_ref[0]
     assert d_rns[1] == d_ref[1]
 
@@ -330,10 +333,11 @@ def test_key_switch_paths_bit_identical_on_secure_presets(preset):
     ca = context.encrypt_vector(rng.integers(-20, 21, 64))
     g = context.encoder.galois_element_for_rotation(3)
     context.generate_galois_key(g)
+    oracle = ReferenceBFV.sharing(context)
     poly = ca.parts[1]
     for key in (context.relin_key, context.galois_keys.get(g)):
-        d_rns = context._key_switch_rns(poly, key)
-        d_ref = context._key_switch_reference(poly, key)
+        d_rns = context._key_switch(poly, key)
+        d_ref = oracle._key_switch(poly, key)
         assert d_rns[0] == d_ref[0]
         assert d_rns[1] == d_ref[1]
 
@@ -354,10 +358,11 @@ def test_key_switch_digits_too_wide_for_the_shared_transform():
     ca = context.encrypt_vector(rng.integers(-20, 21, 64))
     g = context.encoder.galois_element_for_rotation(1)
     context.generate_galois_key(g)
+    oracle = ReferenceBFV.sharing(context)
     poly = ca.parts[1]
     for key in (context.relin_key, context.galois_keys.get(g)):
-        d_rns = context._key_switch_rns(poly, key)
-        d_ref = context._key_switch_reference(poly, key)
+        d_rns = context._key_switch(poly, key)
+        d_ref = oracle._key_switch(poly, key)
         assert d_rns[0] == d_ref[0]
         assert d_rns[1] == d_ref[1]
     product = context.multiply(ca, ca)
@@ -371,10 +376,10 @@ def test_key_switch_mac_in_reduced_chunks(ctx, monkeypatch):
     rng = np.random.default_rng(25)
     ca = ctx.encrypt_vector(rng.integers(-10, 11, 32))
     poly = ctx.multiply(ca, ca, relinearize=False).parts[2]
-    reference = ctx._key_switch_reference(poly, ctx.relin_key)
+    reference = ReferenceBFV.sharing(ctx)._key_switch(poly, ctx.relin_key)
     for digits in (1, 2):
         monkeypatch.setattr(ctx, "_mac_digits", digits)
-        d_rns = ctx._key_switch_rns(poly, ctx.relin_key)
+        d_rns = ctx._key_switch(poly, ctx.relin_key)
         assert d_rns[0] == reference[0]
         assert d_rns[1] == reference[1]
 
@@ -383,10 +388,9 @@ def test_relinearize_paths_bit_identical(ctx):
     rng = np.random.default_rng(10)
     ca = ctx.encrypt_vector(rng.integers(-10, 11, 32))
     cb = ctx.encrypt_vector(rng.integers(-10, 11, 32))
-    ctx.slow_reference = True
-    prod_ref = ctx.multiply(ca, cb, relinearize=False)
-    relin_ref = ctx.relinearize(prod_ref)
-    ctx.slow_reference = False
+    oracle = ReferenceBFV.sharing(ctx)
+    prod_ref = oracle.multiply(ca, cb, relinearize=False)
+    relin_ref = oracle.relinearize(prod_ref)
     prod_rns = ctx.multiply(ca, cb, relinearize=False)
     relin_rns = ctx.relinearize(prod_rns)
     _assert_ct_equal(prod_rns, prod_ref)

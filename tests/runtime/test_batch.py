@@ -4,7 +4,8 @@ Covers one-time program compilation (displacement check, Galois keys,
 constants, liveness slots), input validation before encryption, the
 bounded/frozen plaintext cache, the session's ``execute_batch`` loop,
 and the requirement that the RNS executor decrypts bit-identically to
-the retained ``slow_reference`` executor on every seed kernel.
+the big-integer oracle executor (:mod:`tests.he.reference_bfv`) on every
+seed kernel.
 """
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.quill.builder import ProgramBuilder
 from repro.quill.ir import Opcode
 from repro.runtime.executor import HEExecutor
 from repro.spec import get_spec
+from tests.he.reference_bfv import reference_executor
 
 # every seed kernel whose baseline fits the toy parameter set's noise
 # budget (l2/roberts need the larger presets; their ops are covered by
@@ -130,7 +132,7 @@ def test_run_names_missing_and_extra_inputs_before_encrypting(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# RNS executor == slow_reference executor on every seed kernel
+# RNS executor == big-integer oracle executor on every seed kernel
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", SEED_KERNELS)
@@ -141,7 +143,7 @@ def test_seed_kernels_bit_identical_to_reference(name):
     rng = np.random.default_rng(hash(name) % 2**32)
     env = _logical(spec, rng)
     fast = HEExecutor(spec, params=toy_params(), seed=21)
-    slow = HEExecutor(spec, params=toy_params(), seed=21, slow_reference=True)
+    slow = reference_executor(spec, params=toy_params(), seed=21)
     fast_report = fast.run(program, env)
     slow_report = slow.run(program, env)
     assert fast_report.matches_reference

@@ -1,8 +1,12 @@
 """Property tests for the executor's always-on performance paths: the
-tape-level NTT-domain plan and scratch-buffer arenas must be
-bit-identical to lazy execution — same decrypted outputs, same model
-vectors, same noise budgets.  The lazy reference is the
-``slow_reference`` oracle, which has no plan.
+tape-level NTT-domain plan and scratch-buffer arenas must leave every
+result as the textbook big-integer BFV computes it — same decrypted
+outputs, same model vectors, same noise budgets.  The reference is an
+executor whose context is the oracle of :mod:`tests.he.reference_bfv`:
+it compiles the same tape and plan and replays it with the plan's hints
+ignored, on big-integer multiply, rescale, key switch and decryption.
+These are the tape-level oracle checks, so CI also runs them at two BLAS
+thread counts.
 
 The planner's counters are also checked *exactly*: the plan is built by
 simulating the executor's domain-state machine, so the predicted NTT row
@@ -16,9 +20,11 @@ from hypothesis import strategies as st
 
 from repro.api import Porcupine
 from repro.baselines import BASELINE_BUILDERS, baseline_for
-from repro.he.params import toy_params
+from repro.he import BFVContext
+from repro.he.params import small_params, toy_params
 from repro.runtime.executor import HEExecutor
 from repro.spec import get_spec
+from tests.he.reference_bfv import reference_executor
 
 # every registry kernel with a hand-written baseline; l2/roberts/harris
 # overrun the toy noise budget, but BFV decryption stays deterministic,
@@ -34,6 +40,33 @@ def _env(spec, seed, bound=5):
     }
 
 
+class _UnplannedBFV(BFVContext):
+    """The runtime context with the plan's hints dropped: every step takes
+    the ring layer's lazy policy and rotations take the hoisted routing,
+    as the planner's ``ntts_lazy`` simulation assumes."""
+
+    def add(self, ct1, ct2, out_domain=None):
+        return super().add(ct1, ct2)
+
+    def sub(self, ct1, ct2, out_domain=None):
+        return super().sub(ct1, ct2)
+
+    def add_plain(self, ct, pt, out_domain=None):
+        return super().add_plain(ct, pt)
+
+    def sub_plain(self, ct, pt, out_domain=None):
+        return super().sub_plain(ct, pt)
+
+    def multiply(self, ct1, ct2, relinearize=True, out_domain=None):
+        return super().multiply(ct1, ct2, relinearize)
+
+    def relinearize(self, ct, out_domain=None):
+        return super().relinearize(ct)
+
+    def rotate_rows(self, ct, steps, planned=False):
+        return super().rotate_rows(ct, steps)
+
+
 def _assert_reports_identical(a, b):
     assert np.array_equal(a.model_output, b.model_output)
     assert np.array_equal(a.logical_output, b.logical_output)
@@ -44,7 +77,7 @@ def _assert_reports_identical(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Planned == lazy, bit for bit
+# Planned RNS tape == big-integer oracle, bit for bit
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", ALL_KERNELS)
@@ -54,11 +87,25 @@ def test_planner_bit_identical_single_run(name):
     env = _env(spec, seed=hash(name) % 2**32)
     # fresh executors at identical RNG positions: same keys, same
     # encryption randomness, so budgets are comparable too
-    lazy = HEExecutor(spec, params=toy_params(), seed=11, slow_reference=True)
+    oracle = reference_executor(spec, params=toy_params(), seed=11)
     planned = HEExecutor(spec, params=toy_params(), seed=11)
-    assert lazy.compile(program).plan is None
-    assert planned.compile(program).plan is not None
-    _assert_reports_identical(lazy.run(program, env), planned.run(program, env))
+    _assert_reports_identical(
+        oracle.run(program, env), planned.run(program, env)
+    )
+
+
+@pytest.mark.parametrize("name", ["gx", "hamming"])
+def test_planner_bit_identical_on_n4096(name):
+    """The secure preset's wider basis and 2-digit key switch: gx's six
+    rotations, and hamming's ct-ct multiply with its relinearization."""
+    spec = get_spec(name)
+    program = baseline_for(name)
+    env = _env(spec, seed=3)
+    oracle = reference_executor(spec, params=small_params(), seed=12)
+    planned = HEExecutor(spec, params=small_params(), seed=12)
+    expected = oracle.run(program, env)
+    assert expected.matches_reference
+    _assert_reports_identical(expected, planned.run(program, env))
 
 
 @given(
@@ -74,9 +121,11 @@ def test_random_inputs_bit_identical_across_configs(name, seed):
     spec = get_spec(name)
     program = baseline_for(name)
     env = _env(spec, seed=seed)
-    lazy = HEExecutor(spec, params=toy_params(), seed=7, slow_reference=True)
+    oracle = reference_executor(spec, params=toy_params(), seed=7)
     planned = HEExecutor(spec, params=toy_params(), seed=7)
-    _assert_reports_identical(lazy.run(program, env), planned.run(program, env))
+    _assert_reports_identical(
+        oracle.run(program, env), planned.run(program, env)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +148,13 @@ def test_ntt_counts_match_plan_exactly(name):
     assert planned.stats.ntts_performed == plan.ntts_planned
     assert planned.stats.ntts_elided == plan.ntts_elided
 
-    # a tape without a plan replays lazily, as on the oracle
+    # the plan's baseline: the same tape with every hint dropped
     lazy = HEExecutor(spec, params=toy_params(), seed=13)
-    lazy.compile(program).plan = None
+    unplanned = _UnplannedBFV.__new__(_UnplannedBFV)
+    unplanned.__dict__.update(lazy.ctx.__dict__)
+    lazy.ctx = unplanned
     lazy.run(program, env)
     assert lazy.stats.ntts_performed == plan.ntts_lazy
-    assert lazy.stats.ntts_elided == 0  # nothing planned, nothing claimed
 
 
 @pytest.mark.parametrize("name", ["box_blur", "harris", "l2", "dot_product"])
