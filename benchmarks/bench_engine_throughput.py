@@ -61,6 +61,7 @@ from harness import (  # noqa: E402
     load_floors,
     report_failures,
     save_floors,
+    write_report,
 )
 from repro.baselines import baseline_for  # noqa: E402
 from repro.core.cegis import (  # noqa: E402
@@ -628,8 +629,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="skip the end-to-end synthesis sections")
     parser.add_argument("--no-ablation", action="store_true",
                         help="skip the per-rule pruning ablation")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
-                        help=f"result file (default {DEFAULT_OUTPUT})")
+    parser.add_argument("--output", type=Path, default=None,
+                        help=f"result file (default {DEFAULT_OUTPUT}, "
+                             "which a --quick run leaves alone)")
     args = parser.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
@@ -771,8 +773,7 @@ def main(argv: list[str] | None = None) -> int:
             },
         },
     }
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"written to {args.output}")
+    write_report(report, args.output, DEFAULT_OUTPUT)
 
     if args.update_floor:
         update_floor(

@@ -58,6 +58,7 @@ from harness import (  # noqa: E402
     load_floors,
     report_failures,
     save_floors,
+    write_report,
 )
 from repro.baselines import BASELINE_BUILDERS, baseline_for  # noqa: E402
 from repro.he import BFVContext  # noqa: E402
@@ -378,8 +379,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--update-floor", action="store_true",
                         help="rewrite benchmarks/runtime_floor.json from "
                              "this run's measurements")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
-                        help=f"result file (default {DEFAULT_OUTPUT})")
+    parser.add_argument("--output", type=Path, default=None,
+                        help=f"result file (default {DEFAULT_OUTPUT}, "
+                             "which a --quick run leaves alone)")
     args = parser.parse_args(argv)
 
     mode = "quick" if args.quick else "full"
@@ -463,8 +465,7 @@ def main(argv: list[str] | None = None) -> int:
             },
         },
     }
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"written to {args.output}")
+    write_report(report, args.output, DEFAULT_OUTPUT)
 
     if args.update_floor:
         updates = {

@@ -52,6 +52,7 @@ from harness import (  # noqa: E402
     load_floors,
     report_failures,
     save_floors,
+    write_report,
 )
 from repro.api.registry import KernelRegistry  # noqa: E402
 from repro.he.params import toy_params  # noqa: E402
@@ -223,8 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--update-floor", action="store_true",
                         help="rewrite benchmarks/quill_opt_floor.json from "
                              "this run")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
-                        help=f"result file (default {DEFAULT_OUTPUT})")
+    parser.add_argument("--output", type=Path, default=None,
+                        help=f"result file (default {DEFAULT_OUTPUT}, "
+                             "which a --quick run leaves alone)")
     args = parser.parse_args(argv)
 
     registry = KernelRegistry.builtin()
@@ -291,8 +293,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     if synthesized is not None:
         report["synthesized"] = synthesized
-    args.output.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"written to {args.output}")
+    write_report(report, args.output, DEFAULT_OUTPUT)
 
     if args.update_floor:
         save_floors(

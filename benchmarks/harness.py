@@ -5,7 +5,9 @@ exposes the same CLI contract: ``--check-floor`` compares this run
 against the committed numbers and fails CI on a regression,
 ``--update-floor`` rewrites the file from this run's measurements.
 The four scripts used to carry parallel copies of the load / compare /
-report / save skeleton; it lives here now.
+report / save skeleton; it lives here now, with :func:`write_report`,
+which writes a result file without letting a ``--quick`` run clobber a
+committed full-mode record.
 
 Two kinds of committed numbers exist, and the distinction matters for
 CI stability:
@@ -24,6 +26,32 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+
+
+def write_report(report: dict, output: Path | None, default: Path) -> bool:
+    """Write ``report`` as JSON to ``output``, or to ``default`` if none.
+
+    The default is a committed full-mode ``BENCH_*.json``.  A quick
+    report written there would replace it with toy-preset numbers, so
+    it is skipped unless the caller named ``output`` explicitly.
+    Returns whether the file was written.
+    """
+    target = output if output is not None else default
+    if (
+        output is None
+        and report.get("mode") == "quick"
+        and target.exists()
+        and json.loads(target.read_text()).get("mode") == "full"
+    ):
+        print(
+            f"not replacing the full-mode record {target} with a quick "
+            "report; pass --output FILE to keep it",
+            file=sys.stderr,
+        )
+        return False
+    target.write_text(json.dumps(report, indent=2) + "\n")
+    print(f"written to {target}")
+    return True
 
 
 def load_floors(floor_file: Path) -> dict | None:

@@ -143,10 +143,8 @@ def _cmd_baseline(args) -> int:
 
 
 def _print_executor_timings(session) -> None:
-    """``run --timings``: the executor's NTT/arena counter table."""
-    from repro.runtime.profiler import format_executor_stats
-
-    print(format_executor_stats(session.executor_stats()), file=sys.stderr)
+    """``run``/``serve --timings``: the executor's NTT/arena counters."""
+    print(session.executor_stats().report("executor stats"), file=sys.stderr)
 
 
 def _exec_options(args, escalate: bool):
@@ -366,10 +364,7 @@ def _cmd_synth(args) -> int:
         raise
     text = format_program(result.program)
     if args.timings and result.search_stats is not None:
-        from repro.runtime.profiler import format_search_stats
-
-        print(format_search_stats(result.search_stats.summary()),
-              file=sys.stderr)
+        print(result.search_stats.report("search stats"), file=sys.stderr)
     if args.json:
         print(json.dumps({
             "kernel": args.kernel,
@@ -450,12 +445,7 @@ def _cmd_serve(args) -> int:
     if args.timings:
         print(server.metrics.format_table(), file=sys.stderr)
         if config.backend == "he":
-            from repro.runtime.profiler import format_executor_stats
-
-            print(
-                format_executor_stats(server.session.executor_stats()),
-                file=sys.stderr,
-            )
+            _print_executor_timings(server.session)
     print("shutdown complete", flush=True)
     return 0
 

@@ -48,6 +48,7 @@ from repro.core.sketch import Sketch
 from repro.quill.ir import Program
 from repro.quill.noise import multiplicative_depth
 from repro.runtime.options import ExecOptions
+from repro.solver.engine import SearchStats
 from repro.spec.reference import Spec
 
 
@@ -113,68 +114,13 @@ class CompiledKernel:
         if not self.pass_timings:
             lines.append("  (cache hit: no passes ran)")
         for timing in self.pass_timings:
-            line = f"  {timing.name:12s} {timing.seconds * 1e3:10.2f} ms"
+            ms = timing.seconds * 1e3
+            lines.append(f"  {timing.name:12s} {ms:10.2f} ms")
             profile = self.pass_metrics.get(timing.name)
             if profile and "nodes" in profile:
-                line += (
-                    f"  [{profile['nodes']} nodes @ "
-                    f"{profile['nodes_per_sec']:,.0f} nodes/s, "
-                    f"{profile['runs']} run(s), "
-                    f"{profile['dedup_hits']} dedup hits]"
+                lines += SearchStats.timing_lines(
+                    profile, detail=True, indent="    "
                 )
-            lines.append(line)
-            if profile and "nodes" in profile:
-                pruned = {
-                    rule: count
-                    for rule, count in (profile.get("pruned") or {}).items()
-                    if count
-                }
-                if pruned:
-                    lines.append(
-                        "    pruned: "
-                        + ", ".join(
-                            f"{rule}={count}"
-                            for rule, count in pruned.items()
-                        )
-                    )
-                reuse_bits = []
-                if profile.get("reused_values"):
-                    reuse_bits.append(
-                        f"{profile['reused_values']} values carried"
-                    )
-                if profile.get("appended_columns"):
-                    reuse_bits.append(
-                        f"{profile['appended_columns']} example column(s) "
-                        "appended"
-                    )
-                if profile.get("ranks_skipped"):
-                    reuse_bits.append(
-                        f"{profile['ranks_skipped']} root branch(es) skipped"
-                    )
-                if profile.get("shift_cache_peak"):
-                    reuse_bits.append(
-                        f"shift cache peak {profile['shift_cache_peak']}"
-                    )
-                if profile.get("lemma_hits") or profile.get("lemma_skips"):
-                    reuse_bits.append(
-                        f"lemma store {profile.get('lemma_hits', 0)} hit(s) / "
-                        f"{profile.get('lemma_misses', 0)} miss(es) / "
-                        f"{profile.get('lemma_skips', 0)} skip(s)"
-                    )
-                if profile.get("seed_bounds"):
-                    reuse_bits.append(
-                        f"{profile['seed_bounds']} seeded bound(s), "
-                        f"{profile.get('seed_retries', 0)} unseeded retry(ies)"
-                    )
-                if reuse_bits:
-                    lines.append("    reuse: " + ", ".join(reuse_bits))
-                if profile.get("chunks"):
-                    lines.append(
-                        f"    stealing: {profile['chunks']} chunk(s), "
-                        f"{profile.get('steals', 0)} steal(s), "
-                        f"{profile.get('bound_updates', 0)} mid-round bound "
-                        "update(s)"
-                    )
         rewrite = self.pass_metrics.get("rewrite")
         if rewrite:
             before, after = rewrite.get("before", {}), rewrite.get("after", {})

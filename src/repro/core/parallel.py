@@ -61,7 +61,7 @@ import os
 import queue as queue_lib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -521,29 +521,15 @@ class ParallelSynthesis:
         ranks_skipped: int = 0,
     ) -> SearchOutcome:
         chunks, steals = self._steal_stats()
-        pruned: dict[str, int] = {}
+        total = SearchOutcome(status=status)
         for outcome in outcomes:
-            for rule, count in outcome.pruned.items():
-                pruned[rule] = pruned.get(rule, 0) + count
-        return SearchOutcome(
-            status=status,
-            nodes=sum(o.nodes for o in outcomes),
-            candidates=sum(o.candidates for o in outcomes),
+            total.absorb(outcome)
+        return replace(
+            total,
             seconds=wall_seconds,
-            batches=sum(o.batches for o in outcomes),
-            dedup_hits=sum(o.dedup_hits for o in outcomes),
-            pruned=pruned,
-            reused_values=sum(o.reused_values for o in outcomes),
-            appended_columns=sum(o.appended_columns for o in outcomes),
-            ranks_skipped=ranks_skipped
-            + sum(o.ranks_skipped for o in outcomes),
-            shift_cache_peak=max(
-                (o.shift_cache_peak for o in outcomes), default=0
-            ),
-            bound_updates=sum(o.bound_updates for o in outcomes),
             steals=steals,
             chunks=chunks,
-            lemma_skips=sum(o.lemma_skips for o in outcomes),
+            ranks_skipped=ranks_skipped + total.ranks_skipped,
         )
 
     def _serial_task(

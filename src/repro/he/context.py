@@ -614,9 +614,7 @@ class BFVContext:
         self.ring.prime_evals([ct.parts[0], ct.parts[1]])
         return Ciphertext([ct.parts[0] + d0, ct.parts[1] + d1])
 
-    def rotate_rows(
-        self, ct: Ciphertext, steps: int, planned: bool = False
-    ) -> Ciphertext:
+    def rotate_rows(self, ct: Ciphertext, steps: int) -> Ciphertext:
         """Rotate both batching rows left by ``steps`` (negative = right)."""
         if ct.size != 2:
             raise HEError("rotate expects a relinearized (2-part) ciphertext")
@@ -624,38 +622,24 @@ class BFVContext:
         if steps == 0:
             return ct.copy()
         g = self.encoder.galois_element_for_rotation(steps)
-        return self._apply_galois(ct, g, planned=planned)
+        return self._apply_galois(ct, g)
 
-    def rotate_columns(self, ct: Ciphertext, planned: bool = False) -> Ciphertext:
+    def rotate_columns(self, ct: Ciphertext) -> Ciphertext:
         """Swap the two batching rows."""
         if ct.size != 2:
             raise HEError("rotate expects a relinearized (2-part) ciphertext")
-        return self._apply_galois(
-            ct, self.encoder.galois_element_row_swap, planned=planned
-        )
+        return self._apply_galois(ct, self.encoder.galois_element_row_swap)
 
-    def _apply_galois(
-        self, ct: Ciphertext, galois_elt: int, planned: bool = False
-    ) -> Ciphertext:
+    def _apply_galois(self, ct: Ciphertext, galois_elt: int) -> Ciphertext:
         self.generate_galois_key(galois_elt)
         key = self.galois_keys.get(galois_elt)
-        if planned:
-            # Planned routing: c0 permutes cached evaluation rows (the
-            # hoisted form below), while c1 routes through the coefficient
-            # domain — digit decomposition needs coefficients regardless,
-            # and the inverse transform caches on the *input* wire, so R
-            # rotations of one ciphertext pay it once instead of R times.
-            c0g = ct.parts[0].automorphism(galois_elt, domains="eval")
-            c1g = ct.parts[1].automorphism(galois_elt, domains="coeff")
-            d0, d1 = self._key_switch(c1g, key)
-            return Ciphertext([c0g + d0, d1])
-        # Hoist: materialise c0's NTT form on the *input* ciphertext so
-        # repeated rotations of the same ciphertext permute the cached
-        # evaluation rows instead of re-transforming (c0g + d0 happens in
-        # the evaluation domain either way).
-        ct.parts[0].eval_rows()
-        c0g = ct.parts[0].automorphism(galois_elt)
-        c1g = ct.parts[1].automorphism(galois_elt)
+        # c0 permutes evaluation rows (cached on the input wire, so R
+        # rotations of one ciphertext transform it once), while c1 routes
+        # through the coefficient domain — digit decomposition needs
+        # coefficients regardless, and the inverse transform also caches
+        # on the input wire.
+        c0g = ct.parts[0].automorphism(galois_elt, domains="eval")
+        c1g = ct.parts[1].automorphism(galois_elt, domains="coeff")
         d0, d1 = self._key_switch(c1g, key)
         return Ciphertext([c0g + d0, d1])
 

@@ -20,7 +20,6 @@ _EXPORTS = {
     "HEExecutor": "repro.runtime.executor",
     "SchedulerStats": "repro.runtime.profiler",
     "SearchStats": "repro.runtime.profiler",
-    "format_scheduler_table": "repro.runtime.profiler",
     "profile_instructions": "repro.runtime.profiler",
 }
 

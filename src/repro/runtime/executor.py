@@ -497,7 +497,7 @@ class HEExecutor:
             hint = hints[index]
             t0 = time.perf_counter()
             if opcode is Opcode.ROTATE:
-                value = ctx.rotate_rows(resolve(a), amount, planned=True)
+                value = ctx.rotate_rows(resolve(a), amount)
             elif opcode is Opcode.RELIN:
                 value = ctx.relinearize(resolve(a), out_domain=hint)
             elif opcode is Opcode.MUL_CC:

@@ -189,7 +189,7 @@ class CompilePool:
                 ) from None
             fault = None  # consumed inside the worker
         elif self.degraded and record and self.metrics is not None:
-            self.metrics.degraded_compile(kernel)
+            self.metrics.bump("degraded_compiles", kernel)
         if fault is not None:
             # no worker process to host the fault: apply it on the
             # compile thread (sleep/raise faults for the inline path)
@@ -202,7 +202,9 @@ class CompilePool:
         if hit is None:
             hit = compiled.cache_hit
         if record and self.metrics is not None:
-            self.metrics.compile_result(kernel, bool(hit))
+            self.metrics.bump(
+                "compile_hits" if hit else "compile_misses", kernel
+            )
         return compiled
 
     def _on_worker_crash(self, pool: ProcessPoolExecutor) -> None:
@@ -220,7 +222,7 @@ class CompilePool:
             self.restarts += 1
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
             if self.metrics is not None:
-                self.metrics.pool_restart()
+                self.metrics.bump("pool_restarts")
         else:
             self.degraded = True
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import threading
 
-from repro.runtime.profiler import SchedulerStats, format_scheduler_table
+from repro.runtime.profiler import SchedulerStats
 
 
 class MetricsRegistry:
@@ -31,33 +31,45 @@ class MetricsRegistry:
         self.queue_depth: dict[str, int] = {}
         self._lock = threading.Lock()
 
-    def _kernel(self, kernel: str) -> SchedulerStats:
-        stats = self.per_kernel.get(kernel)
+    @staticmethod
+    def _scope(table: dict, name: str) -> SchedulerStats:
+        stats = table.get(name)
         if stats is None:
-            stats = self.per_kernel[kernel] = SchedulerStats()
+            stats = table[name] = SchedulerStats()
         return stats
 
-    def _tenant(self, tenant: str) -> SchedulerStats:
-        stats = self.per_tenant.get(tenant)
-        if stats is None:
-            stats = self.per_tenant[tenant] = SchedulerStats()
-        return stats
+    def _scopes(self, kernel: str | None, tenant: str | None) -> list:
+        """The overall scope, then the kernel and tenant scopes named."""
+        scopes = [self.overall]
+        if kernel is not None:
+            scopes.append(self._scope(self.per_kernel, kernel))
+        if tenant is not None:
+            scopes.append(self._scope(self.per_tenant, tenant))
+        return scopes
 
     # -- recording ---------------------------------------------------------
 
-    def request(self, kernel: str, tenant: str) -> None:
+    def bump(
+        self,
+        field: str,
+        kernel: str | None = None,
+        tenant: str | None = None,
+        n: int = 1,
+    ) -> None:
+        """Add ``n`` to counter ``field`` overall, and in the kernel and
+        tenant scopes that are named (``n <= 0`` records nothing)."""
+        if n <= 0:
+            return
         with self._lock:
-            for stats in (self.overall, self._kernel(kernel),
-                          self._tenant(tenant)):
-                stats.requests += 1
+            for stats in self._scopes(kernel, tenant):
+                setattr(stats, field, getattr(stats, field) + n)
 
     def response(
         self, kernel: str, tenant: str, latency_s: float, ok: bool = True
     ) -> None:
         latency_ms = latency_s * 1e3
         with self._lock:
-            for stats in (self.overall, self._kernel(kernel),
-                          self._tenant(tenant)):
+            for stats in self._scopes(kernel, tenant):
                 if ok:
                     stats.responses += 1
                     stats.latency_ms.append(latency_ms)
@@ -73,82 +85,35 @@ class MetricsRegistry:
         """One typed failure: counts as an error plus its code bucket."""
         from repro.serve import errors as _errors
 
+        bucket = {
+            _errors.DEADLINE_EXCEEDED: "deadline_exceeded",
+            _errors.OVERLOADED: "overloaded",
+            _errors.NOISE_BUDGET: "noise_budget_errors",
+        }.get(code)
         with self._lock:
-            scopes = (self.overall, self._kernel(kernel),
-                      self._tenant(tenant))
-            for stats in scopes:
+            for stats in self._scopes(kernel, tenant):
                 stats.errors += 1
-                if code == _errors.DEADLINE_EXCEEDED:
-                    stats.deadline_exceeded += 1
-                elif code == _errors.OVERLOADED:
-                    stats.overloaded += 1
-                elif code == _errors.NOISE_BUDGET:
-                    stats.noise_budget_errors += 1
-
-    def retry(self, kernel: str, tenant: str) -> None:
-        """A request arrived flagged as a client retry (``attempt`` > 1)."""
-        with self._lock:
-            for stats in (self.overall, self._kernel(kernel),
-                          self._tenant(tenant)):
-                stats.retried_requests += 1
-
-    def pool_restart(self) -> None:
-        """The compile pool was respawned after a worker crash."""
-        with self._lock:
-            self.overall.pool_restarts += 1
-
-    def executor_restart(self) -> None:
-        """The supervised execution thread was restarted."""
-        with self._lock:
-            self.overall.executor_restarts += 1
-
-    def degraded_compile(self, kernel: str) -> None:
-        """A compile ran in-process because the pool is unhealthy."""
-        with self._lock:
-            for stats in (self.overall, self._kernel(kernel)):
-                stats.degraded_compiles += 1
+                if bucket is not None:
+                    setattr(stats, bucket, getattr(stats, bucket) + 1)
 
     def depth(self, kernel: str, depth: int) -> None:
         """Gauge update: requests currently queued for ``kernel``."""
         with self._lock:
             self.queue_depth[kernel] = depth
-            kernel_stats = self._kernel(kernel)
+            kernel_stats = self._scope(self.per_kernel, kernel)
             kernel_stats.queue_peak = max(kernel_stats.queue_peak, depth)
             total = sum(self.queue_depth.values())
             self.overall.queue_peak = max(self.overall.queue_peak, total)
-
-    def noise_escalations(self, kernel: str, count: int) -> None:
-        """``count`` parameter escalations recovered requests for
-        ``kernel`` (drained from the engine after each request)."""
-        if count <= 0:
-            return
-        with self._lock:
-            for stats in (self.overall, self._kernel(kernel)):
-                stats.noise_escalations += count
-
-    def guard_trip(self, kernel: str) -> None:
-        """A runtime noise guard stopped a request mid-tape."""
-        with self._lock:
-            for stats in (self.overall, self._kernel(kernel)):
-                stats.guard_trips += 1
 
     def shadow_verify(self, kernel: str, ok: bool) -> None:
         """One sampled response was cross-checked against the
         interpreter backend (``ok=False`` means the ciphertext path
         disagreed with the plaintext model — silent corruption caught)."""
         with self._lock:
-            for stats in (self.overall, self._kernel(kernel)):
+            for stats in self._scopes(kernel, None):
                 stats.shadow_checks += 1
                 if not ok:
                     stats.shadow_mismatches += 1
-
-    def compile_result(self, kernel: str, hit: bool) -> None:
-        with self._lock:
-            for stats in (self.overall, self._kernel(kernel)):
-                if hit:
-                    stats.compile_hits += 1
-                else:
-                    stats.compile_misses += 1
 
     # -- reporting ---------------------------------------------------------
 
@@ -174,6 +139,8 @@ class MetricsRegistry:
             return payload
 
     def format_table(self) -> str:
-        """The ``--timings`` rendering (shared with offline reports)."""
+        """The ``--timings`` rendering: one row per kernel, then all."""
         with self._lock:
-            return format_scheduler_table(self.overall, self.per_kernel)
+            rows = dict(sorted(self.per_kernel.items()))
+            rows["(all)"] = self.overall
+            return SchedulerStats.timing_table("scheduler stats", rows)

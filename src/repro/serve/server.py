@@ -153,7 +153,7 @@ class SupervisedExecutor:
             self.restarts += 1
         exec_.shutdown(wait=False)
         if self.metrics is not None:
-            self.metrics.executor_restart()
+            self.metrics.bump("executor_restarts")
 
     def shutdown(self, wait: bool = True) -> None:
         with self._lock:
@@ -319,9 +319,9 @@ class PorcupineServer:
             raise ProtocolError(
                 "'timeout_ms' must be a positive number"
             ) from None
-        self.metrics.request(kernel, tenant)
+        self.metrics.bump("requests", kernel, tenant)
         if int(payload.get("attempt", 1) or 1) > 1:
-            self.metrics.retry(kernel, tenant)
+            self.metrics.bump("retried_requests", kernel, tenant)
         arrived = time.perf_counter()
         try:
             await self._ensure_compiled(kernel, deadline=deadline)
@@ -443,7 +443,7 @@ class PorcupineServer:
         compiled = self._hot.get(kernel)
         if compiled is not None:
             if record:
-                self.metrics.compile_result(kernel, True)
+                self.metrics.bump("compile_hits", kernel)
             return compiled
         compiled = await self.compile_pool.compile(
             kernel, record=record, deadline=deadline
@@ -527,14 +527,14 @@ class PorcupineServer:
                 compiled, envs, backend=engine, spec=spec
             )
         except NoiseBudgetExhausted as error:
-            self.metrics.guard_trip(kernel)
+            self.metrics.bump("guard_trips", kernel)
             raise NoiseBudgetError(
                 f"noise budget exhausted serving kernel {kernel!r}: "
                 f"{error}"
             ) from error
         drain = getattr(engine, "drain_escalations", None)
         if drain is not None:
-            self.metrics.noise_escalations(kernel, drain())
+            self.metrics.bump("noise_escalations", kernel, n=drain())
         if shadow:
             self._shadow_check(kernel, compiled, envs, spec, batch)
         return batch

@@ -56,7 +56,7 @@ branch-and-bound, not just between rounds).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -66,6 +66,7 @@ from repro.core.sketch import (
     RotationChoice,
     Sketch,
 )
+from repro.counters import Counters, counter, derived
 from repro.quill.builder import ProgramBuilder
 from repro.quill.ir import Opcode, Program, PtConst, PtInput
 from repro.quill.latency import LatencyModel
@@ -78,34 +79,35 @@ class _Timeout(Exception):
     pass
 
 
+def _nodes_per_sec(stats) -> float:
+    return stats.nodes / stats.seconds if stats.seconds > 0 else 0.0
+
+
 @dataclass
-class SearchOutcome:
+class SearchOutcome(Counters):
     """Result of one engine run, with throughput statistics."""
 
     status: str  # "stopped" | "exhausted" | "timeout"
-    nodes: int
-    candidates: int  # assignments that matched the examples
-    seconds: float = 0.0  # wall time inside run()
-    batches: int = 0  # stacked evaluations
-    dedup_hits: int = 0  # values rejected as observationally equivalent
+    nodes: int = counter()
+    candidates: int = counter()  # assignments that matched the examples
+    seconds: float = counter(default=0.0)  # wall time inside run()
+    nodes_per_sec = derived(_nodes_per_sec)
+    batches: int = counter()  # stacked evaluations
+    dedup_hits: int = counter()  # values rejected as observably equivalent
     #: per-rule prune counters: rule name -> candidates/branches skipped
-    pruned: dict[str, int] = field(default_factory=dict)
-    reused_values: int = 0  # store entries carried in from earlier rounds
-    appended_columns: int = 0  # example columns appended instead of rebuilt
-    ranks_skipped: int = 0  # root branches skipped by the cross-round frontier
-    shift_cache_peak: int = 0  # store's shift-cache high-water mark
-    bound_updates: int = 0  # mid-run tightenings taken from bound_poll
-    steals: int = 0  # work-stealing chunk grabs beyond an even share (driver)
-    chunks: int = 0  # chunk tasks executed (driver)
-    lemma_skips: int = 0  # candidates skipped via lemma-store value records
-
-    @property
-    def nodes_per_sec(self) -> float:
-        return self.nodes / self.seconds if self.seconds > 0 else 0.0
+    pruned: dict[str, int] = counter("keyed")
+    reused_values: int = counter()  # store entries carried in from a round
+    appended_columns: int = counter()  # example columns appended, not rebuilt
+    ranks_skipped: int = counter()  # root branches skipped by the frontier
+    shift_cache_peak: int = counter("max")  # store's shift-cache peak
+    bound_updates: int = counter()  # mid-run tightenings taken from bound_poll
+    steals: int = counter()  # chunk grabs beyond an even share (driver)
+    chunks: int = counter()  # chunk tasks executed (driver)
+    lemma_skips: int = counter()  # candidates skipped via lemma-store records
 
 
 @dataclass
-class SearchStats:
+class SearchStats(Counters):
     """Aggregate engine throughput over one synthesis phase (or run).
 
     Folds the per-run statistics of every :class:`SearchOutcome` a CEGIS
@@ -114,128 +116,35 @@ class SearchStats:
     the session's per-pass timing report, the CLI's ``--timings``).
     """
 
-    runs: int = 0  # engine invocations (rounds x shards)
-    nodes: int = 0
-    candidates: int = 0
-    seconds: float = 0.0  # engine wall time (summed across shards)
-    batches: int = 0  # stacked evaluations
-    dedup_hits: int = 0  # values rejected as observationally equivalent
-    pruned: dict[str, int] = field(default_factory=dict)  # per-rule skips
-    reused_values: int = 0  # store entries carried across CEGIS rounds
-    appended_columns: int = 0  # counterexample columns appended in place
-    ranks_skipped: int = 0  # root branches skipped by the frontier
-    shift_cache_peak: int = 0  # high-water mark of live shift-cache entries
-    bound_updates: int = 0  # mid-run bound tightenings (parallel driver)
-    steals: int = 0  # work-stealing chunk grabs beyond an even share
-    chunks: int = 0  # chunk tasks executed by the parallel driver
-    lemma_hits: int = 0  # lemma-store consults that found a usable record
-    lemma_misses: int = 0  # lemma-store consults that found nothing
-    lemma_skips: int = 0  # search work avoided via lemma records
-    seed_bounds: int = 0  # phase-2 entries tightened by a rewrite seed
-    seed_retries: int = 0  # zero-accept seeded searches replayed unseeded
-
-    #: additive integer fields folded verbatim by record/merge/minus
-    _SUM_FIELDS = (
-        "runs", "nodes", "candidates", "batches", "dedup_hits",
-        "reused_values", "appended_columns", "ranks_skipped",
-        "bound_updates", "steals", "chunks", "lemma_hits",
-        "lemma_misses", "lemma_skips", "seed_bounds", "seed_retries",
+    runs: int = counter(show="always")  # engine invocations (rounds x shards)
+    nodes: int = counter(show="always")
+    candidates: int = counter()
+    seconds: float = counter(default=0.0, digits=6)  # summed across shards
+    nodes_per_sec = derived(
+        _nodes_per_sec, digits=1, show="always", label="nodes/s",
+        fmt="{:,.0f}",
     )
+    batches: int = counter()  # stacked evaluations
+    dedup_hits: int = counter(show="always")  # observationally equivalent
+    pruned: dict[str, int] = counter("keyed", show="detail")  # per-rule skips
+    reused_values: int = counter(show="detail")  # carried across CEGIS rounds
+    appended_columns: int = counter(show="detail")  # counterexamples appended
+    ranks_skipped: int = counter(show="detail")  # skipped by the frontier
+    #: high-water mark of live shift-cache entries
+    shift_cache_peak: int = counter("max", show="detail")
+    bound_updates: int = counter(show="detail")  # mid-run bound tightenings
+    steals: int = counter(show="detail")  # chunk grabs beyond an even share
+    chunks: int = counter(show="detail")  # chunk tasks of the parallel driver
+    lemma_hits: int = counter(show="nonzero")  # consults finding a record
+    lemma_misses: int = counter(show="nonzero")  # consults finding nothing
+    lemma_skips: int = counter(show="nonzero")  # work avoided via lemmas
+    seed_bounds: int = counter(show="nonzero")  # phase-2 bounds from a seed
+    seed_retries: int = counter(show="nonzero")  # seeded searches replayed
 
-    @property
-    def nodes_per_sec(self) -> float:
-        return self.nodes / self.seconds if self.seconds > 0 else 0.0
-
-    def record(self, outcome: "SearchOutcome") -> None:
+    def record(self, outcome: SearchOutcome) -> None:
         """Fold in one :class:`SearchOutcome`."""
         self.runs += 1
-        self.nodes += outcome.nodes
-        self.candidates += outcome.candidates
-        self.seconds += outcome.seconds
-        self.batches += outcome.batches
-        self.dedup_hits += outcome.dedup_hits
-        self.reused_values += outcome.reused_values
-        self.appended_columns += outcome.appended_columns
-        self.ranks_skipped += outcome.ranks_skipped
-        self.bound_updates += outcome.bound_updates
-        self.steals += outcome.steals
-        self.chunks += outcome.chunks
-        self.lemma_skips += outcome.lemma_skips
-        self.shift_cache_peak = max(
-            self.shift_cache_peak, outcome.shift_cache_peak
-        )
-        for rule, count in outcome.pruned.items():
-            self.pruned[rule] = self.pruned.get(rule, 0) + count
-
-    def merge(self, other: "SearchStats | None") -> "SearchStats":
-        """A new stats object combining self with ``other`` (if any)."""
-        merged = SearchStats(
-            **{name: getattr(self, name) for name in self._SUM_FIELDS},
-            seconds=self.seconds,
-            shift_cache_peak=self.shift_cache_peak,
-            pruned=dict(self.pruned),
-        )
-        if other is not None:
-            for name in self._SUM_FIELDS:
-                setattr(merged, name, getattr(merged, name) + getattr(other, name))
-            merged.seconds += other.seconds
-            merged.shift_cache_peak = max(
-                merged.shift_cache_peak, other.shift_cache_peak
-            )
-            for rule, count in other.pruned.items():
-                merged.pruned[rule] = merged.pruned.get(rule, 0) + count
-        return merged
-
-    def minus(self, other: "SearchStats | None") -> "SearchStats":
-        """The stats accrued after ``other`` was captured (per-phase share).
-
-        Every field is clamped at zero: ``perf_counter`` granularity (or a
-        copied snapshot) can make a phase share come out a hair negative,
-        and the floor checks compare these shares against exact ceilings —
-        the clamp keeps ``a.merge(b).minus(b)`` well-ordered even when one
-        side recorded zero seconds.  ``shift_cache_peak`` is a high-water
-        mark, not a sum, so the minuend's peak is reported unchanged.
-        """
-        if other is None:
-            return self.merge(None)
-        diffed = SearchStats(
-            **{
-                name: max(0, getattr(self, name) - getattr(other, name))
-                for name in self._SUM_FIELDS
-            },
-            seconds=max(0.0, self.seconds - other.seconds),
-            shift_cache_peak=self.shift_cache_peak,
-            pruned={
-                rule: max(0, count - other.pruned.get(rule, 0))
-                for rule, count in self.pruned.items()
-            },
-        )
-        return diffed
-
-    def summary(self) -> dict:
-        """Machine-readable profile (JSON payloads, timing reports)."""
-        return {
-            "runs": self.runs,
-            "nodes": self.nodes,
-            "candidates": self.candidates,
-            "seconds": round(self.seconds, 6),
-            "nodes_per_sec": round(self.nodes_per_sec, 1),
-            "batches": self.batches,
-            "dedup_hits": self.dedup_hits,
-            "pruned": dict(sorted(self.pruned.items())),
-            "reused_values": self.reused_values,
-            "appended_columns": self.appended_columns,
-            "ranks_skipped": self.ranks_skipped,
-            "shift_cache_peak": self.shift_cache_peak,
-            "bound_updates": self.bound_updates,
-            "steals": self.steals,
-            "chunks": self.chunks,
-            "lemma_hits": self.lemma_hits,
-            "lemma_misses": self.lemma_misses,
-            "lemma_skips": self.lemma_skips,
-            "seed_bounds": self.seed_bounds,
-            "seed_retries": self.seed_retries,
-        }
+        self.absorb(outcome)
 
 
 #: The declarative pruning-rule catalog: rule name -> what the rule skips.

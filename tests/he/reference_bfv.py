@@ -11,8 +11,8 @@ shifts of the composed coefficients, and every transform is the per-prime
 reference NTT.  Encryption, plaintext ops and adds are inherited; they
 are exact residue arithmetic either way.
 
-Each override accepts the domain plan's hints (``out_domain``,
-``planned``) and ignores them, so an :class:`HEExecutor` whose ``ctx`` is
+Each override accepts the domain plan's hints (``out_domain``) and
+ignores them, so an :class:`HEExecutor` whose ``ctx`` is
 an oracle replays the same compiled tape as the runtime (see
 :func:`reference_executor`).  :meth:`ReferenceBFV.sharing` builds the
 oracle over a live context's keys, rings and RNG without touching that
@@ -138,9 +138,7 @@ class ReferenceBFV(BFVContext):
         d0, d1 = self._key_switch(ct.parts[2], self.relin_key)
         return Ciphertext([ct.parts[0] + d0, ct.parts[1] + d1])
 
-    def _apply_galois(
-        self, ct: Ciphertext, galois_elt: int, planned: bool = False
-    ) -> Ciphertext:
+    def _apply_galois(self, ct: Ciphertext, galois_elt: int) -> Ciphertext:
         self.generate_galois_key(galois_elt)
         key = self.galois_keys.get(galois_elt)
         c0g = ct.parts[0].automorphism(galois_elt)

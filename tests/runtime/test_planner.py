@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.api import Porcupine
 from repro.baselines import BASELINE_BUILDERS, baseline_for
-from repro.he import BFVContext
+from repro.he import BFVContext, Ciphertext
 from repro.he.params import small_params, toy_params
 from repro.runtime.executor import HEExecutor
 from repro.spec import get_spec
@@ -63,8 +63,19 @@ class _UnplannedBFV(BFVContext):
     def relinearize(self, ct, out_domain=None):
         return super().relinearize(ct)
 
-    def rotate_rows(self, ct, steps, planned=False):
-        return super().rotate_rows(ct, steps)
+    def rotate_rows(self, ct, steps):
+        # the hoist: c0's NTT form is materialised on the *input*
+        # ciphertext, so repeated rotations of it permute cached rows
+        steps %= self.encoder.row_size
+        if steps == 0:
+            return ct.copy()
+        g = self.encoder.galois_element_for_rotation(steps)
+        self.generate_galois_key(g)
+        ct.parts[0].eval_rows()
+        d0, d1 = self._key_switch(
+            ct.parts[1].automorphism(g), self.galois_keys.get(g)
+        )
+        return Ciphertext([ct.parts[0].automorphism(g) + d0, d1])
 
 
 def _assert_reports_identical(a, b):

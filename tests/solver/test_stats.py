@@ -1,4 +1,5 @@
-"""SearchStats aggregation: totals, per-rule dicts, and clamped minus.
+"""Counter aggregation: totals, per-rule dicts, clamped minus, and the
+fold laws every declared counter class obeys.
 
 Satellite of the incremental-CEGIS work: all engine/CEGIS wall-clock
 measurement uses ``time.perf_counter`` and ``merge``/``minus`` stay
@@ -7,6 +8,14 @@ shares feed exact floor checks, so clock granularity must never produce
 negative fields.
 """
 
+from dataclasses import fields
+
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from repro.runtime.profiler import ExecutorStats, SchedulerStats
+from repro.serve.metrics import MetricsRegistry
 from repro.solver.engine import SearchOutcome, SearchStats
 
 
@@ -101,3 +110,126 @@ def test_summary_schema_is_stable():
     ):
         assert key in summary
     assert summary["pruned"] == {"commutative": 7, "dedup": 3}
+
+
+# ---------------------------------------------------------------------------
+# Fold laws of every declared counter class, derived from its fields
+# ---------------------------------------------------------------------------
+
+COUNTER_CLASSES = (SchedulerStats, ExecutorStats, SearchStats)
+_counts = st.integers(0, 10**6)
+# no explain phase: on a failure it spends minutes on these many-field
+# draws before reporting; the shrunk counterexample is report enough
+_laws = settings(
+    max_examples=40,
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
+)
+
+
+def _field_strategy(f):
+    fold = f.metadata["fold"]
+    if fold == "keyed":
+        return st.dictionaries(st.sampled_from(("dedup", "adjacent")), _counts)
+    if fold == "samples":
+        return st.lists(st.integers(0, 10**4).map(lambda k: k / 8), max_size=5)
+    if fold == "min":
+        return st.none() | _counts
+    if isinstance(f.default, float):
+        # dyadic seconds: float sums are exact, so the laws hold with ==
+        return _counts.map(lambda k: k / 1024)
+    return _counts
+
+
+def _instances(cls):
+    return st.builds(cls, **{f.name: _field_strategy(f) for f in fields(cls)})
+
+
+def _canonical(stats) -> dict:
+    """Field values, with sample order ignored (merge concatenates)."""
+    return {
+        f.name: sorted(v) if isinstance(v, list) else v
+        for f in fields(stats)
+        for v in [getattr(stats, f.name)]
+    }
+
+
+def _sums(stats) -> dict:
+    values = {}
+    for f in fields(stats):
+        value = getattr(stats, f.name)
+        if f.metadata["fold"] == "sum":
+            values[f.name] = value
+        elif f.metadata["fold"] == "keyed":
+            values[f.name] = {k: v for k, v in value.items() if v}
+    return values
+
+
+@pytest.mark.parametrize("cls", COUNTER_CLASSES, ids=lambda c: c.__name__)
+@given(data=st.data())
+@_laws
+def test_merge_is_a_commutative_monoid(cls, data):
+    a, b, c = (data.draw(_instances(cls)) for _ in range(3))
+    assert _canonical(a.merge(b)) == _canonical(b.merge(a))
+    assert a.merge(b).merge(c) == a.merge(b.merge(c))
+    assert cls().merge(a) == a == a.merge(cls())
+    assert a.merge(None) == a and a.merge(None) is not a
+
+
+@pytest.mark.parametrize("cls", COUNTER_CLASSES, ids=lambda c: c.__name__)
+@given(data=st.data())
+@_laws
+def test_minus_undoes_merge_on_sums(cls, data):
+    a, b = data.draw(_instances(cls)), data.draw(_instances(cls))
+    share = a.merge(b).minus(b)
+    assert _sums(share) == _sums(a)
+    for name in ("queue_peak", "arena_bytes", "shift_cache_peak",
+                 "min_output_budget", "latency_ms"):
+        if hasattr(a, name):  # marks and samples are the minuend's
+            assert getattr(share, name) == getattr(a.merge(b), name)
+
+
+@given(
+    a=_instances(ExecutorStats),
+    budget=st.none() | _counts,
+)
+@_laws
+def test_min_output_budget_ignores_none_on_either_side(a, budget):
+    b = ExecutorStats(min_output_budget=budget)
+    known = [x for x in (a.min_output_budget, budget) if x is not None]
+    expected = min(known) if known else None
+    assert a.merge(b).min_output_budget == expected
+    assert b.merge(a).min_output_budget == expected
+
+
+@pytest.mark.parametrize("cls, name", [
+    (SchedulerStats, "queue_peak"),
+    (ExecutorStats, "arena_bytes"),
+    (SearchStats, "shift_cache_peak"),
+])
+@given(data=st.data())
+@_laws
+def test_high_water_marks_fold_by_max(cls, name, data):
+    a, b = data.draw(_instances(cls)), data.draw(_instances(cls))
+    assert getattr(a.merge(b), name) == max(getattr(a, name), getattr(b, name))
+    assert getattr(a.minus(b), name) == getattr(a, name)
+
+
+@given(
+    a=_instances(SchedulerStats),
+    b=_instances(SchedulerStats),
+    window=st.integers(1, 6),
+    latencies=st.lists(st.integers(0, 1000), max_size=12),
+)
+@_laws
+def test_latency_samples_concatenate_and_the_registry_trims(
+    a, b, window, latencies
+):
+    assert a.merge(b).latency_ms == a.latency_ms + b.latency_ms
+    registry = MetricsRegistry(latency_window=window)
+    for ms in latencies:
+        registry.response("gx", "acme", ms / 1e3)
+    kept = [ms / 1e3 * 1e3 for ms in latencies][-window:]
+    for scope in (registry.overall, registry.per_kernel.get("gx"),
+                  registry.per_tenant.get("acme")):
+        assert (scope.latency_ms if scope else []) == kept
