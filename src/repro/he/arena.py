@@ -13,10 +13,11 @@ escapes into an element must be freshly allocated — handing out an arena
 buffer as an op result would alias two live values (the classic reuse
 bug the aliasing regression test pins).
 
-A thread-local *scope* makes the active arena (and transform counters)
-visible to the NTT layer without threading parameters through every ring
-operation; each thread enters its own scope, so two executions never
-share buffers.
+Each thread owns one arena (:func:`thread_arena`), which every executor
+that runs on the thread draws from, so two executions never share
+buffers, even two runs of one executor.  A thread-local *scope* makes
+the active arena (and transform counters) visible to the NTT layer
+without threading parameters through every ring operation.
 
 :func:`pin_allocator` keeps the freed workspaces of one op resident for
 the next.  By default glibc returns large freed blocks to the kernel
@@ -101,6 +102,17 @@ class ScratchArena:
 
 
 _scope = threading.local()
+
+
+def thread_arena() -> ScratchArena:
+    """The calling thread's arena, made on its first call on the thread.
+
+    It lives as long as the thread, and its buffers go with it.
+    """
+    arena = getattr(_scope, "own_arena", None)
+    if arena is None:
+        arena = _scope.own_arena = ScratchArena()
+    return arena
 
 
 def current_arena() -> ScratchArena | None:

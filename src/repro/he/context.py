@@ -1,7 +1,9 @@
 """The BFV cryptosystem: keygen, encryption, and homomorphic evaluation.
 
 This module is the substrate equivalent of SEAL's ``Evaluator`` /
-``Encryptor`` / ``Decryptor`` stack.  It implements textbook BFV (Fan &
+``Encryptor`` / ``Decryptor`` stack, with :class:`BFVTables` as its
+``SEALContext``: one read-only set of ring tables per parameter set,
+shared by every context's keys.  It implements textbook BFV (Fan &
 Vercauteren 2012, the paper's reference [16]) with:
 
 * public-key encryption ``ct = (p0*u + e1 + Delta*m, p1*u + e2)``,
@@ -82,91 +84,64 @@ class Ciphertext:
         return Ciphertext([p.copy() for p in self.parts])
 
 
-class BFVContext:
-    """One key pair plus every homomorphic operation over it.
+def _freeze(obj, seen: set[int]) -> None:
+    """Make every array reachable through ``obj``'s attributes read-only."""
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        obj.flags.writeable = False
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            _freeze(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            _freeze(item, seen)
+    elif hasattr(obj, "__dict__"):
+        for item in vars(obj).values():
+            _freeze(item, seen)
 
-    Every operation runs RNS-native on int64 residue matrices.  The
-    equivalence tests pin the ciphertexts, plaintexts and noise budgets
-    bit for bit to a textbook big-integer BFV that shares this context's
-    keys (``tests/he/reference_bfv.py``).
+
+class BFVTables:
+    """The key-independent half of a BFV context.
+
+    The q ring and its transform, the extension ring of the exact tensor,
+    the base conversions between them, the rescale and decrypt tables and
+    the digit decomposer depend on the parameters alone, as do SEAL's
+    ``SEALContext`` tables.  :func:`shared_tables` builds them once per
+    parameter set, and every context, key and thread of that set reads
+    the one copy.  Every array is read-only: an in-place write raises.
     """
 
-    def __init__(self, params: BFVParams, seed: int | None = None):
-        pin_allocator()
-        self.params = params
-        self.ring = RingContext(params.poly_degree, list(params.coeff_primes))
-        self.encoder = BatchEncoder(params)
-        self._rng = np.random.default_rng(seed)
-        self.q = params.coeff_modulus
-        self.t = params.plain_modulus
-        self.delta = self.q // self.t
-        self._digit_count = math.ceil(self.q.bit_length() / params.decomp_bits)
-        self._digit_decomposer = DigitDecomposer(
-            self.ring.basis, params.decomp_bits, self._digit_count
+    def __init__(
+        self,
+        poly_degree: int,
+        plain_modulus: int,
+        coeff_primes: tuple[int, ...],
+        decomp_bits: int,
+    ):
+        n, t = poly_degree, plain_modulus
+        self.ring = RingContext(n, list(coeff_primes))
+        q = self.ring.modulus
+        digit_count = math.ceil(q.bit_length() / decomp_bits)
+        self.digit_decomposer = DigitDecomposer(
+            self.ring.basis, decomp_bits, digit_count
         )
-        # digits load once for every prime while the shared-row transform
-        # is exact at their width (every preset); wider ones go per prime
-        self._shared_digits = (
-            params.decomp_bits <= self.ring.batch_ntt.max_shared_width
-        )
-        # key-switch MAC overflow budget: how many products of canonical
-        # (< p) residues an int64 sum holds
-        pmax = max(params.coeff_primes)
-        self._mac_digits = ((1 << 63) - 1) // (pmax - 1) ** 2
-        self._ext_ring = self._build_extension_ring()
-        self._init_rescale_tables()
-        self._keygen()
-        self.galois_keys = GaloisKeys()
-
-    # ------------------------------------------------------------------
-    # Setup
-    # ------------------------------------------------------------------
-
-    def _build_extension_ring(self) -> RingContext:
-        """RNS basis big enough for exact integer tensor products.
-
-        BFV multiplication forms integer products of centered ciphertext
-        polynomials; coefficients are bounded by ``N * q^2`` (Karatsuba
-        operand sums reach ``q``), and the RNS rescale additionally needs
-        headroom for ``t * tensor + q/2``, so the extension modulus exceeds
-        ``t * N * q^2`` with margin.
-        """
-        n = self.params.poly_degree
-        # |tensor| <= 1.5*N*q^2 (Karatsuba cross term), the rescale handles
-        # A = t*T + q/2; two extra bits of margin on top of 2*|A|.
-        needed = 12 * self.t * n * self.q * self.q
-        count = needed.bit_length() // 25 + 1
-        primes = find_ntt_primes(count, 26, 2 * n)
-        while count > 1:
-            product = 1
-            for p in primes[: count - 1]:
-                product *= p
-            if product <= needed:
-                break
-            count -= 1
-        primes = primes[:count]
-        overlap = set(primes) & set(self.params.coeff_primes)
-        if overlap:
-            raise HEError(f"extension primes collide with coeff primes: {overlap}")
-        return RingContext(n, primes)
-
-    def _init_rescale_tables(self) -> None:
-        """Residue tables for the RNS ``round(t/q * .)`` rescale."""
-        ext = self._ext_ring
-        q, t = self.q, self.t
-        self._conv_q_to_ext = self.ring.basis.conversion_to(ext.basis)
-        self._conv_ext_to_q = ext.basis.conversion_to(self.ring.basis)
-        self._t_mod_ext = np.array(
+        ext = self.ext_ring = _extension_ring(n, t, q, coeff_primes)
+        # residue tables for the RNS ``round(t/q * .)`` rescale
+        self.conv_q_to_ext = self.ring.basis.conversion_to(ext.basis)
+        self.conv_ext_to_q = ext.basis.conversion_to(self.ring.basis)
+        self.t_mod_ext = np.array(
             [t % p for p in ext.basis.primes], dtype=np.int64
         )[:, None]
-        self._half_q_mod_ext = np.array(
+        self.half_q_mod_ext = np.array(
             [(q // 2) % p for p in ext.basis.primes], dtype=np.int64
         )[:, None]
-        self._q_inv_ext = np.array(
+        self.q_inv_ext = np.array(
             [pow(q % p, -1, p) for p in ext.basis.primes], dtype=np.int64
         )[:, None]
         # v_i * (E/p_i) mod p_i undoes the Garner lift (exact fallback)
-        self._e_over_p_mod = np.array(
+        self.e_over_p_mod = np.array(
             [w % p for w, p in zip(ext.basis._m_over_p, ext.basis.primes)],
             dtype=np.int64,
         )[:, None]
@@ -181,18 +156,18 @@ class BFVContext:
             omegas.append(num // q)
             thetas.append((num % q) / q)
         omega_mod = np.array(
-            [[om % pj for om in omegas] for pj in self.params.coeff_primes],
+            [[om % pj for om in omegas] for pj in coeff_primes],
             dtype=np.int64,
         )  # (k_q, k_ext)
-        self._sr_w_hi_f = (omega_mod >> 16).astype(np.float64)
-        self._sr_w_lo_f = (omega_mod & 0xFFFF).astype(np.float64)
-        self._sr_theta = np.array(thetas, dtype=np.float64)
+        self.sr_w_hi_f = (omega_mod >> 16).astype(np.float64)
+        self.sr_w_lo_f = (omega_mod & 0xFFFF).astype(np.float64)
+        self.sr_theta = np.array(thetas, dtype=np.float64)
         big = t * e_mod
-        self._sr_cap_omega_mod = np.array(
-            [(big // q) % pj for pj in self.params.coeff_primes],
+        self.sr_cap_omega_mod = np.array(
+            [(big // q) % pj for pj in coeff_primes],
             dtype=np.int64,
         )[:, None]
-        self._sr_cap_theta = float((big % q) / q)
+        self.sr_cap_theta = float((big % q) / q)
         # decryption scale-and-round tables: t*(q/p_i)/q = omega + theta
         # with the integer parts kept mod t (t < 2^30, v < 2^31: products
         # stay float64-exact).  The alpha term t*q/q = t vanishes mod t.
@@ -203,21 +178,115 @@ class BFVContext:
             dec_omega.append((num // q) % t)
             dec_theta.append((num % q) / q)
         omega_arr = np.array(dec_omega, dtype=np.int64)
-        self._dec_omega_hi_f = (omega_arr >> 16).astype(np.float64)
-        self._dec_omega_lo_f = (omega_arr & 0xFFFF).astype(np.float64)
-        self._dec_theta = np.array(dec_theta, dtype=np.float64)
-        self._t_mod_q = np.array(
-            [t % p for p in self.params.coeff_primes], dtype=np.int64
+        self.dec_omega_hi_f = (omega_arr >> 16).astype(np.float64)
+        self.dec_omega_lo_f = (omega_arr & 0xFFFF).astype(np.float64)
+        self.dec_theta = np.array(dec_theta, dtype=np.float64)
+        self.t_mod_q = np.array(
+            [t % p for p in coeff_primes], dtype=np.int64
         )[:, None]
+        _freeze(self, set())
 
     @functools.cached_property
-    def _tensor_inverse(self) -> BatchNTT:
+    def tensor_inverse(self) -> BatchNTT:
         """The tensor's inverse NTT with the CRT weights ``(E/p_i)^-1``
         folded into its last table, so it emits the rescale's Garner lift
         directly.  Built on the first ciphertext multiply: programs
         without one never hold its table."""
-        ext = self._ext_ring
-        return ext.batch_ntt.scaled_inverse(ext.basis._m_over_p_inv)
+        ext = self.ext_ring
+        twin = ext.batch_ntt.scaled_inverse(ext.basis._m_over_p_inv)
+        _freeze(twin, set())
+        return twin
+
+
+def _extension_ring(
+    n: int, t: int, q: int, coeff_primes: tuple[int, ...]
+) -> RingContext:
+    """RNS basis big enough for exact integer tensor products.
+
+    BFV multiplication forms integer products of centered ciphertext
+    polynomials; coefficients are bounded by ``N * q^2`` (Karatsuba
+    operand sums reach ``q``), and the RNS rescale additionally needs
+    headroom for ``t * tensor + q/2``, so the extension modulus exceeds
+    ``t * N * q^2`` with margin.
+    """
+    # |tensor| <= 1.5*N*q^2 (Karatsuba cross term), the rescale handles
+    # A = t*T + q/2; two extra bits of margin on top of 2*|A|.
+    needed = 12 * t * n * q * q
+    count = needed.bit_length() // 25 + 1
+    primes = find_ntt_primes(count, 26, 2 * n)
+    while count > 1:
+        product = 1
+        for p in primes[: count - 1]:
+            product *= p
+        if product <= needed:
+            break
+        count -= 1
+    primes = primes[:count]
+    overlap = set(primes) & set(coeff_primes)
+    if overlap:
+        raise HEError(f"extension primes collide with coeff primes: {overlap}")
+    return RingContext(n, primes)
+
+
+@functools.lru_cache(maxsize=None)
+def shared_tables(
+    poly_degree: int,
+    plain_modulus: int,
+    coeff_primes: tuple[int, ...],
+    decomp_bits: int,
+) -> BFVTables:
+    """The one :class:`BFVTables` of a parameter set, built on first use.
+
+    Keyed by the fields the tables depend on, so presets that differ only
+    in name or error width share them.
+    """
+    return BFVTables(poly_degree, plain_modulus, coeff_primes, decomp_bits)
+
+
+class BFVContext:
+    """One key pair plus every homomorphic operation over it.
+
+    Every operation runs RNS-native on int64 residue matrices.  The
+    equivalence tests pin the ciphertexts, plaintexts and noise budgets
+    bit for bit to a textbook big-integer BFV that shares this context's
+    keys (``tests/he/reference_bfv.py``).
+    """
+
+    def __init__(self, params: BFVParams, seed: int | None = None):
+        pin_allocator()
+        self.params = params
+        # rings, transforms and rescale tables are one shared copy per
+        # parameter set; the context owns only its RNG and its keys
+        tables = self.tables = shared_tables(
+            params.poly_degree,
+            params.plain_modulus,
+            tuple(params.coeff_primes),
+            params.decomp_bits,
+        )
+        self.ring = tables.ring
+        self.encoder = BatchEncoder(params)
+        self._ext_ring = tables.ext_ring
+        self._digit_decomposer = tables.digit_decomposer
+        self._rng = np.random.default_rng(seed)
+        self.q = params.coeff_modulus
+        self.t = params.plain_modulus
+        self.delta = self.q // self.t
+        self._digit_count = self._digit_decomposer.digit_count
+        # digits load once for every prime while the shared-row transform
+        # is exact at their width (every preset); wider ones go per prime
+        self._shared_digits = (
+            params.decomp_bits <= self.ring.batch_ntt.max_shared_width
+        )
+        # key-switch MAC overflow budget: how many products of canonical
+        # (< p) residues an int64 sum holds
+        pmax = max(params.coeff_primes)
+        self._mac_digits = ((1 << 63) - 1) // (pmax - 1) ** 2
+        self._keygen()
+        self.galois_keys = GaloisKeys()
+
+    # ------------------------------------------------------------------
+    # Setup
+    # ------------------------------------------------------------------
 
     def _sample_ternary(self) -> RingElement:
         coeffs = self._rng.integers(-1, 2, self.params.poly_degree)
@@ -347,10 +416,10 @@ class BFVContext:
         basis = self.ring.basis
         v = basis._garner_lift(residues)
         vf = v.astype(np.float64)
-        s_hi = (self._dec_omega_hi_f @ vf).astype(np.int64)
-        s_lo = (self._dec_omega_lo_f @ vf).astype(np.int64)
+        s_hi = (self.tables.dec_omega_hi_f @ vf).astype(np.int64)
+        s_lo = (self.tables.dec_omega_lo_f @ vf).astype(np.int64)
         integer = ((s_hi % t) << 16) + s_lo
-        frac = self._dec_theta @ vf
+        frac = self.tables.dec_theta @ vf
         frac_floor = np.floor(frac)
         d = frac - frac_floor
         rounded = (frac_floor + (d > 0.5)).astype(np.int64)
@@ -379,7 +448,7 @@ class BFVContext:
             acc = self._noise_element(ct)
         basis = self.ring.basis
         # x = t*c mod q, via residues (p_i | q keeps this exact)
-        cols = acc.residues * self._t_mod_q % self.ring._primes_col
+        cols = acc.residues * self.tables.t_mod_q % self.ring._primes_col
         vf = basis._garner_lift(cols).astype(np.float64)
         plain = basis.overflow_counts(vf)
         flip = (
@@ -500,7 +569,8 @@ class BFVContext:
         stack = np.stack(
             [part.residues for ct in cts for part in ct.parts]
         )  # (2 or 4, k, n)
-        converted = self._conv_q_to_ext(self._cols(stack), centered=True)
+        tab = self.tables
+        converted = tab.conv_q_to_ext(self._cols(stack), centered=True)
         k_ext = len(ext.basis)
         operands = np.moveaxis(converted.reshape(k_ext, len(stack), n), 0, -2)
         evals = ext.batch_ntt.forward(operands, assume_reduced=True)
@@ -514,7 +584,7 @@ class BFVContext:
             fsb = RingElement._mod_add(fb0, fb1, p_col)
             pairs = ((fa0, fb0), (fsa, fsb), (fa1, fb1))
         products = np.stack([x * y % p_col for x, y in pairs])
-        lifted = self._tensor_inverse.inverse(products, assume_reduced=True)
+        lifted = tab.tensor_inverse.inverse(products, assume_reduced=True)
         # the cross term: 2*a0*a1 for a square, else Karatsuba's
         # (a0+a1)*(b0+b1) - a0*b0 - a1*b1 (v_i is linear in T)
         if square:
@@ -555,13 +625,14 @@ class BFVContext:
         ``(t*T + q//2) // q`` of textbook BFV.
         """
         ext = self._ext_ring
+        tab = self.tables
         alpha = ext.basis.overflow_counts(vf, centered=True)
         p_col = self.ring._primes_col
-        s_hi = (self._sr_w_hi_f @ vf).astype(np.int64)
-        s_lo = (self._sr_w_lo_f @ vf).astype(np.int64)
+        s_hi = (tab.sr_w_hi_f @ vf).astype(np.int64)
+        s_lo = (tab.sr_w_lo_f @ vf).astype(np.int64)
         integer = ((s_hi % p_col) << 16) + s_lo
-        integer -= alpha[None, :] * self._sr_cap_omega_mod
-        frac = self._sr_theta @ vf - alpha * self._sr_cap_theta
+        integer -= alpha[None, :] * tab.sr_cap_omega_mod
+        frac = tab.sr_theta @ vf - alpha * tab.sr_cap_theta
         frac_floor = np.floor(frac)
         d = frac - frac_floor
         rounded = (frac_floor + (d > 0.5)).astype(np.int64)
@@ -570,7 +641,7 @@ class BFVContext:
         if risky.any():
             cols = np.nonzero(risky)[0]
             v = vf[:, cols].astype(np.int64)
-            residues = v * self._e_over_p_mod % ext._primes_col
+            residues = v * tab.e_over_p_mod % ext._primes_col
             out[:, cols] = self._rns_rescale_exact(residues)
         return out
 
@@ -583,13 +654,13 @@ class BFVContext:
         ``(A - r) * q^{-1}`` evaluated in the extension basis where ``q``
         is invertible.
         """
-        ext = self._ext_ring
-        p_col = ext._primes_col
-        a = (tensor_res * self._t_mod_ext + self._half_q_mod_ext) % p_col
-        r_q = self._conv_ext_to_q(a, centered=True)
-        r_ext = self._conv_q_to_ext(r_q)
-        quot = (a - r_ext) % p_col * self._q_inv_ext % p_col
-        return self._conv_ext_to_q(quot, centered=True)
+        tab = self.tables
+        p_col = self._ext_ring._primes_col
+        a = (tensor_res * tab.t_mod_ext + tab.half_q_mod_ext) % p_col
+        r_q = tab.conv_ext_to_q(a, centered=True)
+        r_ext = tab.conv_q_to_ext(r_q)
+        quot = (a - r_ext) % p_col * tab.q_inv_ext % p_col
+        return tab.conv_ext_to_q(quot, centered=True)
 
     def relinearize(
         self, ct: Ciphertext, out_domain: str | None = None

@@ -79,6 +79,7 @@ class RingContext:
         pos = np.arange(n, dtype=np.int64) * galois_elt % (2 * n)
         dest = np.where(pos < n, pos, pos - n)
         sign = np.where(pos < n, 1, -1).astype(np.int64)
+        dest.flags.writeable = sign.flags.writeable = False
         self._automorphism_cache[galois_elt] = (dest, sign)
         return dest, sign
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.he import BFVContext
-from repro.he.arena import ExecCounters, ScratchArena, execution_scope
+from repro.he.arena import ExecCounters, execution_scope, thread_arena
 from repro.he.context import Ciphertext
 from repro.he.errors import NoiseBudgetExhausted
 from repro.he.params import BFVParams
@@ -237,7 +237,6 @@ class HEExecutor:
         self._plaintext_cache: dict[bytes, object] = {}
         self._compiled: dict[int, CompiledProgram] = {}
         self._pinned: set[int] = set()
-        self._arena = ScratchArena()
         self.stats = ExecutorStats()
 
     # ------------------------------------------------------------------
@@ -587,8 +586,9 @@ class HEExecutor:
         encrypted, plain = self._encrypt_env(logical_env)
         plain.update(compiled.constants)
         counters = ExecCounters()
+        arena = thread_arena()
         start = time.perf_counter()
-        with execution_scope(self._arena, counters):
+        with execution_scope(arena, counters):
             output_ct, extra_cts, per_opcode = self._execute_tape(
                 compiled, encrypted, plain
             )
@@ -598,7 +598,7 @@ class HEExecutor:
         stats.ntts_performed += counters.ntt_rows
         stats.ntts_planned += compiled.plan.ntts_planned
         stats.ntts_elided += compiled.plan.ntts_elided
-        stats.arena_bytes = max(stats.arena_bytes, self._arena.bytes_held)
+        stats.arena_bytes = max(stats.arena_bytes, arena.bytes_held)
         plaintext, budget = self.ctx.decrypt_with_budgets(
             output_ct, check_budget=False
         )

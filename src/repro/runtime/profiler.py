@@ -94,7 +94,9 @@ class ExecutorStats(Counters):
     ntts_performed: int = counter(show="always")
     ntts_planned: int = counter(show="always")
     ntts_elided: int = counter(show="always")
-    #: high-water bytes held by scratch arenas
+    #: high-water bytes held by the running thread's scratch arena after
+    #: a run; the arena serves every executor on that thread, so this
+    #: counts their buffers too
     arena_bytes: int = counter("max", show="always")
     guard_checks: int = counter(show="always")  # mid-tape noise-budget samples
     guard_trips: int = counter(show="always")  # guard checks that raised
