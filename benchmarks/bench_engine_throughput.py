@@ -9,9 +9,7 @@ at the repository root:
   each pruning rule individually disabled, and with all of them off,
   attributing the searched-space reduction rule by rule;
 * end-to-end synthesis node counts and wall times, **pruned vs
-  unpruned** (byte-identical programs, the soundness receipt) and
-  **incremental vs from-scratch** CEGIS on seeds with real
-  counterexample rounds;
+  unpruned** (byte-identical programs, the soundness receipt);
 * **warm-start** node counts: a kernel searched with a lemma store
   warmed by a sibling kernel (gx warming gy, gx+gy warming roberts)
   or by its own prior run must search *strictly fewer* nodes than a
@@ -118,11 +116,6 @@ SYNTH_CASES = {
 
 # (kernel, seed) pairs whose phase 1 goes through counterexample rounds,
 # exercising cross-round frontier reuse (column appends + rank resume)
-INCREMENTAL_CASES = {
-    "quick": (("dot_product", 5), ("linear_regression", 0)),
-    "full": (("dot_product", 5), ("linear_regression", 0), ("hamming", 1)),
-}
-
 # (target, warmers, optimize): the target kernel searched cold vs with a
 # lemma store warmed by the warmer kernels.  Same-kernel warming replays
 # the recorded candidate (0 nodes); cross-kernel warming reuses the
@@ -294,45 +287,6 @@ def run_synth_case(kernel: str) -> dict:
         "program_identical": parallel_text == pruned_text,
     }
     return pruned
-
-
-def run_incremental_case(kernel: str, seed: int) -> dict:
-    """Multi-round CEGIS: incremental vs from-scratch node counts."""
-    spec = get_spec(kernel)
-    sketch = default_sketch_for(spec)
-
-    def compile_with(incremental: bool) -> tuple[dict, str]:
-        config = SynthesisConfig(
-            seed=seed, optimize_timeout=30.0, incremental=incremental
-        )
-        started = time.perf_counter()
-        result = synthesize(spec, sketch, config)
-        payload = {
-            "wall_seconds": round(time.perf_counter() - started, 4),
-            "nodes": result.nodes,
-            "examples": result.examples_used,
-            "proof_complete": result.proof_complete,
-        }
-        if result.search_stats is not None:
-            stats = result.search_stats
-            payload["reused_values"] = stats.reused_values
-            payload["appended_columns"] = stats.appended_columns
-            payload["ranks_skipped"] = stats.ranks_skipped
-        return payload, format_program(result.program)
-
-    incremental, inc_text = compile_with(True)
-    scratch, scratch_text = compile_with(False)
-    return {
-        "kernel": kernel,
-        "seed": seed,
-        "incremental": incremental,
-        "scratch": {
-            "nodes": scratch["nodes"],
-            "wall_seconds": scratch["wall_seconds"],
-        },
-        "nodes_saved": scratch["nodes"] - incremental["nodes"],
-        "program_identical": inc_text == scratch_text,
-    }
 
 
 def _synth_with(kernel: str, config: SynthesisConfig) -> tuple[dict, str]:
@@ -662,7 +616,6 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     synthesis_results: dict[str, dict] = {}
-    incremental_results: dict[str, dict] = {}
     if not args.no_synthesis:
         for kernel in SYNTH_CASES[mode]:
             print(f"synthesize {kernel} ...", flush=True)
@@ -676,16 +629,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{unpruned['program_identical']}; workers=4 identical="
                 f"{payload['workers4']['program_identical']}, "
                 f"{payload['workers4']['steals']} steals)"
-            )
-        for kernel, seed in INCREMENTAL_CASES[mode]:
-            print(f"incremental {kernel} seed={seed} ...", flush=True)
-            payload = run_incremental_case(kernel, seed)
-            incremental_results[f"{kernel}@s{seed}"] = payload
-            print(
-                f"  {payload['incremental']['nodes']:,} nodes incremental vs "
-                f"{payload['scratch']['nodes']:,} from scratch "
-                f"({payload['nodes_saved']:,} saved, identical="
-                f"{payload['program_identical']})"
             )
 
     warm_results: dict[str, dict] = {}
@@ -728,12 +671,11 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     report = {
-        "schema": 4,
+        "schema": 5,
         "mode": mode,
         "engine": engine_results,
         "ablation": ablation_results,
         "synthesis": synthesis_results,
-        "incremental": incremental_results,
         "warm_start": warm_results,
         "seeded": seeded_results,
         "shards": shard_results,
@@ -754,10 +696,6 @@ def main(argv: list[str] | None = None) -> int:
             **{
                 f"{kernel}.synth_prune_ratio": payload["unpruned"]["node_ratio"]
                 for kernel, payload in synthesis_results.items()
-            },
-            **{
-                f"{key}.nodes_saved": payload["nodes_saved"]
-                for key, payload in incremental_results.items()
             },
             **{
                 f"warm.{key}.nodes_saved": payload["nodes_saved"]

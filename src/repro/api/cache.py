@@ -108,16 +108,14 @@ def config_fingerprint(config: SynthesisConfig) -> dict:
     for f in fields(config):
         if f.name in (
             "workers",
-            "incremental",
             "checkpoint_path",
             "lemma_path",
             "seed_programs",
             "seed_rewrites",
             "shard",
         ):
-            # parallel search and cross-round frontier reuse are both
-            # bit-identical to a serial from-scratch search whenever the
-            # search completes, so neither may split the
+            # parallel search is bit-identical to a serial search
+            # whenever the search completes, so it may not split the
             # content-addressed cache.  (When optimize_timeout fires
             # mid-search, the cached best-effort program already depends
             # on machine speed — worker count is no different.)  The

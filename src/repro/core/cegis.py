@@ -15,17 +15,15 @@ proof, like the paper's re-issued synthesis queries with cost constraints)
 or a timeout fires (the paper times out after 20 minutes of no progress
 and returns the best solution found).
 
-The loop is *incremental* (``SynthesisConfig(incremental=True)``, the
-default): one :class:`~repro.solver.engine.SketchSearch` persists across
-rounds.  A counterexample is appended to the live value store as a single
-evaluated column, a resumed round skips every root branch the failed
-round exhausted without a match (example sets only grow, so a matchless
-branch stays matchless), a length increment seeds the deeper search from
-the exhausted frontier, and phase 2 inherits phase 1's search state
-outright.  Reuse never changes the synthesized program — the resumed
-enumeration visits exactly the candidates a from-scratch enumeration
-would still accept — so ``incremental=False`` exists purely as the
-benchmark baseline.
+Every round and each phase builds one fresh
+:class:`~repro.solver.engine.SketchSearch` over the full example list.
+What carries across the counterexample rounds of one length is the rank
+frontier: a resumed round starts at the root branch where the failed
+candidate was found (``run(start_rank=...)``), since every lower branch
+was exhausted without an example match and example sets only grow, so
+a matchless branch stays matchless.  The resumed enumeration visits
+exactly the candidates a full enumeration would still accept, so the
+frontier never changes the synthesized program.
 
 Both phases run the search either in-process (``workers=1``) or through
 :class:`~repro.core.parallel.ParallelSynthesis` (``workers>1``), a
@@ -96,9 +94,6 @@ class SynthesisConfig:
     workers: int = 1  # search processes; results are identical for any value
     #: pruning/evaluation toggles threaded to the engine (None = defaults)
     search_options: SearchOptions | None = None
-    #: cross-round frontier reuse; False re-enumerates every round from
-    #: scratch (the ablation baseline — results are bit-identical)
-    incremental: bool = True
     #: crash-safe checkpoint file: search state is persisted atomically
     #: at every round boundary and a rerun with the same config resumes
     #: from it, producing a byte-identical program (None: no checkpoint)
@@ -144,9 +139,6 @@ class SynthesisResult:
     nodes: int
     examples: list[Example] = field(repr=False, default_factory=list)
     search_stats: SearchStats | None = field(repr=False, default=None)
-    #: phase 1's live search state, handed to minimize_cost for reuse
-    #: (serial incremental runs only; never serialized)
-    search: SketchSearch | None = field(repr=False, default=None, compare=False)
 
 
 def seed_examples(
@@ -315,9 +307,7 @@ def synthesize_initial(
     components_used = 0
     own_driver = driver is None and config.workers > 1 and shard is None
     if own_driver:
-        driver = ParallelSynthesis(
-            config.workers, options=options, incremental=config.incremental
-        )
+        driver = ParallelSynthesis(config.workers, options=options)
 
     def fail_timeout(length: int) -> SynthesisError:
         return SynthesisError(
@@ -393,15 +383,13 @@ def synthesize_initial(
                             components_used = length
                             found_at_this_length = True
                             break
-                        example = spec.example_from_witness(
-                            verdict.counterexample, rng
+                        examples.append(
+                            spec.example_from_witness(
+                                verdict.counterexample, rng
+                            )
                         )
-                        examples.append(example)
-                        if config.incremental:
-                            if length >= 2:
-                                resume_rank = rank
-                            if search is not None:
-                                search.extend_examples([example])
+                        if length >= 2:
+                            resume_rank = rank
                         continue
                 if driver is not None:
                     run_start = resume_rank
@@ -431,11 +419,7 @@ def synthesize_initial(
                             components_used = length
                             found_at_this_length = True
                             break
-                        if (
-                            config.incremental
-                            and length >= 2
-                            and driver.last_match_rank >= 0
-                        ):
+                        if length >= 2 and driver.last_match_rank >= 0:
                             # every branch below the failed match is
                             # exhausted and matchless; adding an example
                             # can only shrink the match set, so the next
@@ -450,13 +434,10 @@ def synthesize_initial(
                     if outcome.status == "timeout":
                         raise fail_timeout(length)
                     break  # exhausted: no program of this size exists
-                if search is None or not config.incremental:
-                    search = SketchSearch(
-                        sketch, spec.layout, examples, model, length,
-                        options=options,
-                    )
-                elif search.length != length:
-                    search.set_length(length)
+                search = SketchSearch(
+                    sketch, spec.layout, examples, model, length,
+                    options=options,
+                )
                 total_ranks = search.root_choice_count()
                 run_start = resume_rank
                 root_ranks = None
@@ -558,12 +539,11 @@ def synthesize_initial(
                     found_at_this_length = True
                     break
                 if "witness" in state:
-                    example = spec.example_from_witness(state["witness"], rng)
-                    examples.append(example)
-                    if config.incremental:
-                        if length >= 2 and search.current_root_rank >= 0:
-                            resume_rank = search.current_root_rank
-                        search.extend_examples([example])
+                    examples.append(
+                        spec.example_from_witness(state["witness"], rng)
+                    )
+                    if length >= 2 and search.current_root_rank >= 0:
+                        resume_rank = search.current_root_rank
                     continue
                 if outcome.status == "timeout":
                     raise fail_timeout(length)
@@ -627,7 +607,6 @@ def synthesize_initial(
         nodes=stats.nodes,
         examples=examples,
         search_stats=stats,
-        search=search if config.incremental else None,
     )
 
 
@@ -642,9 +621,9 @@ def minimize_cost(
     """Phase 2 of Algorithm 1: branch-and-bound cost minimization.
 
     Keeps searching ``initial``'s sketch size for verified programs with
-    strictly lower cost, reusing its example set — and, for serial
-    incremental runs, its live search state — until the space is
-    exhausted (optimality proof) or ``config.optimize_timeout`` fires.
+    strictly lower cost, over a fresh search of its example set, until
+    the space is exhausted (optimality proof) or
+    ``config.optimize_timeout`` fires.
     """
     config = config or SynthesisConfig()
     model = config.latency_model or default_latency_model(spec.params_name)
@@ -759,11 +738,7 @@ def minimize_cost(
     elif config.workers > 1 and initial.components > 1 and shard is None:
         own_driver = driver is None
         if own_driver:
-            driver = ParallelSynthesis(
-                config.workers,
-                options=options,
-                incremental=config.incremental,
-            )
+            driver = ParallelSynthesis(config.workers, options=options)
         try:
             saved = {"cost": best_box["cost"]}
 
@@ -820,23 +795,10 @@ def minimize_cost(
             best_box["program"] = parse_program(best_text)
             best_box["cost"] = best_cost
     else:
-        search = None
-        carried = initial.search
-        if (
-            config.incremental
-            and carried is not None
-            and carried.sketch is sketch
-            and carried.length == initial.components
-            and len(carried.examples) == len(examples)
-            and carried.options == options
-            and carried.latency_model.table == model.table
-        ):
-            search = carried  # phase 1's frontier, store, and caches
-        if search is None:
-            search = SketchSearch(
-                sketch, spec.layout, examples, model, initial.components,
-                options=options,
-            )
+        search = SketchSearch(
+            sketch, spec.layout, examples, model, initial.components,
+            options=options,
+        )
         total_ranks = search.root_choice_count()
 
         def dead_complement(bound: float) -> frozenset[int] | None:
@@ -964,7 +926,6 @@ def synthesize(
         driver = ParallelSynthesis(
             config.workers,
             options=config.search_options or SearchOptions(),
-            incremental=config.incremental,
         )
     try:
         result = synthesize_initial(spec, sketch, config, driver=driver)

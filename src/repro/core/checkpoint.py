@@ -12,15 +12,14 @@ restarts from its last boundary instead of from scratch.
 Byte-identical resume
 ---------------------
 
-The checkpoint intentionally does **not** serialize engine internals
-(value stores, frontiers, caches).  It relies on the incremental-search
-contract established in earlier work: a fresh
-:class:`~repro.solver.engine.SketchSearch` built from the full example
-set, run with ``start_rank=resume_rank``, accepts exactly the candidates
-the interrupted incremental search would still have accepted.  Round
-boundaries are deterministic given ``(examples, length, start_rank)``
-and every random draw flows from the checkpointed generator state, so a
-resumed phase 1 replays the interrupted run candidate-for-candidate.
+The checkpoint does **not** serialize engine internals (value stores,
+caches).  It needs none: every CEGIS round builds a fresh
+:class:`~repro.solver.engine.SketchSearch` from the full example set and
+runs it with ``start_rank=resume_rank``, so a resumed round is the
+interrupted round itself.  Round boundaries are deterministic given
+``(examples, length, start_rank)`` and every random draw flows from the
+checkpointed generator state, so a resumed phase 1 replays the
+interrupted run candidate-for-candidate.
 Phase 2 needs even less: verified accepted programs form a strictly
 cost-decreasing sequence in canonical enumeration order, so restarting
 the branch-and-bound from the checkpointed ``(best program, bound)``

@@ -35,14 +35,10 @@ whenever a chunk times out before a decisive lower-rank result (a serial
 search would still be inside that subtree at the deadline), so it never
 returns a *different* program than serial.
 
-Workers also carry the **cross-round frontier**: each worker process
-caches its :class:`SketchSearch` between rounds and, when the next
-round's example list extends the cached one (the CEGIS loop only ever
-appends counterexamples), appends the new example columns to the live
-value store instead of rebuilding and re-evaluating everything
-(``extend_examples`` / ``set_length``).  The parent's ``start_rank``
-drops chunks for root branches already proven matchless in earlier
-rounds.
+Each worker builds one fresh :class:`SketchSearch` per round and runs
+it over every chunk it claims.  The **cross-round frontier** lives in the
+parent: its ``start_rank`` drops chunks for root branches already proven
+matchless in earlier rounds.
 
 Workers never tighten bounds on unverified candidates — a cheap
 example-matching program can still fail verification, and pruning on its
@@ -63,8 +59,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
-
-import numpy as np
 
 from repro.quill.cost import program_cost
 from repro.quill.latency import LatencyModel
@@ -90,10 +84,6 @@ _CHUNKS_PER_WORKER = 8
 # and the result queue (inherited through process creation, the only way
 # multiprocessing queues cross the boundary).
 _SHARED: dict = {}
-
-# One cached search per driver series, reused across rounds (the CEGIS
-# cross-round frontier, worker side).
-_SEARCH_CACHE: dict = {}
 
 
 def _init_worker(cancel, bound, found_rank, chunk_next, results) -> None:
@@ -145,8 +135,17 @@ class ChunkTask:
     name: str
     chunks: tuple[tuple[int, int], ...]  # contiguous [lo, hi) rank ranges
     generation: int  # round id, echoed on every message
-    series: int  # worker-side search-cache key (sketch identity)
-    incremental: bool  # cross-round worker search reuse
+
+
+def _new_search(task: ShardTask | ChunkTask) -> SketchSearch:
+    return SketchSearch(
+        task.sketch,
+        task.layout,
+        list(task.examples),
+        task.model,
+        task.length,
+        options=task.options,
+    )
 
 
 def _run_shard(task: ShardTask) -> tuple[SearchOutcome, list[tuple]]:
@@ -158,14 +157,7 @@ def _run_shard(task: ShardTask) -> tuple[SearchOutcome, list[tuple]]:
     ``(root_rank, sequence, cost, program_text)``; the sequence number
     preserves the within-branch enumeration order.
     """
-    search = SketchSearch(
-        task.sketch,
-        task.layout,
-        list(task.examples),
-        task.model,
-        task.length,
-        options=task.options,
-    )
+    search = _new_search(task)
     found: list[tuple] = []
     if task.mode == "first":
 
@@ -211,59 +203,10 @@ def _run_shard(task: ShardTask) -> tuple[SearchOutcome, list[tuple]]:
     return outcome, found
 
 
-def _examples_extend(search: SketchSearch, examples: tuple) -> bool:
-    """True when ``examples`` is a content-equal extension of the search's."""
-    if len(search.examples) > len(examples):
-        return False
-    for mine, theirs in zip(search.examples, examples):
-        if not np.array_equal(mine.goal, theirs.goal):
-            return False
-        for attr in ("ct_env", "pt_env"):
-            a, b = getattr(mine, attr), getattr(theirs, attr)
-            if a.keys() != b.keys():
-                return False
-            for key in a:
-                if not np.array_equal(a[key], b[key]):
-                    return False
-    return True
-
-
-def _obtain_search(task: ChunkTask) -> SketchSearch:
-    """The worker's search for this round: cached + extended, or fresh."""
-    if task.incremental:
-        cached = _SEARCH_CACHE.get(task.series)
-        if (
-            cached is not None
-            and cached.options == task.options
-            and cached.sketch == task.sketch
-            and cached.latency_model.table == task.model.table
-            and _examples_extend(cached, task.examples)
-        ):
-            if cached.length != task.length:
-                cached.set_length(task.length)
-            if len(cached.examples) < len(task.examples):
-                cached.extend_examples(
-                    list(task.examples[len(cached.examples):])
-                )
-            return cached
-    search = SketchSearch(
-        task.sketch,
-        task.layout,
-        list(task.examples),
-        task.model,
-        task.length,
-        options=task.options,
-    )
-    if task.incremental:
-        _SEARCH_CACHE.clear()  # one live series per worker
-        _SEARCH_CACHE[task.series] = search
-    return search
-
-
 def _worker_round(task: ChunkTask) -> dict:
     """Pool entry point: steal chunks until the queue (or round) is done."""
     shared = _SHARED
-    search = _obtain_search(task)
+    search = _new_search(task)
     grabbed = 0
     while True:
         if shared["cancel"].is_set():
@@ -345,9 +288,8 @@ class ParallelSynthesis:
     merging.
 
     One driver serves every round of a CEGIS run (both phases): the pool
-    forks once, worker processes keep their search state between rounds,
-    and each :meth:`find_first`/:meth:`minimize` call streams chunk
-    results in canonical order.  Use as a context manager (or call
+    forks once, and each :meth:`find_first`/:meth:`minimize` call streams
+    chunk results in canonical order.  Use as a context manager (or call
     :meth:`close`) to release the pool.
     """
 
@@ -355,11 +297,9 @@ class ParallelSynthesis:
         self,
         workers: int | None = None,
         options: SearchOptions | None = None,
-        incremental: bool = True,
     ):
         self.workers = max(1, workers or os.cpu_count() or 1)
         self.options = options or SearchOptions()
-        self.incremental = incremental
         self._pool: ProcessPoolExecutor | None = None
         self._cancel = multiprocessing.Event()
         self._bound = multiprocessing.Value("d", float("inf"))
@@ -368,8 +308,6 @@ class ParallelSynthesis:
         self._results: multiprocessing.Queue = multiprocessing.Queue()
         self._generation = 0
         self._rank_counts: dict[tuple[int, int], int] = {}
-        self._series_tokens: dict[int, int] = {}
-        self._series_next = 0
         self._round_summaries: list[dict] = []
         #: rank of the last find_first example match (cross-round frontier)
         self.last_match_rank = -1
@@ -422,13 +360,6 @@ class ParallelSynthesis:
             )
             total = self._rank_counts[key] = probe.root_choice_count()
         return total
-
-    def _series_for(self, sketch) -> int:
-        token = self._series_tokens.get(id(sketch))
-        if token is None:
-            token = self._series_tokens[id(sketch)] = self._series_next
-            self._series_next += 1
-        return token
 
     def _chunk_ranges(
         self, start_rank: int, total: int
@@ -569,8 +500,6 @@ class ParallelSynthesis:
             name=name,
             chunks=self._chunk_ranges(start_rank, total),
             generation=self._generation,
-            series=self._series_for(sketch),
-            incremental=self.incremental,
         )
 
     # -- search rounds ----------------------------------------------------

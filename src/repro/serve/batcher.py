@@ -1,10 +1,10 @@
 """The admission queue: one queue, fair-share across tenants.
 
 Every ``run`` request becomes one :class:`WorkItem`.  The queue hands
-items to an async ``run_batch`` callable one per call, as a one-element
-payload list, with at most :attr:`BatchScheduler.LANE_DEPTH` calls in
-flight — the execution tier is one serial accelerator lane, so more
-concurrent dispatches would only queue downstream.  Holding the backlog
+each item's payload to an async ``run_batch`` callable, one per call,
+with at most :attr:`BatchScheduler.LANE_DEPTH` calls in flight — the
+execution tier is one serial accelerator lane, so more concurrent
+dispatches would only queue downstream.  Holding the backlog
 here instead is what gives the fairness policy a backlog to be fair
 *about*: items are drained **fair-share**, one per tenant, round-robin,
 so a tenant flooding the queue cannot starve a light tenant.
@@ -36,14 +36,13 @@ from __future__ import annotations
 import asyncio
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Sequence
+from typing import Any, Awaitable, Callable
 
 from repro.serve.errors import Deadline, DeadlineExceeded, Overloaded
 from repro.serve.metrics import MetricsRegistry
 
-# an async callable: (kernel, payloads) -> one result per payload; the
-# queue always passes exactly one payload
-BatchRunner = Callable[[str, list], Awaitable[Sequence[Any]]]
+# an async callable: (kernel, payload) -> the payload's result
+BatchRunner = Callable[[str, Any], Awaitable[Any]]
 
 
 def _retrieve(future: asyncio.Future) -> None:
@@ -176,13 +175,9 @@ class BatchScheduler:
 
     async def _dispatch(self, item: WorkItem) -> None:
         try:
-            results = await self.run_batch(item.kernel, [item.payload])
-            if len(results) != 1:
-                raise RuntimeError(
-                    f"runner returned {len(results)} results for 1 item"
-                )
+            result = await self.run_batch(item.kernel, item.payload)
             if not item.future.done():
-                item.future.set_result(results[0])
+                item.future.set_result(result)
         except Exception as error:  # noqa: BLE001 - forwarded to the caller
             if not item.future.done():
                 item.future.set_exception(error)

@@ -9,10 +9,9 @@ synthesis in the compile pool's worker processes, encrypted execution on
 a dedicated executor thread (one thread models the one-accelerator
 deployment).
 
-The execution path is exactly the library path: each request runs alone
-through :meth:`Porcupine.execute_batch` as a one-element list, i.e. one
-``HEExecutor.run`` — one ciphertext per input, one pass of the tape — so
-a served response is bit-identical to a direct ``session.execute`` of
+The execution path is exactly the library path: each request runs alone,
+one ``HEExecutor.run`` — one ciphertext per input, one pass of the tape —
+so a served response is bit-identical to a direct ``session.execute`` of
 the same request.
 
 Servers are usable without TCP for tests and embedding: ``await
@@ -470,10 +469,9 @@ class PorcupineServer:
             )
         return self.session.backend(backend)
 
-    async def _run_batch(self, kernel: str, payloads: list) -> list:
+    async def _run_batch(self, kernel: str, payload: tuple):
         """Queue callback: one request on the executor thread."""
-        [(backend, env)] = payloads  # the queue passes one request per call
-        envs = [env]
+        backend, env = payload
         compiled = self._hot[kernel]
         spec = self.session.spec(kernel)
         engine = self._engine(backend)
@@ -485,19 +483,18 @@ class PorcupineServer:
             arm = getattr(engine, "arm_tape_fault", None)
             if arm is not None:
                 arm(spec, corruption)
-        batch = await self._exec.run(
+        return await self._exec.run(
             partial(
                 self._execute_batch_job,
                 fault,
                 compiled,
-                envs,
+                env,
                 engine,
                 spec,
                 kernel,
                 self._sample_shadow(backend),
             )
         )
-        return batch.results
 
     def _sample_shadow(self, backend: str) -> bool:
         """Deterministic sampling: shadow-verify this request?"""
@@ -511,9 +508,13 @@ class PorcupineServer:
         return False
 
     def _execute_batch_job(
-        self, fault, compiled, envs, engine, spec, kernel, shadow
+        self, fault, compiled, env, engine, spec, kernel, shadow
     ):
         """The executor-thread body: injected fault, then the execution.
+
+        The request runs through :meth:`Porcupine.execute_batch` as a
+        one-element list, so a traced server records one
+        ``execute_batch`` span per execution.
 
         A :class:`~repro.he.errors.NoiseBudgetExhausted` that survives
         the engine's own escalation ladder converts to a typed retryable
@@ -523,9 +524,9 @@ class PorcupineServer:
         """
         apply_fault(fault)
         try:
-            batch = self.session.execute_batch(
-                compiled, envs, backend=engine, spec=spec
-            )
+            [result] = self.session.execute_batch(
+                compiled, [env], backend=engine, spec=spec
+            ).results
         except NoiseBudgetExhausted as error:
             self.metrics.bump("guard_trips", kernel)
             raise NoiseBudgetError(
@@ -536,10 +537,10 @@ class PorcupineServer:
         if drain is not None:
             self.metrics.bump("noise_escalations", kernel, n=drain())
         if shadow:
-            self._shadow_check(kernel, compiled, envs, spec, batch)
-        return batch
+            self._shadow_check(kernel, compiled, env, spec, result)
+        return result
 
-    def _shadow_check(self, kernel, compiled, envs, spec, batch) -> None:
+    def _shadow_check(self, kernel, compiled, env, spec, result) -> None:
         """Cross-check one sampled request against the interpreter backend.
 
         The last line of defense against silent corruption: whatever the
@@ -548,14 +549,11 @@ class PorcupineServer:
         withheld as a retryable ``NOISE_BUDGET`` error — the client gets
         a typed failure, never wrong plaintext.
         """
-        reference = self.session.execute_batch(
-            compiled, envs,
+        reference = self.session.execute(
+            compiled, env,
             backend=self.session.backend("interpreter"), spec=spec,
         )
-        ok = all(
-            np.array_equal(got.logical_output, want.logical_output)
-            for got, want in zip(batch.results, reference.results)
-        )
+        ok = np.array_equal(result.logical_output, reference.logical_output)
         self.metrics.shadow_verify(kernel, ok)
         if not ok:
             raise NoiseBudgetError(

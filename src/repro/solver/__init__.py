@@ -65,11 +65,9 @@ The engine is exact for the queries it answers under the CEGIS
 discipline: "exhausted" means no completion of the sketch at that size
 matches the examples, modulo programs the rules above prove redundant.
 
-Searches persist across CEGIS rounds: counterexamples are appended as
-single columns to the live value store (``extend_examples``), exhausted
-length-``L`` searches seed length ``L+1`` (``set_length``), and resumed
-rounds skip root branches already exhausted without a match
-(``run(start_rank=...)``).
+Each CEGIS round builds a fresh search over the full example list; a
+resumed round skips the root branches the previous round exhausted
+without a match (``run(start_rank=...)``, the cross-round frontier).
 
 Evaluation is batched: all operand fills of a prefix are one gather of
 pre-rotated value-block rows (each push fills its rotations with one

@@ -24,16 +24,11 @@ counterexamples, and cost accounting; the engine calls back on every
 goal-matching assignment and honours the returned directive (stop, or
 continue with a tightened cost bound).
 
-Searches are *incremental across CEGIS rounds*: one :class:`SketchSearch`
-survives the whole loop.  :meth:`SketchSearch.extend_examples` appends a
-counterexample column to the persistent :class:`ValueStore` (evaluating
-only the new column, see :meth:`ValueStore.append_example`) and
-:meth:`SketchSearch.set_length` rebinds an exhausted length-``L`` search
-to ``L+1``, seeding the new search from the existing store, caches, and
-compiled components.  ``run(start_rank=...)`` resumes a counterexample
-round at the root branch where the failed candidate was found — every
-lower branch exhausted without an example match, and example sets only
-ever grow, so those branches can never match again (the cross-round
+The CEGIS loop builds one :class:`SketchSearch` per round over the full
+example list.  ``run(start_rank=...)`` resumes a counterexample round at
+the root branch where the failed candidate was found — every lower
+branch exhausted without an example match, and example sets only ever
+grow, so those branches can never match again (the cross-round
 frontier).
 
 Pruning is a declarative rule table (:data:`PRUNE_RULES`), each rule
@@ -96,8 +91,6 @@ class SearchOutcome(Counters):
     dedup_hits: int = counter()  # values rejected as observably equivalent
     #: per-rule prune counters: rule name -> candidates/branches skipped
     pruned: dict[str, int] = counter("keyed")
-    reused_values: int = counter()  # store entries carried in from a round
-    appended_columns: int = counter()  # example columns appended, not rebuilt
     ranks_skipped: int = counter()  # root branches skipped by the frontier
     shift_cache_peak: int = counter("max")  # store's shift-cache peak
     bound_updates: int = counter()  # mid-run tightenings taken from bound_poll
@@ -127,8 +120,6 @@ class SearchStats(Counters):
     batches: int = counter()  # stacked evaluations
     dedup_hits: int = counter(show="always")  # observationally equivalent
     pruned: dict[str, int] = counter("keyed", show="detail")  # per-rule skips
-    reused_values: int = counter(show="detail")  # carried across CEGIS rounds
-    appended_columns: int = counter(show="detail")  # counterexamples appended
     ranks_skipped: int = counter(show="detail")  # skipped by the frontier
     #: high-water mark of live shift-cache entries
     shift_cache_peak: int = counter("max", show="detail")
@@ -289,8 +280,6 @@ class SketchSearch:
         self.sketch = sketch
         self.layout = layout
         self.length = length
-        # owned copy: the CEGIS loop appends counterexamples through
-        # extend_examples(), which must stay in lockstep with the store
         self.examples = list(examples)
         self.latency_model = latency_model
         self.options = options or SearchOptions()
@@ -327,9 +316,6 @@ class SketchSearch:
         #: taps hold a live store handle and must never ride along when a
         #: search is pickled to parallel workers.
         self.lemma_tap = None
-        # cross-round reuse accounting, consumed by the next run()
-        self._pending_reused_values = 0
-        self._pending_appended_columns = 0
 
     def _compile_choice(self, index, choice, rots_with_identity) -> _Comp:
         model = self.latency_model
@@ -394,59 +380,6 @@ class SketchSearch:
         else:
             row = np.array(value, dtype=np.int64)
         return np.tile(row, (len(self.examples), 1))
-
-    # ------------------------------------------------------------------
-    # Cross-round persistence (incremental CEGIS)
-    # ------------------------------------------------------------------
-
-    def extend_examples(self, new_examples) -> None:
-        """Append CEGIS counterexamples to the persistent search state.
-
-        The store gains one column per example (only the new column is
-        evaluated, see :meth:`ValueStore.append_example`), the goal and
-        plaintext matrices gain a row, and every enumeration-index cache
-        survives untouched — they depend on store indices and rotation
-        positions, not on the example count.
-        """
-        for example in new_examples:
-            rows = [example.ct_env[name] for name in self.layout.ct_names]
-            self.store.append_example(rows)
-            self.goal = np.concatenate([self.goal, example.goal[None, :]])
-            self.examples.append(example)
-            for comp in self.components:
-                if comp.pt_matrix is None:
-                    continue
-                if isinstance(comp.pt_ref, PtInput):
-                    row = np.asarray(
-                        example.pt_env[comp.pt_ref.name], dtype=np.int64
-                    )
-                else:
-                    row = comp.pt_matrix[0]
-                comp.pt_matrix = np.concatenate(
-                    [comp.pt_matrix, row[None, :]]
-                )
-                comp.pt_zero = not comp.pt_matrix.any()
-                comp.pt_ones = bool((comp.pt_matrix == 1).all())
-            self._pending_appended_columns += 1
-            self._pending_reused_values += len(self.store)
-
-    def set_length(self, length: int) -> None:
-        """Rebind an exhausted length-``L`` search to a new length.
-
-        The new search is seeded from the exhausted frontier: the store's
-        base values, rotation blocks, shift cache, hash index, and the
-        compiled components all carry over; only the per-component use
-        budgets are rebound (the store's rotation block grows on demand
-        when the deeper search pushes past the old capacity).
-        """
-        if length < 1:
-            raise ValueError("length must be >= 1")
-        if len(self.store) != self.store.base_count:
-            raise ValueError("set_length requires a fully backtracked store")
-        self.length = length
-        for comp, choice in zip(self.components, self.sketch.choices):
-            comp.max_uses = choice.max_uses or length
-        self._pending_reused_values += len(self.store)
 
     # ------------------------------------------------------------------
     # Search
@@ -527,10 +460,6 @@ class SketchSearch:
         self._rotset: set[tuple[int, int]] = set()
         self._max_depth = 0
         self._pruned = {name: 0 for name in PRUNE_RULES}
-        reused_values = self._pending_reused_values
-        appended_columns = self._pending_appended_columns
-        self._pending_reused_values = 0
-        self._pending_appended_columns = 0
         dedup_before = self.store.dedup_hits
         started = time.perf_counter()
         status = "exhausted"
@@ -540,8 +469,8 @@ class SketchSearch:
             status = "timeout"
         finally:
             # a timeout (or callback exception) aborts mid-descent; unwind
-            # the persistent store so the next round starts from the base
-            # frontier instead of a poisoned stack
+            # the store so the next run (a parallel worker runs one per
+            # chunk) starts from the base values, not a poisoned stack
             while len(self.store) > self.store.base_count:
                 self.store.pop()
         if self._stopped:
@@ -555,8 +484,6 @@ class SketchSearch:
             batches=self._batches,
             dedup_hits=self._pruned["dedup"],
             pruned=self._pruned,
-            reused_values=reused_values,
-            appended_columns=appended_columns,
             ranks_skipped=self._ranks_skipped,
             shift_cache_peak=self.store.shift_cache_peak,
             bound_updates=self._bound_updates,
@@ -723,8 +650,7 @@ class SketchSearch:
 
         Returns ``(pairs, skipped)`` where ``skipped`` counts the fills
         removed by the commutative canonical-order rule; both are cached
-        per prefix (the cache key is example-independent, so it survives
-        CEGIS rounds and length rebinds).
+        per prefix for every later run of this search.
         """
         key = (comp.choice_index, avail, op1, r1)
         cached = self._pair_cache.get(key)
@@ -977,8 +903,7 @@ class SketchSearch:
         mirrors the pair) — see :meth:`_final_pairs`.  With the
         commutative rule disabled, mirrors of commutative pairs are
         enumerated too, so the ablation baseline searches the genuinely
-        unpruned space.  Cached per (component, store size, unused set):
-        the key is example-independent and survives CEGIS rounds.
+        unpruned space.  Cached per (component, store size, unused set).
         """
         key = (comp.choice_index, len(self.store), tuple(unused))
         cached = self._final_cache.get(key)

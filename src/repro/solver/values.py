@@ -21,13 +21,8 @@ is an ``(E, n)`` int64 matrix: one row per CEGIS example.  The store keeps
   rule can decide "this rotation is the all-zero vector" in O(1) without
   materializing it.
 
-Stores are *persistent across CEGIS rounds*: when a counterexample
-arrives, :meth:`ValueStore.append_example` extends every live value with
-the new example's column in place — copying the already-evaluated
-``(K, E)`` rotation blocks and gathering only the new column's rotations
-— instead of rebuilding the store and re-rotating all ``E`` examples
-from scratch.  The reuse counters (``appended_examples``,
-``reused_values``) feed the engine's :class:`SearchOutcome`.
+A store serves one search, whose example set is fixed: a CEGIS round
+with a new counterexample builds a new store.
 """
 
 from __future__ import annotations
@@ -124,9 +119,6 @@ class ValueStore:
         # nonzero-column support [lo, hi) per value; lo == hi means all-zero
         self.supports: list[tuple[int, int]] = []
         self._zero_live = 0
-        # cross-round reuse counters (see append_example)
-        self.appended_examples = 0
-        self.reused_values = 0
         self._amounts = tuple(amounts) if amounts is not None else None
         self.rot_pos = (
             {amount: j for j, amount in enumerate(self._amounts)}
@@ -144,9 +136,6 @@ class ValueStore:
         # flat (capacity * len(amounts), E * columns) views of the blocks
         self._block_rows: np.ndarray | None = None
         self._block_out_rows: np.ndarray | None = None
-        # (len(amounts), n) source column of each rotated position; n
-        # names the zero column appended to the fill buffer
-        self._src: np.ndarray | None = None
         self._fill_buf: np.ndarray | None = None  # (E, n + 1), last col 0
         self._fill_idx: np.ndarray | None = None  # flat buf index per cell
         self._fill_idx_out: np.ndarray | None = None
@@ -289,13 +278,13 @@ class ValueStore:
         return self._zero_live > 0
 
     def _fill_tables(self, examples: int, n: int) -> None:
-        """Gather tables for ``(examples, n)`` values (rebuilt when a
-        counterexample column changes ``examples``)."""
-        if self._src is None:
-            src = np.arange(n)[None, :] + np.array(self._amounts)[:, None]
-            self._src = np.where((src >= 0) & (src < n), src, n)
+        """Gather tables for ``(examples, n)`` values."""
+        # (len(amounts), n) source column of each rotated position; n
+        # names the zero column appended to the fill buffer
+        src = np.arange(n)[None, :] + np.array(self._amounts)[:, None]
+        src = np.where((src >= 0) & (src < n), src, n)
         offsets = (np.arange(examples) * (n + 1))[None, :, None]
-        self._fill_idx = offsets + self._src[:, None, :]
+        self._fill_idx = offsets + src[:, None, :]
         self._fill_buf = np.zeros((examples, n + 1), dtype=np.int64)
         if self._out_idx is not None:
             self._fill_idx_out = np.ascontiguousarray(
@@ -426,8 +415,8 @@ class ValueStore:
         hit = cache.get(amount)
         if hit is None:
             if self._shift_entries >= self.shift_cache_limit:
-                # hard bound: the cache is shared across CEGIS rounds now
-                # that stores persist, so it must never outgrow its limit
+                # hard bound: the cache lives as long as the search, so
+                # it must never outgrow its limit
                 self.clear_shift_cache()
                 cache = self._shift_cache[index]
             hit = shift_matrix(self.vectors[index], amount)
@@ -437,81 +426,3 @@ class ValueStore:
             if self._shift_entries > self._shift_entries_peak:
                 self._shift_entries_peak = self._shift_entries
         return hit
-
-    # -- cross-round persistence -------------------------------------------
-
-    def append_example(self, rows: list[np.ndarray]) -> None:
-        """Extend every live value with one new example column (CEGIS reuse).
-
-        ``rows[i]`` is the new example's vector for base value ``i``.  The
-        store must be fully backtracked (only base values live), which is
-        exactly the state a search leaves it in between CEGIS rounds.  The
-        already-evaluated rotation blocks are *copied*, not recomputed:
-        only the new column's rotations are evaluated, then every live
-        value is re-hashed for the new element count.  The shift cache is
-        dropped wholesale (its entries have the old row count).
-        """
-        if len(self.vectors) != self.base_count:
-            raise ValueError(
-                "append_example requires a fully backtracked store "
-                f"({len(self.vectors)} live, {self.base_count} base)"
-            )
-        if len(rows) != self.base_count:
-            raise ValueError(
-                f"expected {self.base_count} rows, got {len(rows)}"
-            )
-        grown_vectors: list[np.ndarray] = []
-        for vec, row in zip(self.vectors, rows):
-            row = np.ascontiguousarray(row, dtype=np.int64).reshape(1, -1)
-            if row.shape[1] != vec.shape[1]:
-                raise ValueError("new example row has the wrong width")
-            grown = np.concatenate([vec, row])
-            grown.flags.writeable = False
-            grown_vectors.append(grown)
-        self.vectors = grown_vectors
-        # re-hash under the new element count (distinct values stay
-        # distinct when extended, so base uniqueness is preserved)
-        self._buckets.clear()
-        self._keys = []
-        for index, vec in enumerate(self.vectors):
-            key = self.value_hash(vec)
-            self._buckets.setdefault(key, []).append(index)
-            self._keys.append(key)
-        self._zero_live = 0
-        self.supports = []
-        for vec in self.vectors:
-            support = self._support(vec)
-            self.supports.append(support)
-            if support[0] == support[1]:
-                self._zero_live += 1
-        self.clear_shift_cache()
-        if self._block is not None:
-            shape = self._block.shape
-            examples = shape[2]
-            block = np.empty(
-                (shape[0], shape[1], examples + 1, shape[3]), dtype=np.int64
-            )
-            # carry the evaluated (K, E) columns forward untouched ...
-            block[:, :, :examples, :] = self._block
-            # ... and evaluate only the new column's rotations: one gather
-            # of the zero-padded new rows through the source-index table
-            live = len(self.vectors)
-            padded = np.zeros((live, shape[3] + 1), dtype=np.int64)
-            for index, vec in enumerate(self.vectors):
-                padded[index, :-1] = vec[-1]
-            block[:live, :, examples, :] = padded[:, self._src]
-            block_out = None
-            if self._block_out is not None:
-                out_shape = self._block_out.shape
-                block_out = np.empty(
-                    (out_shape[0], out_shape[1], examples + 1, out_shape[3]),
-                    dtype=np.int64,
-                )
-                block_out[:, :, :examples, :] = self._block_out
-                block_out[:live, :, examples, :] = padded[
-                    :, self._src[:, self._out_idx]
-                ]
-            self._set_blocks(block, block_out)
-            self._fill_tables(examples + 1, shape[3])
-        self.appended_examples += 1
-        self.reused_values += len(self.vectors)

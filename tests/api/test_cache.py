@@ -19,6 +19,14 @@ def test_key_is_deterministic():
     assert _key(SynthesisConfig(seed=7)) == _key(SynthesisConfig(seed=7))
 
 
+
+def test_default_key_is_pinned():
+    # on-disk caches and checkpoints are addressed by this digest: a
+    # change that drops or renames a config field must not move it
+    assert _key(SynthesisConfig()) == (
+        "95123e7bba9edd083de0118de96eacb7539d5d533ee48784636ba053d1a17cdf"
+    )
+
 def test_key_changes_with_config():
     base = _key(SynthesisConfig())
     assert _key(SynthesisConfig(seed=1)) != base

@@ -1,26 +1,21 @@
-"""Cross-round frontier reuse: incremental CEGIS is bit-identical.
+"""The cross-round frontier: resumed CEGIS rounds skip matchless branches.
 
-The contract: ``SynthesisConfig(incremental=True)`` (the default) —
-persistent search state, counterexample columns appended in place,
-resumed rounds skipping proven-matchless root branches, and phase 2
-inheriting phase 1's store — returns byte-identical programs to the
-from-scratch baseline (``incremental=False``), while searching no more
-nodes.  The seeds below are chosen so phase 1 really does go through
-counterexample rounds (multi-round CEGIS), not just length increments.
+Every counterexample round builds a fresh search over the full example
+list and resumes at the root branch where the failed candidate was found
+(``run(start_rank=...)``): every lower branch was exhausted without an
+example match, and example sets only grow.  The seeds below are chosen
+so phase 1 really does go through counterexample rounds (multi-round
+CEGIS), not just length increments.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.cegis import (
-    SynthesisConfig,
-    synthesize,
-    synthesize_initial,
-)
+from repro.core.cegis import SynthesisConfig, synthesize
 from repro.core.sketches import default_sketch_for
 from repro.quill.latency import default_latency_model
 from repro.quill.printer import format_program
-from repro.solver.engine import SketchSearch, materialize_assignment
+from repro.solver.engine import SketchSearch
 from repro.spec import get_spec
 
 MODEL = default_latency_model()
@@ -29,120 +24,47 @@ MODEL = default_latency_model()
 MULTI_ROUND = [("dot_product", 5), ("linear_regression", 0), ("hamming", 1)]
 
 
+#: receipts of the multi-round seeds: the synthesized program, its cost,
+#: the example count and the nodes searched (pinned when the search was
+#: still carried across rounds, and unchanged by a fresh search per round)
+RECEIPTS = {
+    "dot_product": (
+        'quill kernel "dot_product_synth"\nvec 24\nct x\npt w\n'
+        "c1 = mul-ct-pt x $w\nc2 = rot c1 4\nc3 = add-ct-ct c1 c2\n"
+        "c4 = rot c3 2\nc5 = add-ct-ct c3 c4\nc6 = rot c5 1\n"
+        "c7 = add-ct-ct c5 c6\nout c7",
+        433860.0, 3, 14016,
+    ),
+    "linear_regression": (
+        'quill kernel "linear_regression_synth"\nvec 10\nct x\nct b\n'
+        "pt w\nc1 = mul-ct-pt x $w\nc2 = rot c1 1\nc3 = add-ct-ct c1 c2\n"
+        "c4 = add-ct-ct c3 b\nout c4",
+        173240.0, 2, 724,
+    ),
+    "hamming": (
+        'quill kernel "hamming_synth"\nvec 12\nct x\nct y\n'
+        "c1 = sub-ct-ct y x\nc2 = mul-ct-ct c1 c1\nc3 = rot c2 2\n"
+        "c4 = add-ct-ct c2 c3\nc5 = rot c4 1\nc6 = add-ct-ct c4 c5\nout c6",
+        913860.0, 2, 123662,
+    ),
+}
+
+
 @pytest.mark.parametrize("name,seed", MULTI_ROUND, ids=[c[0] for c in MULTI_ROUND])
-def test_incremental_bit_identical_on_multi_round_kernels(name, seed):
+def test_multi_round_receipts(name, seed):
     spec = get_spec(name)
     sketch = default_sketch_for(spec)
-    base = dict(seed=seed, optimize_timeout=20.0)
-    incremental = synthesize(spec, sketch, SynthesisConfig(**base))
-    scratch = synthesize(
-        spec, sketch, SynthesisConfig(**base, incremental=False)
-    )
-    assert incremental.examples_used >= 2  # the seed really is multi-round
-    assert format_program(incremental.program) == format_program(
-        scratch.program
-    )
-    assert incremental.final_cost == scratch.final_cost
-    assert incremental.proof_complete == scratch.proof_complete
-    assert incremental.examples_used == scratch.examples_used
-    # reuse never searches more than the from-scratch baseline
-    assert incremental.nodes <= scratch.nodes
-
-
-def test_incremental_reuse_counters_surface():
-    spec = get_spec("dot_product")
-    sketch = default_sketch_for(spec)
     result = synthesize(
-        spec, sketch, SynthesisConfig(seed=5, optimize_timeout=20.0)
+        spec, sketch, SynthesisConfig(seed=seed, optimize_timeout=20.0)
     )
-    stats = result.search_stats
-    assert stats.appended_columns >= 1  # counterexamples appended in place
-    assert stats.reused_values > 0  # store entries carried across rounds
-    summary = stats.summary()
-    for key in (
-        "pruned",
-        "reused_values",
-        "appended_columns",
-        "ranks_skipped",
-        "shift_cache_peak",
-        "steals",
-        "chunks",
-        "bound_updates",
-    ):
-        assert key in summary
-
-
-def test_phase1_result_carries_live_search_state():
-    spec = get_spec("box_blur")
-    sketch = default_sketch_for(spec)
-    initial = synthesize_initial(spec, sketch, SynthesisConfig())
-    assert initial.search is not None
-    assert initial.search.length == initial.components
-    assert len(initial.search.examples) == initial.examples_used
-    scratch = synthesize_initial(
-        spec, sketch, SynthesisConfig(incremental=False)
-    )
-    assert scratch.search is None
-
-
-# -- engine-level equivalence of the incremental primitives ------------------
-
-
-def _exhaust(search):
-    programs = []
-
-    def on_candidate(assignment):
-        programs.append(
-            format_program(
-                materialize_assignment(
-                    search.sketch, search.layout, assignment
-                )
-            )
-        )
-        return False, None
-
-    outcome = search.run(on_candidate)
-    assert outcome.status == "exhausted"
-    return outcome, programs
-
-
-def test_extend_examples_matches_fresh_search():
-    spec = get_spec("dot_product")
-    sketch = default_sketch_for(spec)
-    rng = np.random.default_rng(3)
-    examples = [spec.make_example(rng) for _ in range(3)]
-
-    grown = SketchSearch(sketch, spec.layout, examples[:1], MODEL, 3)
-    _exhaust(grown)  # a full round on one example
-    grown.extend_examples(examples[1:])
-    grown_outcome, grown_programs = _exhaust(grown)
-
-    fresh = SketchSearch(sketch, spec.layout, examples, MODEL, 3)
-    fresh_outcome, fresh_programs = _exhaust(fresh)
-
-    assert grown_programs == fresh_programs
-    assert grown_outcome.nodes == fresh_outcome.nodes
-    assert grown_outcome.candidates == fresh_outcome.candidates
-    assert grown_outcome.reused_values > 0
-    assert grown_outcome.appended_columns == 2
-
-
-def test_set_length_matches_fresh_search():
-    spec = get_spec("box_blur")
-    sketch = default_sketch_for(spec)
-    rng = np.random.default_rng(1)
-    examples = [spec.make_example(rng) for _ in range(2)]
-
-    grown = SketchSearch(sketch, spec.layout, examples, MODEL, 2)
-    _exhaust(grown)
-    grown.set_length(3)
-    grown_outcome, grown_programs = _exhaust(grown)
-
-    fresh = SketchSearch(sketch, spec.layout, examples, MODEL, 3)
-    fresh_outcome, fresh_programs = _exhaust(fresh)
-
-    assert grown_programs == fresh_programs
-    assert grown_outcome.nodes == fresh_outcome.nodes
+    program, cost, examples_used, nodes = RECEIPTS[name]
+    assert format_program(result.program) == program
+    assert result.final_cost == cost
+    assert result.proof_complete
+    assert result.examples_used == examples_used
+    assert result.nodes == nodes
+    # the counterexample rounds resumed past proven-matchless branches
+    assert result.search_stats.ranks_skipped > 0
 
 
 def test_start_rank_resume_skips_matchless_prefix():

@@ -196,7 +196,6 @@ def test_garbage_seeds_are_ignored():
 # byte-identity receipt that justifies the exclusion.
 OPERATIONAL_FIELDS = {
     "workers": 4,
-    "incremental": False,
     "checkpoint_path": "/elsewhere/run.ckpt",
     "lemma_path": "/elsewhere/lemmas.json",
     "seed_programs": ('quill kernel "seed"',),

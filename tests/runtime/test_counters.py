@@ -62,7 +62,7 @@ def _search() -> SearchStats:
         status="exhausted", nodes=1234567, candidates=2,
         seconds=0.987654321, batches=310, dedup_hits=63,
         pruned={"dedup": 63, "commutative": 7, "adjacent": 0},
-        reused_values=4, appended_columns=1, ranks_skipped=2,
+        ranks_skipped=2,
         shift_cache_peak=9, bound_updates=1, steals=3, chunks=5,
         lemma_skips=6,
     ))
@@ -123,8 +123,6 @@ SEARCH_SUMMARY = {
     "dedup_hits": 68,
     "pruned": {"adjacent": 0, "commutative": 7, "cost_bound": 11,
                "dedup": 63},
-    "reused_values": 4,
-    "appended_columns": 1,
     "ranks_skipped": 2,
     "shift_cache_peak": 9,
     "bound_updates": 1,

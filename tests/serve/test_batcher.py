@@ -17,18 +17,15 @@ def _item(tenant="default", payload=None, deadline=None):
 class _Recorder:
     """A runner that records every dispatch, in order."""
 
-    def __init__(self, result=None, delay=0.0):
+    def __init__(self, delay=0.0):
         self.dispatches = []
-        self.result = result
         self.delay = delay
 
-    async def __call__(self, kernel, payloads):
-        self.dispatches.append(list(payloads))
+    async def __call__(self, kernel, payload):
+        self.dispatches.append(payload)
         if self.delay:
             await asyncio.sleep(self.delay)
-        if self.result is not None:
-            return self.result(kernel, payloads)
-        return [f"out:{payload}" for payload in payloads]
+        return f"out:{payload}"
 
 
 def test_items_dispatch_one_per_call_in_order():
@@ -41,7 +38,7 @@ def test_items_dispatch_one_per_call_in_order():
         return recorder.dispatches, results
 
     dispatches, results = asyncio.run(scenario())
-    assert dispatches == [[0], [1], [2]]
+    assert dispatches == [0, 1, 2]
     assert results == ["out:0", "out:1", "out:2"]
 
 
@@ -58,7 +55,7 @@ def test_fair_share_across_tenants():
         submissions.append(scheduler.submit(_item(tenant="b", payload="b0")))
         submissions.append(scheduler.submit(_item(tenant="c", payload="c0")))
         await asyncio.gather(*submissions)
-        return [payloads[0] for payloads in recorder.dispatches]
+        return recorder.dispatches
 
     order = asyncio.run(scenario())
     # round-robin drain of the backlog: the flooding tenant cannot keep
@@ -71,8 +68,8 @@ def test_runner_exception_reaches_every_waiter():
     async def scenario():
         calls = []
 
-        async def explode(kernel, payloads):
-            calls.append(payloads[0])
+        async def explode(kernel, payload):
+            calls.append(payload)
             raise RuntimeError("backend down")
 
         scheduler = BatchScheduler(explode)
@@ -87,19 +84,6 @@ def test_runner_exception_reaches_every_waiter():
     assert all(isinstance(r, RuntimeError) for r in results)
     assert all("backend down" in str(r) for r in results)
     assert calls == [0, 1]  # a failed dispatch does not stall the queue
-
-
-def test_result_count_mismatch_is_an_error():
-    async def scenario():
-        recorder = _Recorder(result=lambda kernel, payloads: ["a", "b"])
-        scheduler = BatchScheduler(recorder)
-        return await asyncio.gather(
-            scheduler.submit(_item(payload=0)), return_exceptions=True
-        )
-
-    [result] = asyncio.run(scenario())
-    assert isinstance(result, RuntimeError)
-    assert "2 results for 1 item" in str(result)
 
 
 def test_drain_flushes_pending_work():
@@ -118,7 +102,7 @@ def test_drain_flushes_pending_work():
         return recorder.dispatches, results, scheduler.depth()
 
     dispatches, results, depth = asyncio.run(scenario())
-    assert dispatches == [[0], [1], [2]]
+    assert dispatches == [0, 1, 2]
     assert results == ["out:0", "out:1", "out:2"]
     assert depth == 0
 
@@ -162,7 +146,7 @@ def test_backlog_bound_rejects_typed_overloaded():
     results, dispatches = asyncio.run(scenario())
     # the rejected item never occupied a slot; the admitted ones ran
     assert results == ["out:0", "out:1", "out:2", "out:3"]
-    assert dispatches == [[0], [1], [2], [3]]
+    assert dispatches == [0, 1, 2, 3]
 
 
 def test_backlog_validation():
@@ -211,7 +195,7 @@ def test_deadline_races_the_queue_without_corrupting_the_batch():
     (timed_out, result), dispatches = asyncio.run(scenario())
     assert isinstance(timed_out, DeadlineExceeded)
     assert result == "out:1"
-    assert dispatches == [[0], [1]]
+    assert dispatches == [0, 1]
 
 
 def test_expired_items_dropped_before_dispatch():
@@ -240,7 +224,7 @@ def test_expired_items_dropped_before_dispatch():
     assert isinstance(dead, DeadlineExceeded)
     assert ok == "out:ok"
     # the expired item never reached the runner
-    assert dispatches == [["busy0"], ["busy1"], ["ok"]]
+    assert dispatches == ["busy0", "busy1", "ok"]
 
 
 def test_dispatch_path_failure_releases_the_group():
@@ -270,5 +254,5 @@ def test_dispatch_path_failure_releases_the_group():
     [failed], second, dispatches, inflight = asyncio.run(scenario())
     assert isinstance(failed, RuntimeError)
     assert second == "out:1"
-    assert dispatches == [[1]]
+    assert dispatches == [1]
     assert inflight == set()

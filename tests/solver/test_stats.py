@@ -28,8 +28,6 @@ def _outcome(**overrides):
         batches=10,
         dedup_hits=3,
         pruned={"dedup": 3, "commutative": 7},
-        reused_values=4,
-        appended_columns=1,
         ranks_skipped=2,
         shift_cache_peak=9,
         bound_updates=1,
@@ -47,8 +45,6 @@ def test_record_folds_every_field():
     assert stats.runs == 2
     assert stats.nodes == 200
     assert stats.pruned == {"dedup": 4, "commutative": 7}
-    assert stats.reused_values == 8
-    assert stats.appended_columns == 2
     assert stats.ranks_skipped == 4
     assert stats.shift_cache_peak == 9  # a high-water mark, not a sum
     assert stats.bound_updates == 2
@@ -104,9 +100,8 @@ def test_summary_schema_is_stable():
     summary = stats.summary()
     for key in (
         "runs", "nodes", "candidates", "seconds", "nodes_per_sec",
-        "batches", "dedup_hits", "pruned", "reused_values",
-        "appended_columns", "ranks_skipped", "shift_cache_peak",
-        "bound_updates", "steals", "chunks",
+        "batches", "dedup_hits", "pruned", "ranks_skipped",
+        "shift_cache_peak", "bound_updates", "steals", "chunks",
     ):
         assert key in summary
     assert summary["pruned"] == {"commutative": 7, "dedup": 3}

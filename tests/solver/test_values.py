@@ -189,57 +189,6 @@ def test_shift_cache_peak_never_exceeds_bound():
     assert store.shift_cache_peak <= store.shift_cache_limit
 
 
-# -- cross-round persistence (append_example) --------------------------------
-
-
-def test_append_example_extends_values_and_rehashes():
-    store = ValueStore([_mat([1, 2]), _mat([3, 4])])
-    store.append_example([np.array([5, 6]), np.array([7, 8])])
-    assert store.vectors[0].tolist() == [[1, 2], [5, 6]]
-    assert store.vectors[1].tolist() == [[3, 4], [7, 8]]
-    assert store.appended_examples == 1
-    assert store.reused_values == 2
-    # dedup works against the extended values
-    assert not store.try_push(_mat([1, 2], [5, 6]), 0)
-    assert store.try_push(_mat([1, 2], [5, 7]), 0)  # differs on the new row
-
-
-def test_append_example_requires_backtracked_store():
-    store = ValueStore([_mat([1, 2])])
-    store.try_push(_mat([9, 9]), 0)
-    with pytest.raises(ValueError, match="backtracked"):
-        store.append_example([np.array([5, 6])])
-    store.pop()
-    with pytest.raises(ValueError, match="rows"):
-        store.append_example([np.array([5, 6]), np.array([7, 8])])
-
-
-def test_append_example_extends_rotation_block_in_place():
-    store = ValueStore(
-        [_mat([1, 2, 3, 4])], amounts=(0, 1, -2), out_slots=[0, 2], capacity=4
-    )
-    store.append_example([np.array([5, 6, 7, 8])])
-    _assert_block_matches_shift_matrix(store)
-    rows = store.rows([(0, 1), (0, -2)])
-    gathered = store.gather(rows)
-    assert gathered.shape == (2, 2, 4)
-    out = store.gather_out(rows)
-    assert out.tolist() == gathered[:, :, [0, 2]].reshape(2, -1).tolist()
-    # pushes after the append land in the grown block
-    assert store.try_push(_mat([0, 1, 0, 0], [0, 0, 2, 0]), 1)
-    assert store.rotated(1, 1).tolist() == [[1, 0, 0, 0], [0, 2, 0, 0]]
-    _assert_block_matches_shift_matrix(store)
-
-
-def test_append_example_clears_stale_shift_cache():
-    store = ValueStore([_mat([1, 2, 3])])
-    store.shifted(0, 1)
-    assert store.shift_cache_size == 1
-    store.append_example([np.array([4, 5, 6])])
-    assert store.shift_cache_size == 0
-    assert store.shifted(0, 1).tolist() == [[2, 3, 0], [5, 6, 0]]
-
-
 # -- zero-support tracking (zero_elide) --------------------------------------
 
 
@@ -258,13 +207,12 @@ def test_supports_and_zero_rotation_detection():
     assert not store.has_zero()
 
 
-def test_supports_recomputed_on_append_example():
-    store = ValueStore([_mat([0, 7, 0, 0])])
-    assert store.supports[0] == (1, 2)
-    store.append_example([np.array([0, 0, 0, 9])])
+def test_supports_span_every_example():
+    # a column that is nonzero in any example is inside the support
+    store = ValueStore([_mat([0, 7, 0, 0], [0, 0, 0, 9])])
     assert store.supports[0] == (1, 4)
     assert not store.is_zero_rotated(0, 3)
-
+    assert store.is_zero_rotated(0, 4)
 
 def test_rotation_block_matches_shift_cache():
     store = ValueStore(
@@ -338,22 +286,19 @@ def test_rotation_block_rows_survive_capacity_growth():
     _assert_block_matches_shift_matrix(store)
 
 
-def test_rotation_block_rows_after_append_example():
-    store = _wide_store(capacity=1)
-    store.append_example([np.array([11, 12, 13, 14, 15])])
+def test_rotation_block_rows_with_more_examples():
+    store = ValueStore(
+        [_mat([1, 2, 3, 4, 5], [6, 7, 8, 9, 10], [11, 12, 13, 14, 15])],
+        amounts=WIDE_AMOUNTS,
+        out_slots=OUT_SLOTS,
+        capacity=1,
+    )
     _assert_block_matches_shift_matrix(store)
-    # a push after the append grows the block with three-example rows
+    # pushes grow the block with three-example rows
     for k in range(3):
         value = _mat([k, 0, 0, 0, 1], [0, 0, k, 0, 0], [1, 2, 3, 4, k])
         assert store.try_push(value, 1)
     _assert_block_matches_shift_matrix(store)
-    for _ in range(3):
-        store.pop()
-    store.append_example([np.array([0, 0, 0, 0, -1])])
-    value = _mat([1, 0, 0, 0, 0], [0] * 5, [0] * 5, [0, 0, 0, 0, 2])
-    assert store.try_push(value, 1)
-    _assert_block_matches_shift_matrix(store)
-
 
 def test_supports_edge_columns():
     assert ValueStore._support(_mat([5, 0, 0, 0])) == (0, 1)  # column 0
