@@ -14,10 +14,6 @@ at the repository root:
   warmed by a sibling kernel (gx warming gy, gx+gy warming roberts)
   or by its own prior run must search *strictly fewer* nodes than a
   cold run and still synthesize byte-identical programs;
-* **rewrite-seeded** synthesis: phase 2 entered with the baseline's
-  verified rewrite frontier as the initial cost bound — the bound is
-  at most the baseline's cost and the result stays byte-identical to
-  an unseeded run;
 * **shard** merges: the same search split into N ``--shard i/N`` rank
   ranges and merged must reproduce the serial program byte for byte.
 
@@ -61,18 +57,14 @@ from harness import (  # noqa: E402
     save_floors,
     write_report,
 )
-from repro.baselines import baseline_for  # noqa: E402
 from repro.core.cegis import (  # noqa: E402
     SynthesisConfig,
     SynthesisError,
     synthesize,
 )
 from repro.core.sketches import default_sketch_for  # noqa: E402
-from repro.quill.cost import program_cost  # noqa: E402
 from repro.quill.latency import default_latency_model  # noqa: E402
-from repro.quill.parser import parse_program  # noqa: E402
 from repro.quill.printer import format_program  # noqa: E402
-from repro.quill.rewrite import seed_frontier  # noqa: E402
 from repro.solver.engine import (  # noqa: E402
     PRUNE_RULES,
     SearchOptions,
@@ -114,8 +106,6 @@ SYNTH_CASES = {
     "full": ("box_blur", "dot_product", "hamming", "linear_regression"),
 }
 
-# (kernel, seed) pairs whose phase 1 goes through counterexample rounds,
-# exercising cross-round frontier reuse (column appends + rank resume)
 # (target, warmers, optimize): the target kernel searched cold vs with a
 # lemma store warmed by the warmer kernels.  Same-kernel warming replays
 # the recorded candidate (0 nodes); cross-kernel warming reuses the
@@ -132,14 +122,6 @@ WARM_START_CASES = {
         ("gy", ("gx",), False),
         ("roberts", ("gx", "gy"), False),
     ),
-}
-
-# kernels whose hand-written baseline seeds phase 2 via its verified
-# rewrite frontier; the seeded run must start with a bound <= the
-# baseline's cost and synthesize the same bytes as an unseeded run
-SEEDED_CASES = {
-    "quick": ("box_blur",),
-    "full": ("box_blur", "gy"),
 }
 
 # (kernel, seed, shard_count): serial run vs N disjoint --shard-style
@@ -304,8 +286,6 @@ def _synth_with(kernel: str, config: SynthesisConfig) -> tuple[dict, str]:
         stats = result.search_stats
         payload["lemma_hits"] = stats.lemma_hits
         payload["lemma_skips"] = stats.lemma_skips
-        payload["seed_bounds"] = stats.seed_bounds
-        payload["seed_retries"] = stats.seed_retries
     return payload, format_program(result.program)
 
 
@@ -355,41 +335,6 @@ def run_warm_start_case(
     }
 
 
-def run_seeded_case(kernel: str) -> dict:
-    """Rewrite-seeded vs unseeded phase 2 for one baselined kernel."""
-    spec = get_spec(kernel)
-    baseline = baseline_for(kernel)
-    model = default_latency_model(spec.params_name)
-    baseline_cost = program_cost(baseline, model)
-    seeds = seed_frontier(baseline, spec)
-    seed_costs = [
-        program_cost(parse_program(text), model) for text in seeds
-    ]
-    unseeded, unseeded_text = _synth_with(
-        kernel, SynthesisConfig(optimize_timeout=30.0)
-    )
-    seeded, seeded_text = _synth_with(
-        kernel,
-        SynthesisConfig(
-            optimize_timeout=30.0, seed_programs=tuple(seeds)
-        ),
-    )
-    return {
-        "kernel": kernel,
-        "baseline_cost": baseline_cost,
-        "seed_count": len(seeds),
-        "min_seed_cost": min(seed_costs) if seed_costs else None,
-        # the baseline itself is in the frontier, so the entry bound the
-        # seeds provide can never exceed the baseline's cost
-        "bound_leq_baseline": (
-            bool(seed_costs) and min(seed_costs) <= baseline_cost
-        ),
-        "unseeded": unseeded,
-        "seeded": seeded,
-        "program_identical": seeded_text == unseeded_text,
-    }
-
-
 def run_shard_case(kernel: str, seed: int, shards: int) -> dict:
     """Serial vs N-way sharded-and-merged synthesis for one kernel."""
     serial, serial_text = _synth_with(
@@ -435,7 +380,6 @@ def check_floor(
     engine_results: dict,
     synthesis_results: dict,
     warm_results: dict | None = None,
-    seeded_results: dict | None = None,
     shard_results: dict | None = None,
 ) -> list[str]:
     """Violations of the checked-in floors and exact node ceilings."""
@@ -502,28 +446,6 @@ def check_floor(
                 f"warm_start {key}: warmed synthesis produced a different "
                 "program than the cold run — the lemma store is UNSOUND"
             )
-    # seeded: exact node ceiling plus the two seeding invariants
-    for kernel, ceiling in floors.get("seeded", {}).items():
-        payload = (seeded_results or {}).get(kernel)
-        if payload is None:
-            continue
-        failure = ceiling_failure(
-            f"seeded {kernel}", payload["seeded"]["nodes"], ceiling,
-            unit=" nodes", detail=" — a seed-bound regression",
-        )
-        if failure:
-            failures.append(failure)
-    for kernel, payload in (seeded_results or {}).items():
-        if not payload["bound_leq_baseline"]:
-            failures.append(
-                f"seeded {kernel}: min seed cost {payload['min_seed_cost']}"
-                f" exceeds the baseline cost {payload['baseline_cost']}"
-            )
-        if not payload["program_identical"]:
-            failures.append(
-                f"seeded {kernel}: seeded synthesis produced a different "
-                "program than the unseeded run — seeding is UNSOUND"
-            )
     # shards carry no floor numbers: byte-identity is the whole contract
     for key, payload in (shard_results or {}).items():
         if not payload["program_identical"]:
@@ -538,7 +460,6 @@ def update_floor(
     engine_results: dict,
     synthesis_results: dict,
     warm_results: dict | None = None,
-    seeded_results: dict | None = None,
 ) -> None:
     """Merge this run into the floor file (keep unmeasured entries)."""
     floors = (
@@ -548,7 +469,6 @@ def update_floor(
         floors = {"engine": {}, "synthesis": {}}
     floors["schema"] = 3
     floors.setdefault("warm_start", {})
-    floors.setdefault("seeded", {})
     for key, payload in engine_results.items():
         floors["engine"][key] = {
             "nodes_per_sec": payload["nodes_per_sec"],
@@ -562,8 +482,6 @@ def update_floor(
             "cold_max_nodes": payload["cold"]["nodes"],
             "warm_max_nodes": payload["warm"]["nodes"],
         }
-    for kernel, payload in (seeded_results or {}).items():
-        floors["seeded"][kernel] = payload["seeded"]["nodes"]
     save_floors(FLOOR_FILE, floors)
 
 
@@ -632,7 +550,6 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     warm_results: dict[str, dict] = {}
-    seeded_results: dict[str, dict] = {}
     shard_results: dict[str, dict] = {}
     if not args.no_synthesis:
         for target, warmers, optimize in WARM_START_CASES[mode]:
@@ -645,19 +562,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"{payload['warm']['nodes']:,} ({payload['nodes_saved']:,} "
                 f"saved, {payload['warm'].get('lemma_skips', 0)} lemma "
                 f"skips, identical={payload['program_identical']})"
-            )
-        for kernel in SEEDED_CASES[mode]:
-            print(f"seeded {kernel} ...", flush=True)
-            payload = run_seeded_case(kernel)
-            seeded_results[kernel] = payload
-            print(
-                f"  {payload['seed_count']} seeds, min cost "
-                f"{payload['min_seed_cost']} vs baseline "
-                f"{payload['baseline_cost']} "
-                f"(bound<=baseline={payload['bound_leq_baseline']}); "
-                f"{payload['seeded']['nodes']:,} nodes seeded vs "
-                f"{payload['unseeded']['nodes']:,} unseeded, identical="
-                f"{payload['program_identical']}"
             )
         for kernel, seed, shards in SHARD_CASES[mode]:
             key = f"{kernel}@s{seed}/{shards}"
@@ -677,7 +581,6 @@ def main(argv: list[str] | None = None) -> int:
         "ablation": ablation_results,
         "synthesis": synthesis_results,
         "warm_start": warm_results,
-        "seeded": seeded_results,
         "shards": shard_results,
         "metrics": {
             **{
@@ -702,10 +605,6 @@ def main(argv: list[str] | None = None) -> int:
                 for key, payload in warm_results.items()
             },
             **{
-                f"seeded.{kernel}.identical": payload["program_identical"]
-                for kernel, payload in seeded_results.items()
-            },
-            **{
                 f"shards.{key}.identical": payload["program_identical"]
                 for key, payload in shard_results.items()
             },
@@ -714,16 +613,13 @@ def main(argv: list[str] | None = None) -> int:
     write_report(report, args.output, DEFAULT_OUTPUT)
 
     if args.update_floor:
-        update_floor(
-            engine_results, synthesis_results, warm_results, seeded_results
-        )
+        update_floor(engine_results, synthesis_results, warm_results)
 
     if args.check_floor:
         return report_failures(check_floor(
             engine_results,
             synthesis_results,
             warm_results,
-            seeded_results,
             shard_results,
         ))
     return 0

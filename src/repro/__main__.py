@@ -293,16 +293,6 @@ def _cmd_synth(args) -> int:
             print(f"# --shard {shard[0]}/{shard[1]} forces a serial engine; "
                   f"ignoring --workers {args.workers}", file=sys.stderr)
         overrides["workers"] = 1
-    if args.seed_rewrites:
-        if definition.baseline is None:
-            print(f"# {args.kernel!r} has no baseline; --seed-rewrites is a "
-                  "no-op", file=sys.stderr)
-        else:
-            from repro.quill.rewrite import seed_frontier
-
-            overrides["seed_programs"] = tuple(
-                seed_frontier(definition.baseline(), spec)
-            )
     config = session.config_for(definition, **overrides)
 
     if args.merge_shards:
@@ -632,14 +622,9 @@ def main(argv: list[str] | None = None) -> int:
                        help="assemble the result of a sharded search from "
                             "the lemma store (byte-identical to an "
                             "unsharded serial run; needs --lemmas)")
-    synth.add_argument("--seed-rewrites", action="store_true",
-                       help="seed phase 2's cost bound with verified Quill "
-                            "rewrite variants of the hand-written baseline "
-                            "(byte-identical programs; tighter pruning "
-                            "from the first node)")
     synth.add_argument("--timings", action="store_true",
                        help="print the search-stats table (nodes, lemma "
-                            "hits/misses/skips, seeded bounds) to stderr")
+                            "hits/misses/skips) to stderr")
     synth.add_argument("--seed", type=int, default=0,
                        help="synthesis/example seed (reproducible runs)")
     synth.add_argument("--workers", type=int, default=None, metavar="N",

@@ -110,8 +110,6 @@ def config_fingerprint(config: SynthesisConfig) -> dict:
             "workers",
             "checkpoint_path",
             "lemma_path",
-            "seed_programs",
-            "seed_rewrites",
             "shard",
         ):
             # parallel search is bit-identical to a serial search
@@ -121,10 +119,10 @@ def config_fingerprint(config: SynthesisConfig) -> dict:
             # on machine speed — worker count is no different.)  The
             # checkpoint file location is pure operational plumbing — a
             # resumed run is byte-identical to an uninterrupted one.
-            # Likewise the lemma store, rewrite seed bounds, and shard
-            # descriptors are advisory-but-sound accelerations: warm,
-            # seeded, and shard-merged runs all synthesize the same
-            # bytes as a cold serial run, so none may split the cache.
+            # Likewise the lemma store and shard descriptors are
+            # advisory-but-sound accelerations: warm and shard-merged
+            # runs synthesize the same bytes as a cold serial run, so
+            # neither may split the cache.
             continue
         value = getattr(config, f.name)
         if f.name == "latency_model":

@@ -133,25 +133,6 @@ def optimize_pass(ctx: PassContext) -> None:
     if ctx.definition.is_composed or not ctx.config.optimize:
         return
     assert ctx.synthesis is not None and ctx.sketch is not None
-    if (
-        ctx.config.seed_rewrites
-        and not ctx.config.seed_programs
-        and ctx.definition.baseline is not None
-    ):
-        # resolve the flag here, where the baseline is in reach: the
-        # rewrite frontier of the expert baseline seeds phase 2's entry
-        # bound (the config copy keeps the session's config untouched —
-        # and seed fields are cache-key-excluded either way)
-        from dataclasses import replace as dc_replace
-
-        from repro.quill.rewrite import seed_frontier
-
-        ctx.config = dc_replace(
-            ctx.config,
-            seed_programs=tuple(
-                seed_frontier(ctx.definition.baseline(), ctx.spec)
-            ),
-        )
     before = ctx.synthesis.search_stats
     ctx.synthesis = minimize_cost(
         ctx.spec, ctx.sketch, ctx.synthesis, ctx.config

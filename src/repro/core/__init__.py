@@ -30,12 +30,9 @@ _EXPORTS = {
     "SynthesisError": "repro.core.cegis",
     "SynthesisResult": "repro.core.cegis",
     "compose": "repro.core.multistep",
-    "compose_harris": "repro.core.multistep",
-    "compose_sobel": "repro.core.multistep",
     "default_sketch_for": "repro.core.sketches",
     "explicit_rotation_variant": "repro.core.sketches",
     "generate_seal_code": "repro.core.codegen",
-    "inline_program": "repro.core.multistep",
     "sliding_window_rotations": "repro.core.restrictions",
     "synthesize": "repro.core.cegis",
     "tree_reduction_rotations": "repro.core.restrictions",

@@ -105,15 +105,6 @@ class SynthesisConfig:
     #: runs synthesize byte-identical programs — so the path never enters
     #: compile-cache keys (None: no store)
     lemma_path: str | None = None
-    #: verified Quill program texts whose best cost seeds phase 2's entry
-    #: bound (typically rewrite variants of the kernel's baseline).  A
-    #: seeded bound only ever tightens pruning; a zero-accept seeded
-    #: search is replayed under the unseeded bound, so the synthesized
-    #: program is byte-identical to an unseeded run
-    seed_programs: tuple[str, ...] = ()
-    #: derive ``seed_programs`` from Quill rewrite variants of the
-    #: kernel's registered baseline (resolved by the compile pipeline)
-    seed_rewrites: bool = False
     #: ``(index, count)``: restrict this run to shard ``index`` of
     #: ``count`` disjoint root-rank ranges (lengths >= 2; length-1
     #: searches are not rank-partitioned and run in full).  Shards force
@@ -214,27 +205,6 @@ def _record_shard_done(store, family, seed_chain, shard, search) -> None:
         rank_count=rank_count,
     )
     store.flush()
-
-
-def _seed_bound(spec, config, model) -> float | None:
-    """Tightest verified cost among ``config.seed_programs``.
-
-    Seed programs only ever supply a phase-2 entry bound — they never
-    become the search result — so an unparsable or non-equivalent seed
-    is simply ignored rather than an error.
-    """
-    best = None
-    for text in config.seed_programs:
-        try:
-            program = parse_program(text)
-        except Exception:
-            continue
-        if not spec.verify_program(program).equivalent:
-            continue
-        cost = program_cost(program, model)
-        if best is None or cost < best:
-            best = cost
-    return best
 
 
 def synthesize_initial(
@@ -685,7 +655,7 @@ def minimize_cost(
 
     def save_progress(program: Program, cost: float) -> None:
         if checkpoint is not None:
-                checkpoint.save(CheckpointState(
+            checkpoint.save(CheckpointState(
                 phase="optimize",
                 examples=examples,
                 components=initial.components,
@@ -698,15 +668,9 @@ def minimize_cost(
                 shard_count=None if shard is None else shard[1],
             ))
 
-    # a rewrite-seeded entry bound tightens branch-and-bound pruning from
-    # the first node; soundness comes from the zero-accept retry below
+    # the phase-1 cost, or the checkpointed best: phase 2 searches for
+    # strictly cheaper programs under this one bound
     entry_bound = best_box["cost"]
-    bound_used = entry_bound
-    seed_bound = _seed_bound(spec, config, model)
-    if seed_bound is not None:
-        stats.seed_bounds += 1
-        if seed_bound < entry_bound:
-            bound_used = seed_bound
 
     # lemma: a recorded full-range branch-and-bound proof under a bound
     # no tighter than ours already names the cold run's result
@@ -761,32 +725,11 @@ def minimize_cost(
                 examples,
                 model,
                 initial.components,
-                cost_bound=bound_used,
+                cost_bound=entry_bound,
                 verify=verify_text,
                 deadline=optimize_deadline,
                 name=f"{spec.name}_synth",
             )
-            if (
-                best_text is None
-                and bound_used < entry_bound
-                and outcome.status == "exhausted"
-            ):
-                # the seed outbid every candidate: the cold result may
-                # lie in [entry_bound, seed) — replay under the unseeded
-                # bound so the answer is byte-identical to a cold run
-                stats.record(outcome)
-                stats.seed_retries += 1
-                outcome, best_text, best_cost = driver.minimize(
-                    sketch,
-                    spec.layout,
-                    examples,
-                    model,
-                    initial.components,
-                    cost_bound=entry_bound,
-                    verify=verify_text,
-                    deadline=optimize_deadline,
-                    name=f"{spec.name}_synth",
-                )
         finally:
             if own_driver:
                 driver.close()
@@ -800,31 +743,21 @@ def minimize_cost(
             options=options,
         )
         total_ranks = search.root_choice_count()
-
-        def dead_complement(bound: float) -> frozenset[int] | None:
-            # lemma: ranges proven accept-free under a bound at least as
-            # tight contribute nothing — search only their complement
-            dead = store.phase2_dead_ranges(p2key, bound)
-            if not dead:
-                return None
-            allowed = set(range(total_ranks))
-            for lo, hi in dead:
-                allowed.difference_update(range(lo, min(hi, total_ranks)))
-            removed = total_ranks - len(allowed)
-            if removed == 0:
-                return None
-            store.skips += removed
-            return frozenset(allowed)
-
         root_ranks = None
         shard_lo = shard_hi = None
         if shard is not None and initial.components >= 2:
             shard_lo, shard_hi = _shard_bounds(shard, total_ranks)
             root_ranks = frozenset(range(shard_lo, shard_hi))
         elif store is not None and initial.components >= 2:
-            root_ranks = dead_complement(bound_used)
-
-        accepts = {"n": 0}
+            # lemma: ranges proven accept-free under a bound at least as
+            # tight contribute nothing — search only their complement
+            allowed = set(range(total_ranks))
+            for lo, hi in store.phase2_dead_ranges(p2key, entry_bound):
+                allowed.difference_update(range(lo, min(hi, total_ranks)))
+            removed = total_ranks - len(allowed)
+            if removed:
+                store.skips += removed
+                root_ranks = frozenset(allowed)
 
         def on_better(assignment):
             program = materialize_assignment(
@@ -834,7 +767,6 @@ def minimize_cost(
             if cost >= best_box["cost"]:
                 return False, None
             if spec.verify_program(program).equivalent:
-                accepts["n"] += 1
                 best_box["program"] = program
                 best_box["cost"] = cost
                 save_progress(program, cost)
@@ -843,40 +775,20 @@ def minimize_cost(
 
         outcome = search.run(
             on_better,
-            cost_bound=bound_used,
+            cost_bound=entry_bound,
             deadline=optimize_deadline,
             root_ranks=root_ranks,
         )
         stats.record(outcome)
-        if (
-            bound_used < entry_bound
-            and accepts["n"] == 0
-            and outcome.status == "exhausted"
-        ):
-            # seed outbid the whole space: replay unseeded (see above)
-            stats.seed_retries += 1
-            if shard is None and store is not None and initial.components >= 2:
-                root_ranks = dead_complement(entry_bound)
-            outcome = search.run(
-                on_better,
-                cost_bound=entry_bound,
-                deadline=optimize_deadline,
-                root_ranks=root_ranks,
-            )
-            stats.record(outcome)
-            bound_used = entry_bound
         if store is not None and outcome.status == "exhausted":
             best_text = (
                 format_program(best_box["program"])
-                if accepts["n"] > 0
+                if best_box["cost"] < entry_bound
                 else None
             )
             store.record_phase2(
                 p2key,
-                # an accepted result is the cold answer for any entry
-                # bound above its cost, so record the loosest bound it
-                # proves; a zero-accept range only proves its own bound
-                bound=entry_bound if accepts["n"] > 0 else bound_used,
+                bound=entry_bound,
                 start=0 if shard_lo is None else shard_lo,
                 end=None if shard_lo is None else shard_hi,
                 best_text=best_text,

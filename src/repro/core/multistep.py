@@ -4,9 +4,7 @@ Program synthesis stops scaling around 10-12 instructions, but image
 pipelines have natural break points.  Porcupine synthesizes the core
 kernels (Gx, Gy, box blur) directly and stitches them into larger
 applications: the Sobel operator (``Gx^2 + Gy^2``) and the Harris corner
-response.  ``inline_program`` splices one Quill program into another
-builder with input remapping; identical rotations are shared across steps
-by the builder's CSE, exactly like the paper's code generator.
+response.
 
 Compositions are *declarative*: a :class:`CompositionGraph` names the
 ciphertext inputs, the synthesized kernels to splice in, and the glue
@@ -14,21 +12,17 @@ arithmetic between them, and :func:`compose` materializes the graph into
 one Quill program.  Materialization is graph stitching: every component
 is spliced into one :class:`~repro.quill.graph.GraphProgram` through a
 shared hash-consing table, so structurally identical work — rotations
-*and* arithmetic — is emitted once across component boundaries (the
-builder's old cache shared rotations only, and only syntactically).  The
+*and* arithmetic — is emitted once across component boundaries.  The
 kernel registry (:mod:`repro.api.registry`) consumes these graphs to
 compile multi-step kernels, and new pipelines can be registered at
 runtime without touching this module.  The paper's two applications are
-the built-in graphs :data:`SOBEL_GRAPH` and :data:`HARRIS_GRAPH`;
-``compose_sobel``/``compose_harris`` are thin wrappers kept for
-compatibility.
+the built-in graphs :data:`SOBEL_GRAPH` and :data:`HARRIS_GRAPH`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.quill.builder import ProgramBuilder
 from repro.quill.graph import GraphProgram, GraphRef, NodeRef
 from repro.quill.ir import (
     CtInput,
@@ -39,46 +33,6 @@ from repro.quill.ir import (
     Ref,
     Wire,
 )
-
-
-def inline_program(
-    builder: ProgramBuilder, program: Program, input_map: dict[str, Ref]
-) -> Ref:
-    """Splice ``program`` into ``builder``, remapping its ciphertext inputs.
-
-    Plaintext inputs and constants must already be declared on the target
-    builder under the same names.  Explicit-relin programs splice with
-    their ``RELIN`` instructions dropped (relin placement is re-decided
-    on the composed whole, see :class:`_Stitcher`).  Returns the
-    reference holding the spliced program's output.
-    """
-    wire_map: dict[int, Ref] = {}
-
-    def resolve(ref: Ref) -> Ref:
-        if isinstance(ref, Wire):
-            return wire_map[ref.index]
-        if isinstance(ref, CtInput):
-            return input_map[ref.name]
-        return ref  # plaintext refs resolve by name on the target builder
-
-    for index, instr in enumerate(program.instructions):
-        if instr.opcode is Opcode.ROTATE:
-            wire_map[index] = builder.rotate(
-                resolve(instr.operands[0]), instr.amount
-            )
-            continue
-        if instr.opcode is Opcode.RELIN:
-            wire_map[index] = resolve(instr.operands[0])
-            continue
-        a = resolve(instr.operands[0])
-        b = resolve(instr.operands[1])
-        if instr.opcode in (Opcode.ADD_CC, Opcode.ADD_CP):
-            wire_map[index] = builder.add(a, b)
-        elif instr.opcode in (Opcode.SUB_CC, Opcode.SUB_CP):
-            wire_map[index] = builder.sub(a, b)
-        else:
-            wire_map[index] = builder.mul(a, b)
-    return resolve(program.output)
 
 
 # ---------------------------------------------------------------------------
@@ -316,37 +270,16 @@ HARRIS_GRAPH = CompositionGraph(
 )
 
 
-def compose_sobel(gx: Program, gy: Program, name: str = "sobel_synth") -> Program:
-    """Sobel operator from gradient kernels: ``Gx^2 + Gy^2``."""
-    return compose(SOBEL_GRAPH, {"gx": gx, "gy": gy}, name=name)
-
-
-def compose_harris(
-    gx: Program,
-    gy: Program,
-    blur: Program,
-    name: str = "harris_synth",
-) -> Program:
-    """Harris response from synthesized pieces (k = 1/16).
-
-    ``response = 16 * (Sxx*Syy - Sxy^2) - (Sxx + Syy)^2`` where each
-    ``S``-term is the box blur of a gradient product.
-    """
-    return compose(HARRIS_GRAPH, {"gx": gx, "gy": gy, "box_blur": blur}, name=name)
-
-
-def _declare_plains(
-    builder: ProgramBuilder | GraphProgram, *programs: Program
-) -> None:
+def _declare_plains(target: GraphProgram, *programs: Program) -> None:
     """Declare the union of plaintext inputs/constants on the target."""
     declared_pt: set[str] = set()
     declared_const: set[str] = set()
     for program in programs:
         for name in program.pt_inputs:
             if name not in declared_pt:
-                builder.pt_input(name)
+                target.pt_input(name)
                 declared_pt.add(name)
         for name, value in program.constants.items():
             if name not in declared_const:
-                builder.constant(name, value)
+                target.constant(name, value)
                 declared_const.add(name)

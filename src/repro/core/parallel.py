@@ -98,11 +98,11 @@ def _init_worker(cancel, bound, found_rank, chunk_next, results) -> None:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """One in-process search over a slice of the root slot.
+    """One in-process search over the whole root slot from ``start_rank``.
 
-    Retained for the driver's serial fallback (tiny rank universes,
-    ``workers=1``) and as the minimal engine-driving harness in tests;
-    pool workers run :class:`ChunkTask` rounds instead.
+    The driver's serial fallback (tiny rank universes, ``workers=1``),
+    run in the parent process; pool workers run :class:`ChunkTask`
+    rounds instead.
     """
 
     sketch: object
@@ -111,7 +111,6 @@ class ShardTask:
     model: LatencyModel
     length: int
     options: SearchOptions
-    ranks: tuple[int, ...] | None  # None = the whole root slot
     mode: str  # "first" | "collect"
     cost_bound: float
     deadline: float | None  # absolute time.perf_counter() deadline
@@ -149,9 +148,9 @@ def _new_search(task: ShardTask | ChunkTask) -> SketchSearch:
 
 
 def _run_shard(task: ShardTask) -> tuple[SearchOutcome, list[tuple]]:
-    """Serial entry point: search one rank slice, return candidates as text.
+    """Serial entry point: run one search, return candidates as text.
 
-    ``first`` mode stops at the slice's first example-matching candidate
+    ``first`` mode stops at the search's first example-matching candidate
     and reports ``(root_rank, program_text)``.  ``collect`` mode
     enumerates every candidate cheaper than ``cost_bound`` and reports
     ``(root_rank, sequence, cost, program_text)``; the sequence number
@@ -193,11 +192,6 @@ def _run_shard(task: ShardTask) -> tuple[SearchOutcome, list[tuple]]:
         on_candidate,
         cost_bound=task.cost_bound,
         deadline=task.deadline,
-        root_ranks=frozenset(task.ranks) if task.ranks is not None else None,
-        should_stop=(
-            _SHARED["cancel"].is_set if _SHARED.get("cancel") is not None
-            else None
-        ),
         start_rank=task.start_rank,
     )
     return outcome, found
@@ -474,7 +468,6 @@ class ParallelSynthesis:
             model=model,
             length=length,
             options=self.options,
-            ranks=None,
             mode=mode,
             cost_bound=bound,
             deadline=deadline,

@@ -673,38 +673,3 @@ def optimize_program(
     """One-call convenience: run the default pipeline, return the program."""
     return default_pass_manager(**kwargs).run(program, spec=spec).program
 
-
-def seed_frontier(program: Program, spec: Spec | None = None) -> list[str]:
-    """Verified rewrite variants of ``program``, as printed texts.
-
-    Runs every prefix of the default pipeline (each prefix is itself a
-    valid pipeline: later passes depend on earlier ones, not vice versa)
-    plus each structural pass alone, and returns the unique resulting
-    programs — ``program`` itself included.  Each variant is verified by
-    the pass manager's own safety net, so the set is safe to hand to
-    :class:`~repro.core.cegis.SynthesisConfig` ``seed_programs`` as
-    phase-2 entry bounds: the cheapest variant bounds the cost search
-    from its first node.
-    """
-    from repro.quill.printer import format_program
-
-    suite = default_passes()
-    pipelines: list[list[RewritePass]] = [
-        suite[: n + 1] for n in range(len(suite))
-    ]
-    pipelines += [[rewrite] for rewrite in suite[:3]]  # cse / fold / hoist
-    seen: set[str] = set()
-    variants: list[str] = [format_program(program)]
-    seen.add(variants[0])
-    for passes in pipelines:
-        try:
-            result = PassManager(passes, verify=spec is not None).run(
-                program, spec=spec
-            )
-        except RewriteVerificationError:
-            continue  # a broken pass must never poison the seed set
-        text = format_program(result.program)
-        if text not in seen:
-            seen.add(text)
-            variants.append(text)
-    return variants

@@ -416,14 +416,8 @@ class PorcupineServer:
     # -- compilation and execution ----------------------------------------
 
     def _synthesis_stats(self) -> dict:
-        """Lemma-store and seed-bound counters summed over hot kernels."""
-        keys = (
-            "lemma_hits",
-            "lemma_misses",
-            "lemma_skips",
-            "seed_bounds",
-            "seed_retries",
-        )
+        """Lemma-store counters summed over hot kernels."""
+        keys = ("lemma_hits", "lemma_misses", "lemma_skips")
         totals = dict.fromkeys(keys, 0)
         for compiled in self._hot.values():
             for metrics in (compiled.pass_metrics or {}).values():

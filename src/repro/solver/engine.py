@@ -129,8 +129,6 @@ class SearchStats(Counters):
     lemma_hits: int = counter(show="nonzero")  # consults finding a record
     lemma_misses: int = counter(show="nonzero")  # consults finding nothing
     lemma_skips: int = counter(show="nonzero")  # work avoided via lemmas
-    seed_bounds: int = counter(show="nonzero")  # phase-2 bounds from a seed
-    seed_retries: int = counter(show="nonzero")  # seeded searches replayed
 
     def record(self, outcome: SearchOutcome) -> None:
         """Fold in one :class:`SearchOutcome`."""

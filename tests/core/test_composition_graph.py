@@ -12,7 +12,6 @@ from repro.core.multistep import (
     KernelStep,
     OpStep,
     compose,
-    compose_sobel,
 )
 from repro.quill.interpreter import evaluate
 from repro.spec import get_spec
@@ -23,14 +22,6 @@ def test_builtin_graphs_validate():
     HARRIS_GRAPH.validate()
     assert SOBEL_GRAPH.kernels == ("gx", "gy")
     assert HARRIS_GRAPH.kernels == ("gx", "gy", "box_blur")
-
-
-def test_compose_matches_legacy_wrapper():
-    via_graph = compose(
-        SOBEL_GRAPH, {"gx": gx_baseline(), "gy": gy_baseline()}
-    )
-    via_wrapper = compose_sobel(gx_baseline(), gy_baseline())
-    assert str(via_graph) == str(via_wrapper)
 
 
 def test_composed_harris_verifies_against_spec():

@@ -5,12 +5,12 @@ by its own prior run replays the recorded candidate (0 nodes), and a
 search warmed by a sibling kernel over the same sketch family (gx
 warming gy) skips equivalence classes the sibling already proved
 matchless — strictly fewer nodes.  *Soundness*: none of that reuse may
-ever change the synthesized program; every warmed, seeded, or merged
-run must produce bytes identical to a cold serial run.
+ever change the synthesized program; every warmed or merged run must
+produce bytes identical to a cold serial run.
 
 The store itself is exercised directly too: atomic writes, corrupt
 files degrading to empty, merge-on-save unioning concurrent writers,
-and the cache-key audit — operational fields (store path, seeds, shard
+and the cache-key audit — operational fields (store path, shard
 descriptors) must never split the compile cache.
 """
 
@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.api.cache import compile_key, config_fingerprint
-from repro.baselines.handwritten import baseline_for
 from repro.core.cegis import SynthesisConfig, synthesize
 from repro.core.lemmas import (
     FINALS_CAP,
@@ -33,7 +32,6 @@ from repro.core.lemmas import (
 )
 from repro.core.sketches import default_sketch_for
 from repro.quill.printer import format_program
-from repro.quill.rewrite import seed_frontier
 from repro.solver.values import signature_block
 from repro.spec import get_spec
 
@@ -166,28 +164,6 @@ def test_empty_store_changes_nothing(tmp_path):
     assert stored.nodes == bare.nodes
 
 
-# -- rewrite seeding: tighter entry bound, identical bytes -------------------
-
-
-def test_seeded_synthesis_is_byte_identical(tmp_path):
-    spec = get_spec("box_blur")
-    seeds = tuple(seed_frontier(baseline_for("box_blur"), spec))
-    unseeded = _synth("box_blur")
-    seeded = _synth("box_blur", seed_programs=seeds)
-    assert format_program(seeded.program) == format_program(unseeded.program)
-    assert seeded.search_stats.seed_bounds == 1
-    assert seeded.search_stats.seed_retries == 0
-
-
-def test_garbage_seeds_are_ignored():
-    unseeded = _synth("box_blur")
-    seeded = _synth(
-        "box_blur",
-        seed_programs=("not a program", 'quill kernel "empty"'),
-    )
-    assert format_program(seeded.program) == format_program(unseeded.program)
-
-
 # -- the cache-key audit ------------------------------------------------------
 
 # every operational (non-semantic) SynthesisConfig field: these steer
@@ -198,8 +174,6 @@ OPERATIONAL_FIELDS = {
     "workers": 4,
     "checkpoint_path": "/elsewhere/run.ckpt",
     "lemma_path": "/elsewhere/lemmas.json",
-    "seed_programs": ('quill kernel "seed"',),
-    "seed_rewrites": True,
     "shard": (1, 4),
 }
 
@@ -234,8 +208,7 @@ def test_lemma_counters_fold_into_search_stats(tmp_path):
     store = str(tmp_path / "lemmas.json")
     first = _synth("box_blur", lemma_path=store)
     summary = first.search_stats.summary()
-    for key in ("lemma_hits", "lemma_misses", "lemma_skips",
-                "seed_bounds", "seed_retries"):
+    for key in ("lemma_hits", "lemma_misses", "lemma_skips"):
         assert key in summary
     second = _synth("box_blur", lemma_path=store)
     assert second.search_stats.summary()["lemma_skips"] > 0

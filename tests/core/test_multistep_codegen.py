@@ -9,7 +9,14 @@ from repro.baselines import (
     gy_baseline,
 )
 from repro.core.codegen import generate_seal_code, required_galois_rotations
-from repro.core.multistep import compose_harris, compose_sobel, inline_program
+from repro.core.multistep import (
+    HARRIS_GRAPH,
+    SOBEL_GRAPH,
+    CompositionGraph,
+    KernelStep,
+    OpStep,
+    compose,
+)
 from repro.quill.builder import ProgramBuilder
 from repro.quill.interpreter import evaluate
 from repro.quill.noise import multiplicative_depth
@@ -20,14 +27,29 @@ from repro.spec import get_spec
 # tests compose the (already verified) baselines; the benchmarks compose
 # the synthesized kernels.
 
+def _sobel():
+    return compose(SOBEL_GRAPH, {"gx": gx_baseline(), "gy": gy_baseline()})
+
+
+def _harris():
+    return compose(
+        HARRIS_GRAPH,
+        {
+            "gx": gx_baseline(),
+            "gy": gy_baseline(),
+            "box_blur": box_blur_baseline(),
+        },
+    )
+
+
 @pytest.fixture(scope="module")
 def sobel_composed():
-    return compose_sobel(gx_baseline(), gy_baseline())
+    return _sobel()
 
 
 @pytest.fixture(scope="module")
 def harris_composed():
-    return compose_harris(gx_baseline(), gy_baseline(), box_blur_baseline())
+    return _harris()
 
 
 def test_sobel_composition_verifies(sobel_composed):
@@ -48,37 +70,26 @@ def test_harris_depth(harris_composed):
     assert multiplicative_depth(harris_composed) == 3
 
 
-def test_inline_program_remaps_inputs():
-    inner_builder = ProgramBuilder(vector_size=8, name="inner")
-    x = inner_builder.ct_input("x")
-    inner = inner_builder.build(inner_builder.add(x, inner_builder.rotate(x, 1)))
-
-    outer_builder = ProgramBuilder(vector_size=8, name="outer")
-    img = outer_builder.ct_input("img")
-    doubled = outer_builder.add(img, img)
-    out = inline_program(outer_builder, inner, {"x": doubled})
-    program = outer_builder.build(out)
-    result = evaluate(program, {"img": np.arange(8)})
-    doubled_v = 2 * np.arange(8)
-    expected = doubled_v + np.append(doubled_v[1:], 0)
-    assert np.array_equal(result, expected)
-
-
-def test_inline_program_splices_explicit_relin_programs():
-    """RELIN instructions drop at splice (regression: IndexError)."""
-    inner_builder = ProgramBuilder(8, name="inner", relin_mode="explicit")
+def test_compose_splices_explicit_relin_programs():
+    """Component RELINs drop at splice and are re-placed on the whole."""
+    inner_builder = ProgramBuilder(8, name="square", relin_mode="explicit")
     x = inner_builder.ct_input("x")
     inner = inner_builder.build(
         inner_builder.relin(inner_builder.mul(x, x))
     )
-
-    outer_builder = ProgramBuilder(8, name="outer")
-    img = outer_builder.ct_input("img")
-    out = inline_program(outer_builder, inner, {"x": img})
-    program = outer_builder.build(out)
+    graph = CompositionGraph(
+        name="square_plus",
+        inputs=("img",),
+        steps=(
+            KernelStep("sq", "square", ("img",)),
+            OpStep("out", "add", "sq", "img"),
+        ),
+        output="out",
+    )
+    program = compose(graph, {"square": inner})
     assert program.relin_count() == program.multiply_cc_count() == 1
     v = np.arange(8)
-    assert np.array_equal(evaluate(program, {"img": v}), v * v)
+    assert np.array_equal(evaluate(program, {"img": v}), v * v + v)
 
 
 def test_compose_rejects_mismatched_sizes():
@@ -86,7 +97,7 @@ def test_compose_rejects_mismatched_sizes():
     x = small.ct_input("img")
     tiny = small.build(small.add(x, x))
     with pytest.raises(ValueError):
-        compose_sobel(gx_baseline(), tiny)
+        compose(SOBEL_GRAPH, {"gx": gx_baseline(), "gy": tiny})
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +114,7 @@ def test_seal_code_structure():
 
 
 def test_seal_code_inserts_relinearization_after_ct_ct_multiply():
-    program = compose_sobel(gx_baseline(), gy_baseline())
+    program = _sobel()
     code = generate_seal_code(program)
     assert code.count("ev.relinearize_inplace") == program.multiply_cc_count()
 
@@ -125,7 +136,5 @@ def test_required_galois_rotations():
 
 
 def test_codegen_depth_comment():
-    code = generate_seal_code(compose_harris(
-        gx_baseline(), gy_baseline(), box_blur_baseline()
-    ))
+    code = generate_seal_code(_harris())
     assert "multiplicative depth: 3" in code

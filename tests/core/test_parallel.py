@@ -129,7 +129,6 @@ def test_run_shard_first_mode_reports_lowest_rank_match():
         model=MODEL,
         length=2,
         options=SearchOptions(),
-        ranks=None,
         mode="first",
         cost_bound=float("inf"),
         deadline=None,

@@ -73,8 +73,6 @@ def _search() -> SearchStats:
     ))
     stats.lemma_hits = 8
     stats.lemma_misses = 21
-    stats.seed_bounds = 19
-    stats.seed_retries = 22
     return stats
 
 
@@ -131,8 +129,6 @@ SEARCH_SUMMARY = {
     "lemma_hits": 8,
     "lemma_misses": 21,
     "lemma_skips": 7,
-    "seed_bounds": 19,
-    "seed_retries": 22,
 }
 
 
@@ -224,8 +220,7 @@ def test_stats_op_key_sets():
     assert list(stats["tenants"]["acme"]) == list(SCHEDULER_SUMMARY)
     assert list(stats["executor"]) == list(EXECUTOR_SUMMARY)
     assert set(stats["synthesis"]) == {
-        "lemma_hits", "lemma_misses", "lemma_skips", "seed_bounds",
-        "seed_retries",
+        "lemma_hits", "lemma_misses", "lemma_skips",
     }
     assert set(stats["health"]) == {
         "pool_restarts", "pool_degraded", "executor_restarts",
@@ -280,11 +275,8 @@ def test_synth_timings_numbers(capsys, monkeypatch, tmp_path):
     report = "\n".join(
         line for line in err.splitlines() if not line.startswith("#")
     )
-    # nodes, nodes/s, runs, dedup hits, lemma hits/misses/skips,
-    # seeded bounds and unseeded retries
-    assert _numbers(report) == sorted(
-        [1235567, 998314, 2, 68, 8, 21, 7, 19, 22]
-    )
+    # nodes, nodes/s, runs, dedup hits, lemma hits/misses/skips
+    assert _numbers(report) == sorted([1235567, 998314, 2, 68, 8, 21, 7])
 
 
 def test_serve_timings_numbers():

@@ -9,7 +9,12 @@ import pytest
 
 from repro.api import Porcupine
 from repro.baselines import baseline_for
-from repro.core import SynthesisConfig, compose_sobel, generate_seal_code
+from repro.core import (
+    SOBEL_GRAPH,
+    SynthesisConfig,
+    compose,
+    generate_seal_code,
+)
 from repro.he.params import toy_params
 from repro.quill.cost import program_cost
 from repro.quill.latency import default_latency_model
@@ -73,7 +78,7 @@ def test_multistep_sobel_encrypted():
     session = Porcupine()
     gx = session.compile("gx", config=config).program
     gy = session.compile("gy", config=config).program
-    sobel = compose_sobel(gx, gy)
+    sobel = compose(SOBEL_GRAPH, {"gx": gx, "gy": gy})
     spec = get_spec("sobel")
     assert spec.verify_program(sobel).equivalent
     # depth-1 circuit: the toy preset's budget is too small, use the
