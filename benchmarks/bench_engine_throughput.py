@@ -9,13 +9,7 @@ at the repository root:
   each pruning rule individually disabled, and with all of them off,
   attributing the searched-space reduction rule by rule;
 * end-to-end synthesis node counts and wall times, **pruned vs
-  unpruned** (byte-identical programs, the soundness receipt);
-* **warm-start** node counts: a kernel searched with a lemma store
-  warmed by a sibling kernel (gx warming gy, gx+gy warming roberts)
-  or by its own prior run must search *strictly fewer* nodes than a
-  cold run and still synthesize byte-identical programs;
-* **shard** merges: the same search split into N ``--shard i/N`` rank
-  ranges and merged must reproduce the serial program byte for byte.
+  unpruned** (byte-identical programs, the soundness receipt).
 
 Run it after touching anything on the synthesis hot path::
 
@@ -36,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,11 +50,7 @@ from harness import (  # noqa: E402
     save_floors,
     write_report,
 )
-from repro.core.cegis import (  # noqa: E402
-    SynthesisConfig,
-    SynthesisError,
-    synthesize,
-)
+from repro.core.cegis import SynthesisConfig, synthesize  # noqa: E402
 from repro.core.sketches import default_sketch_for  # noqa: E402
 from repro.quill.latency import default_latency_model  # noqa: E402
 from repro.quill.printer import format_program  # noqa: E402
@@ -104,33 +93,6 @@ ENGINE_CASES = (
 SYNTH_CASES = {
     "quick": ("box_blur", "dot_product"),
     "full": ("box_blur", "dot_product", "hamming", "linear_regression"),
-}
-
-# (target, warmers, optimize): the target kernel searched cold vs with a
-# lemma store warmed by the warmer kernels.  Same-kernel warming replays
-# the recorded candidate (0 nodes); cross-kernel warming reuses the
-# sibling's finals/instruction-value lemmas (the sketch families share
-# slot-0 equivalence classes).  Cross-kernel pairs run phase 1 only so
-# the quick subset stays CI-sized.
-WARM_START_CASES = {
-    "quick": (
-        ("box_blur", ("box_blur",), True),
-        ("gy", ("gx",), False),
-    ),
-    "full": (
-        ("box_blur", ("box_blur",), True),
-        ("gy", ("gx",), False),
-        ("roberts", ("gx", "gy"), False),
-    ),
-}
-
-# (kernel, seed, shard_count): serial run vs N disjoint --shard-style
-# rank-range searches merged through a shared lemma store.  dot_product
-# at seed 5 goes through real counterexample rounds, so the merge replays
-# a multi-round search rather than a single exhaustion.
-SHARD_CASES = {
-    "quick": (("box_blur", 0, 2),),
-    "full": (("box_blur", 0, 2), ("dot_product", 5, 3)),
 }
 
 ABLATION_CAP_SECONDS = 30.0
@@ -271,117 +233,7 @@ def run_synth_case(kernel: str) -> dict:
     return pruned
 
 
-def _synth_with(kernel: str, config: SynthesisConfig) -> tuple[dict, str]:
-    """One synthesis run -> (payload, program text)."""
-    spec = get_spec(kernel)
-    sketch = default_sketch_for(spec)
-    started = time.perf_counter()
-    result = synthesize(spec, sketch, config)
-    payload = {
-        "wall_seconds": round(time.perf_counter() - started, 4),
-        "nodes": result.nodes,
-        "final_cost": result.final_cost,
-    }
-    if result.search_stats is not None:
-        stats = result.search_stats
-        payload["lemma_hits"] = stats.lemma_hits
-        payload["lemma_skips"] = stats.lemma_skips
-    return payload, format_program(result.program)
-
-
-def run_warm_start_case(
-    target: str, warmers: tuple[str, ...], optimize: bool
-) -> dict:
-    """Cold vs lemma-store-warmed node counts for one kernel."""
-    with tempfile.TemporaryDirectory() as tmp:
-        cold_store = Path(tmp) / "cold_lemmas.json"
-        warm_store = Path(tmp) / "warm_lemmas.json"
-        # the cold run gets its own empty store so both sides pay the
-        # same recording overhead; an empty store never changes a search
-        cold, cold_text = _synth_with(
-            target,
-            SynthesisConfig(
-                optimize=optimize,
-                optimize_timeout=30.0,
-                lemma_path=cold_store,
-            ),
-        )
-        for warmer in warmers:
-            _synth_with(
-                warmer,
-                SynthesisConfig(
-                    optimize=optimize,
-                    optimize_timeout=30.0,
-                    lemma_path=warm_store,
-                ),
-            )
-        warm, warm_text = _synth_with(
-            target,
-            SynthesisConfig(
-                optimize=optimize,
-                optimize_timeout=30.0,
-                lemma_path=warm_store,
-            ),
-        )
-    return {
-        "target": target,
-        "warmers": list(warmers),
-        "optimize": optimize,
-        "cold": cold,
-        "warm": warm,
-        "nodes_saved": cold["nodes"] - warm["nodes"],
-        "warm_strictly_fewer": warm["nodes"] < cold["nodes"],
-        "program_identical": warm_text == cold_text,
-    }
-
-
-def run_shard_case(kernel: str, seed: int, shards: int) -> dict:
-    """Serial vs N-way sharded-and-merged synthesis for one kernel."""
-    serial, serial_text = _synth_with(
-        kernel, SynthesisConfig(seed=seed, optimize_timeout=30.0)
-    )
-    with tempfile.TemporaryDirectory() as tmp:
-        store = Path(tmp) / "shard_lemmas.json"
-        shard_nodes = []
-        for index in range(shards):
-            try:
-                payload, _ = _synth_with(
-                    kernel,
-                    SynthesisConfig(
-                        seed=seed,
-                        optimize_timeout=30.0,
-                        lemma_path=store,
-                        shard=(index, shards),
-                    ),
-                )
-                shard_nodes.append(payload["nodes"])
-            except SynthesisError:
-                # this shard's rank ranges hold no solution — expected;
-                # the merge below reconstitutes the full answer
-                shard_nodes.append(None)
-        merge, merge_text = _synth_with(
-            kernel,
-            SynthesisConfig(
-                seed=seed, optimize_timeout=30.0, lemma_path=store
-            ),
-        )
-    return {
-        "kernel": kernel,
-        "seed": seed,
-        "shards": shards,
-        "serial_nodes": serial["nodes"],
-        "shard_nodes": shard_nodes,
-        "merge_nodes": merge["nodes"],
-        "program_identical": merge_text == serial_text,
-    }
-
-
-def check_floor(
-    engine_results: dict,
-    synthesis_results: dict,
-    warm_results: dict | None = None,
-    shard_results: dict | None = None,
-) -> list[str]:
+def check_floor(engine_results: dict, synthesis_results: dict) -> list[str]:
     """Violations of the checked-in floors and exact node ceilings."""
     floors = load_floors(FLOOR_FILE)
     if floors is None:
@@ -417,50 +269,10 @@ def check_floor(
         )
         if failure:
             failures.append(failure)
-    # warm-start: exact node ceilings on both sides, plus the two
-    # run-invariants the lemma store promises — strictly fewer warm
-    # nodes and byte-identical programs
-    for key, floor in floors.get("warm_start", {}).items():
-        payload = (warm_results or {}).get(key)
-        if payload is None:
-            continue
-        for side in ("cold", "warm"):
-            failure = ceiling_failure(
-                f"warm_start {key} ({side})",
-                payload[side]["nodes"],
-                floor[f"{side}_max_nodes"],
-                unit=" nodes",
-                detail=" — a lemma-reuse regression",
-            )
-            if failure:
-                failures.append(failure)
-    for key, payload in (warm_results or {}).items():
-        if not payload["warm_strictly_fewer"]:
-            failures.append(
-                f"warm_start {key}: warm run searched "
-                f"{payload['warm']['nodes']:,} nodes, not strictly fewer "
-                f"than the cold run's {payload['cold']['nodes']:,}"
-            )
-        if not payload["program_identical"]:
-            failures.append(
-                f"warm_start {key}: warmed synthesis produced a different "
-                "program than the cold run — the lemma store is UNSOUND"
-            )
-    # shards carry no floor numbers: byte-identity is the whole contract
-    for key, payload in (shard_results or {}).items():
-        if not payload["program_identical"]:
-            failures.append(
-                f"shards {key}: merged {payload['shards']}-way sharded "
-                "search produced a different program than the serial run"
-            )
     return failures
 
 
-def update_floor(
-    engine_results: dict,
-    synthesis_results: dict,
-    warm_results: dict | None = None,
-) -> None:
+def update_floor(engine_results: dict, synthesis_results: dict) -> None:
     """Merge this run into the floor file (keep unmeasured entries)."""
     floors = (
         json.loads(FLOOR_FILE.read_text()) if FLOOR_FILE.exists() else {}
@@ -468,7 +280,6 @@ def update_floor(
     if "engine" not in floors:  # migrate the flat schema-1 layout
         floors = {"engine": {}, "synthesis": {}}
     floors["schema"] = 3
-    floors.setdefault("warm_start", {})
     for key, payload in engine_results.items():
         floors["engine"][key] = {
             "nodes_per_sec": payload["nodes_per_sec"],
@@ -477,11 +288,6 @@ def update_floor(
     for kernel, payload in synthesis_results.items():
         if payload.get("proof_complete"):
             floors["synthesis"][kernel] = payload["nodes"]
-    for key, payload in (warm_results or {}).items():
-        floors["warm_start"][key] = {
-            "cold_max_nodes": payload["cold"]["nodes"],
-            "warm_max_nodes": payload["warm"]["nodes"],
-        }
     save_floors(FLOOR_FILE, floors)
 
 
@@ -549,39 +355,12 @@ def main(argv: list[str] | None = None) -> int:
                 f"{payload['workers4']['steals']} steals)"
             )
 
-    warm_results: dict[str, dict] = {}
-    shard_results: dict[str, dict] = {}
-    if not args.no_synthesis:
-        for target, warmers, optimize in WARM_START_CASES[mode]:
-            key = f"{'+'.join(warmers)}->{target}"
-            print(f"warm-start {key} ...", flush=True)
-            payload = run_warm_start_case(target, warmers, optimize)
-            warm_results[key] = payload
-            print(
-                f"  cold {payload['cold']['nodes']:,} nodes -> warm "
-                f"{payload['warm']['nodes']:,} ({payload['nodes_saved']:,} "
-                f"saved, {payload['warm'].get('lemma_skips', 0)} lemma "
-                f"skips, identical={payload['program_identical']})"
-            )
-        for kernel, seed, shards in SHARD_CASES[mode]:
-            key = f"{kernel}@s{seed}/{shards}"
-            print(f"shards {key} ...", flush=True)
-            payload = run_shard_case(kernel, seed, shards)
-            shard_results[key] = payload
-            print(
-                f"  serial {payload['serial_nodes']:,} nodes; merge "
-                f"{payload['merge_nodes']:,} nodes after {shards} shards, "
-                f"identical={payload['program_identical']}"
-            )
-
     report = {
-        "schema": 5,
+        "schema": 6,
         "mode": mode,
         "engine": engine_results,
         "ablation": ablation_results,
         "synthesis": synthesis_results,
-        "warm_start": warm_results,
-        "shards": shard_results,
         "metrics": {
             **{
                 f"{key}.nodes_per_sec": payload["nodes_per_sec"]
@@ -600,28 +379,15 @@ def main(argv: list[str] | None = None) -> int:
                 f"{kernel}.synth_prune_ratio": payload["unpruned"]["node_ratio"]
                 for kernel, payload in synthesis_results.items()
             },
-            **{
-                f"warm.{key}.nodes_saved": payload["nodes_saved"]
-                for key, payload in warm_results.items()
-            },
-            **{
-                f"shards.{key}.identical": payload["program_identical"]
-                for key, payload in shard_results.items()
-            },
         },
     }
     write_report(report, args.output, DEFAULT_OUTPUT)
 
     if args.update_floor:
-        update_floor(engine_results, synthesis_results, warm_results)
+        update_floor(engine_results, synthesis_results)
 
     if args.check_floor:
-        return report_failures(check_floor(
-            engine_results,
-            synthesis_results,
-            warm_results,
-            shard_results,
-        ))
+        return report_failures(check_floor(engine_results, synthesis_results))
     return 0
 
 

@@ -232,7 +232,7 @@ def _cmd_synth(args) -> int:
     """
     from pathlib import Path
 
-    from repro.core.cegis import SynthesisError, synthesize
+    from repro.core.cegis import synthesize
     from repro.quill.printer import format_program
 
     session = _session(args)
@@ -254,104 +254,26 @@ def _cmd_synth(args) -> int:
         )
         return 2
 
-    shard = None
-    if args.shard:
-        try:
-            index_text, count_text = args.shard.split("/")
-            shard = (int(index_text), int(count_text))
-        except ValueError:
-            print(f"--shard must look like I/N, got {args.shard!r}",
-                  file=sys.stderr)
-            return 2
-        if not 0 <= shard[0] < shard[1]:
-            print(f"--shard index must be in [0, {shard[1]}), got {shard[0]}",
-                  file=sys.stderr)
-            return 2
-    if (shard is not None or args.merge_shards) and not args.lemmas:
-        print("--shard and --merge-shards need --lemmas FILE (the store is "
-              "how shards coordinate)", file=sys.stderr)
-        return 2
-    if shard is not None and args.merge_shards:
-        print("--shard and --merge-shards are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.checkpoint is None and not (args.lemmas or args.merge_shards):
-        print("synth needs --checkpoint FILE (or --lemmas FILE)",
-              file=sys.stderr)
+    if args.checkpoint is None:
+        print("synth needs --checkpoint FILE", file=sys.stderr)
         return 2
 
     spec = session.spec(args.kernel)
     sketch = definition.sketch(spec)
-    overrides = {}
-    if args.checkpoint:
-        overrides["checkpoint_path"] = args.checkpoint
-    if args.lemmas:
-        overrides["lemma_path"] = args.lemmas
-    if shard is not None:
-        overrides["shard"] = shard
-        if args.workers is not None and args.workers > 1:
-            print(f"# --shard {shard[0]}/{shard[1]} forces a serial engine; "
-                  f"ignoring --workers {args.workers}", file=sys.stderr)
-        overrides["workers"] = 1
-    config = session.config_for(definition, **overrides)
+    config = session.config_for(definition, checkpoint_path=args.checkpoint)
 
-    if args.merge_shards:
-        from repro.core.cegis import _lemma_context
-        from repro.core.lemmas import marker_key
-        from repro.solver import SearchOptions
+    checkpoint = Path(args.checkpoint)
+    if checkpoint.exists() and not args.resume:
+        checkpoint.unlink()  # fresh run unless --resume asked to continue
+        print(f"# discarded existing checkpoint {checkpoint}",
+              file=sys.stderr)
+    elif args.resume and not checkpoint.exists():
+        print(f"# no checkpoint at {checkpoint}; starting fresh",
+              file=sys.stderr)
+    elif args.resume:
+        print(f"# resuming from {checkpoint}", file=sys.stderr)
 
-        options = config.search_options or SearchOptions()
-        store, family, seed_chain = _lemma_context(
-            spec, sketch, config, options
-        )
-        status = store.shard_status(marker_key(family, seed_chain))
-        if status is None:
-            print(
-                f"--merge-shards found no shard records for {args.kernel!r} "
-                f"in {args.lemmas}; run the `--shard i/N` processes first",
-                file=sys.stderr,
-            )
-            return 2
-        done = sorted(int(i) for i in status.get("completed", {}))
-        count = int(status.get("count", 0))
-        if len(done) < count:
-            missing = sorted(set(range(count)) - set(done))
-            print(
-                f"# warning: only shards {done} of {count} recorded "
-                f"(missing {missing}); the merge replay re-searches their "
-                "rank ranges itself",
-                file=sys.stderr,
-            )
-        else:
-            print(f"# merging {count} completed shard(s)", file=sys.stderr)
-
-    if args.checkpoint:
-        checkpoint = Path(args.checkpoint)
-        if checkpoint.exists() and not args.resume:
-            checkpoint.unlink()  # fresh run unless --resume asked to continue
-            print(f"# discarded existing checkpoint {checkpoint}",
-                  file=sys.stderr)
-        elif args.resume and not checkpoint.exists():
-            print(f"# no checkpoint at {checkpoint}; starting fresh",
-                  file=sys.stderr)
-        elif args.resume:
-            print(f"# resuming from {checkpoint}", file=sys.stderr)
-
-    try:
-        result = synthesize(spec, sketch, config)
-    except SynthesisError as error:
-        if shard is not None:
-            # a shard whose rank ranges exclude the solution is a normal,
-            # successful outcome of the split — not a failure
-            print(f"# {error}", file=sys.stderr)
-            print(
-                f"# shard {shard[0]}/{shard[1]} done; run "
-                f"`porcupine synth {args.kernel} --lemmas {args.lemmas} "
-                "--merge-shards` once every shard has finished",
-                file=sys.stderr,
-            )
-            return 0
-        raise
+    result = synthesize(spec, sketch, config)
     text = format_program(result.program)
     if args.timings and result.search_stats is not None:
         print(result.search_stats.report("search stats"), file=sys.stderr)
@@ -364,7 +286,6 @@ def _cmd_synth(args) -> int:
             "final_cost": result.final_cost,
             "proof_complete": result.proof_complete,
             "checkpoint": args.checkpoint,
-            "lemmas": args.lemmas,
             "search_stats": (
                 result.search_stats.summary()
                 if result.search_stats is not None
@@ -373,16 +294,11 @@ def _cmd_synth(args) -> int:
             "quill": text,
         }, indent=2))
     else:
-        where = (
-            f"checkpoint at {args.checkpoint}"
-            if args.checkpoint
-            else f"lemmas at {args.lemmas}"
-        )
         print(
             f"# {result.program.instruction_count()} instructions, "
             f"cost {result.final_cost:.1f} "
             f"({'optimal' if result.proof_complete else 'best-effort'}); "
-            f"{where}",
+            f"checkpoint at {args.checkpoint}",
             file=sys.stderr,
         )
         print(text)
@@ -607,24 +523,9 @@ def main(argv: list[str] | None = None) -> int:
     synth.add_argument("--resume", action="store_true",
                        help="resume from the checkpoint instead of "
                             "starting fresh")
-    synth.add_argument("--lemmas", metavar="FILE",
-                       help="persistent lemma store: records proven-"
-                            "matchless rank ranges, final-value sets, and "
-                            "phase-2 outcomes; a later run of this or a "
-                            "sibling kernel consults them to skip search "
-                            "(programs are byte-identical either way)")
-    synth.add_argument("--shard", metavar="I/N",
-                       help="run only shard I of N disjoint root-rank "
-                            "ranges (serial engine; needs --lemmas so "
-                            "sibling shards and --merge-shards can "
-                            "coordinate through the store)")
-    synth.add_argument("--merge-shards", action="store_true",
-                       help="assemble the result of a sharded search from "
-                            "the lemma store (byte-identical to an "
-                            "unsharded serial run; needs --lemmas)")
     synth.add_argument("--timings", action="store_true",
-                       help="print the search-stats table (nodes, lemma "
-                            "hits/misses/skips) to stderr")
+                       help="print the search-stats table (runs, nodes, "
+                            "nodes/s, dedup hits) to stderr")
     synth.add_argument("--seed", type=int, default=0,
                        help="synthesis/example seed (reproducible runs)")
     synth.add_argument("--workers", type=int, default=None, metavar="N",

@@ -106,12 +106,7 @@ def config_fingerprint(config: SynthesisConfig) -> dict:
     """Canonical content summary of a synthesis configuration."""
     summary = {}
     for f in fields(config):
-        if f.name in (
-            "workers",
-            "checkpoint_path",
-            "lemma_path",
-            "shard",
-        ):
+        if f.name in ("workers", "checkpoint_path"):
             # parallel search is bit-identical to a serial search
             # whenever the search completes, so it may not split the
             # content-addressed cache.  (When optimize_timeout fires
@@ -119,10 +114,6 @@ def config_fingerprint(config: SynthesisConfig) -> dict:
             # on machine speed — worker count is no different.)  The
             # checkpoint file location is pure operational plumbing — a
             # resumed run is byte-identical to an uninterrupted one.
-            # Likewise the lemma store and shard descriptors are
-            # advisory-but-sound accelerations: warm and shard-merged
-            # runs synthesize the same bytes as a cold serial run, so
-            # neither may split the cache.
             continue
         value = getattr(config, f.name)
         if f.name == "latency_model":

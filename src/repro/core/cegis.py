@@ -46,17 +46,6 @@ from repro.core.checkpoint import (
     restore_rng,
     rng_state,
 )
-from repro.core.lemmas import (
-    LemmaStore,
-    LemmaTap,
-    chain_fingerprint,
-    chain_key,
-    covered_prefix,
-    family_fingerprint,
-    finals_key,
-    inputs_fingerprint,
-    marker_key,
-)
 from repro.core.parallel import ParallelSynthesis
 from repro.core.sketch import Sketch
 from repro.quill.cost import program_cost
@@ -66,12 +55,10 @@ from repro.quill.parser import parse_program
 from repro.quill.printer import format_program
 from repro.solver.engine import (
     SearchOptions,
-    SearchOutcome,
     SearchStats,
     SketchSearch,
     materialize_assignment,
 )
-from repro.solver.values import signature_block
 from repro.spec.reference import Example, Spec
 
 
@@ -98,19 +85,6 @@ class SynthesisConfig:
     #: at every round boundary and a rerun with the same config resumes
     #: from it, producing a byte-identical program (None: no checkpoint)
     checkpoint_path: str | None = None
-    #: persistent cross-kernel lemma store (see :mod:`repro.core.lemmas`):
-    #: records proven-matchless rank ranges, reachable final-value
-    #: signatures, and branch-and-bound outcomes, and consults a sibling
-    #: kernel's records to skip work.  Advisory-but-sound — warm and cold
-    #: runs synthesize byte-identical programs — so the path never enters
-    #: compile-cache keys (None: no store)
-    lemma_path: str | None = None
-    #: ``(index, count)``: restrict this run to shard ``index`` of
-    #: ``count`` disjoint root-rank ranges (lengths >= 2; length-1
-    #: searches are not rank-partitioned and run in full).  Shards force
-    #: a serial engine and record their findings in the lemma store;
-    #: a later ``--merge-shards`` replay assembles the serial result
-    shard: tuple[int, int] | None = None
 
 
 @dataclass
@@ -148,65 +122,6 @@ def seed_examples(
     return [spec.make_example(rng) for _ in range(config.seed_examples)]
 
 
-def _validate_shard(config: SynthesisConfig) -> tuple[int, int] | None:
-    shard = config.shard
-    if shard is None:
-        return None
-    index, count = int(shard[0]), int(shard[1])
-    if count < 1 or not 0 <= index < count:
-        raise ValueError(f"invalid shard descriptor {index}/{count}")
-    return (index, count)
-
-
-def _shard_bounds(shard: tuple[int, int], total: int) -> tuple[int, int]:
-    """Disjoint, exhaustive rank range of shard ``index`` of ``count``."""
-    index, count = shard
-    return (index * total) // count, ((index + 1) * total) // count
-
-
-def _lemma_context(spec, sketch, config, options):
-    """(store, family fingerprint, seed-chain fingerprint) — or Nones.
-
-    The seed chain (the deterministic initial example set, before any
-    counterexamples) keys the cross-shard coordination records: every
-    shard of a run shares it regardless of how its own chain diverges.
-    """
-    if config.lemma_path is None:
-        return None, None, None
-    store = LemmaStore(config.lemma_path)
-    family = family_fingerprint(spec, sketch, options)
-    seed_chain = chain_fingerprint(spec.layout, seed_examples(spec, config))
-    return store, family, seed_chain
-
-
-def _goal_signature(examples: list[Example]) -> int:
-    goals = np.stack([np.asarray(ex.goal) for ex in examples])
-    return int(signature_block(goals[None, :, :])[0])
-
-
-def _fold_lemma_counters(stats: SearchStats, store: LemmaStore | None) -> None:
-    if store is not None:
-        stats.lemma_hits += store.hits
-        stats.lemma_misses += store.misses
-        stats.lemma_skips += store.skips
-
-
-def _record_shard_done(store, family, seed_chain, shard, search) -> None:
-    """Record this shard's completed rank range so ``--merge-shards`` can
-    check that every shard of the split actually ran."""
-    rank_count = search.root_choice_count() if search is not None else 0
-    lo, hi = _shard_bounds(shard, rank_count)
-    store.record_shard(
-        marker_key(family, seed_chain),
-        index=shard[0],
-        count=shard[1],
-        start=lo,
-        end=hi,
-        rank_count=rank_count,
-    )
-    store.flush()
-
-
 def synthesize_initial(
     spec: Spec,
     sketch: Sketch,
@@ -224,10 +139,6 @@ def synthesize_initial(
     config = config or SynthesisConfig()
     model = config.latency_model or default_latency_model(spec.params_name)
     options = config.search_options or SearchOptions()
-    shard = _validate_shard(config)
-    if shard is not None:
-        driver = None  # shard searches are serial by construction
-    store, family, seed_chain = _lemma_context(spec, sketch, config, options)
     rng = np.random.default_rng(config.seed)
     examples = seed_examples(spec, config, rng)
 
@@ -275,7 +186,7 @@ def synthesize_initial(
     stats = SearchStats()
     initial_program: Program | None = None
     components_used = 0
-    own_driver = driver is None and config.workers > 1 and shard is None
+    own_driver = driver is None and config.workers > 1
     if own_driver:
         driver = ParallelSynthesis(config.workers, options=options)
 
@@ -286,37 +197,13 @@ def synthesize_initial(
             f"{time.perf_counter() - start:.1f}s ({stats.nodes} nodes)"
         )
 
-    search: SketchSearch | None = None
     try:
         for length in range(start_length, config.max_components + 1):
             found_at_this_length = False
             # cross-round frontier within this length (restored for the
             # checkpointed length, 0 for every deeper one)
             resume_rank = restored_rank if length == start_length else 0
-            if store is not None and shard is not None:
-                marker = store.marker(marker_key(family, seed_chain))
-                if marker is not None and length > marker["length"]:
-                    # a sibling shard already solved at a smaller length:
-                    # this shard's ranges cannot contain the canonical
-                    # solution, so stop instead of searching ever deeper
-                    _record_shard_done(store, family, seed_chain, shard, search)
-                    raise SynthesisError(
-                        f"{spec.name}: shard {shard[0]}/{shard[1]} "
-                        "completed its rank ranges without the solution "
-                        "(a sibling shard solved at "
-                        f"{marker['length']} components); run with "
-                        "--merge-shards to assemble the result"
-                    )
             while True:  # counterexample loop at this sketch size
-                ckey = fkey = inputs_fp = None
-                if store is not None:
-                    inputs_fp = inputs_fingerprint(spec.layout, examples)
-                    ckey = chain_key(
-                        family,
-                        chain_fingerprint(spec.layout, examples),
-                        length,
-                    )
-                    fkey = finals_key(family, inputs_fp, length)
                 if checkpoint is not None:
                     # a round boundary is deterministic given (examples,
                     # length, start_rank) and the rng stream: saving
@@ -328,48 +215,8 @@ def synthesize_initial(
                         resume_rank=resume_rank,
                         examples=examples,
                         rng=rng_state(rng),
-                        shard_index=None if shard is None else shard[0],
-                        shard_count=None if shard is None else shard[1],
                     ))
-                # lemma: a complete recorded final-value set for this
-                # (family, inputs, length) that misses the goal proves
-                # the whole length matchless — skip it without a search
-                if store is not None and store.finals_skip(
-                    fkey, _goal_signature(examples)
-                ):
-                    break
-                # lemma: a recorded candidate whose every lower rank is
-                # covered by matchless ranges is exactly the program the
-                # canonical search would find first — jump to verifying
-                if store is not None and shard is None:
-                    hit = store.candidate_after(ckey, resume_rank)
-                    if hit is not None:
-                        rank, text = hit
-                        store.skips += 1
-                        program = parse_program(text)
-                        verdict = spec.verify_program(program)
-                        if verdict.equivalent:
-                            initial_program = program
-                            components_used = length
-                            found_at_this_length = True
-                            break
-                        examples.append(
-                            spec.example_from_witness(
-                                verdict.counterexample, rng
-                            )
-                        )
-                        if length >= 2:
-                            resume_rank = rank
-                        continue
                 if driver is not None:
-                    run_start = resume_rank
-                    if store is not None and length >= 2:
-                        extended = covered_prefix(
-                            store.matchless_ranges(ckey), run_start
-                        )
-                        if extended > run_start:
-                            store.skips += 1
-                            run_start = extended
                     outcome, text = driver.find_first(
                         sketch,
                         spec.layout,
@@ -378,7 +225,7 @@ def synthesize_initial(
                         length,
                         deadline=deadline,
                         name=f"{spec.name}_synth",
-                        start_rank=run_start,
+                        start_rank=resume_rank,
                     )
                     stats.record(outcome)
                     if text is not None:
@@ -408,41 +255,6 @@ def synthesize_initial(
                     sketch, spec.layout, examples, model, length,
                     options=options,
                 )
-                total_ranks = search.root_choice_count()
-                run_start = resume_rank
-                root_ranks = None
-                shard_lo = shard_hi = None
-                if shard is not None and length >= 2:
-                    shard_lo, shard_hi = _shard_bounds(shard, total_ranks)
-                    root_ranks = frozenset(range(shard_lo, shard_hi))
-                if store is not None and shard is None:
-                    ranges = store.matchless_ranges(ckey)
-                    if length >= 2:
-                        extended = covered_prefix(ranges, run_start)
-                        if extended > run_start:
-                            # proven-matchless prefix: resume past it
-                            store.skips += 1
-                            run_start = extended
-                    elif covered_prefix(ranges, 0) >= total_ranks:
-                        # length-1 searches are not rank-partitioned;
-                        # full recorded coverage skips the whole round
-                        store.skips += 1
-                        break
-                tap = None
-                if store is not None:
-                    # only a full, unrestricted sweep sees every final
-                    # value, so only those runs may record a finals set
-                    # (and re-collecting one already on disk is waste)
-                    tap = LemmaTap(
-                        store,
-                        inputs_fp,
-                        collect_finals=(
-                            run_start == 0
-                            and root_ranks is None
-                            and not store.has_finals(fkey)
-                        ),
-                    )
-                    search.lemma_tap = tap
                 state: dict = {}
 
                 def on_candidate(assignment):
@@ -457,52 +269,12 @@ def synthesize_initial(
                         state["program"] = program
                     else:
                         state["witness"] = verdict.counterexample
-                    if store is not None:
-                        state["text"] = format_program(program)
                     return True, None  # stop either way: accept or add example
 
-                try:
-                    outcome = search.run(
-                        on_candidate,
-                        deadline=deadline,
-                        start_rank=run_start,
-                        root_ranks=root_ranks,
-                    )
-                finally:
-                    search.lemma_tap = None
+                outcome = search.run(
+                    on_candidate, deadline=deadline, start_rank=resume_rank
+                )
                 stats.record(outcome)
-                if store is not None and outcome.status != "timeout":
-                    searched_lo = (
-                        run_start if shard_lo is None
-                        else max(run_start, shard_lo)
-                    )
-                    if "text" in state:
-                        match_rank = (
-                            search.current_root_rank if length >= 2 else 0
-                        )
-                        store.record_matchless(
-                            ckey,
-                            searched_lo if length >= 2 else 0,
-                            match_rank,
-                        )
-                        store.record_candidate(ckey, match_rank, state["text"])
-                    elif outcome.status == "exhausted":
-                        searched_hi = (
-                            total_ranks if shard_hi is None else shard_hi
-                        )
-                        store.record_matchless(
-                            ckey,
-                            searched_lo if length >= 2 else 0,
-                            searched_hi,
-                        )
-                        if (
-                            tap is not None
-                            and tap.collect_finals
-                            and tap.finals_valid
-                            and not tap.finals_overflow
-                        ):
-                            store.record_finals(fkey, tap.final_sigs)
-                    store.flush()
                 if "program" in state:
                     initial_program = state["program"]
                     components_used = length
@@ -524,30 +296,13 @@ def synthesize_initial(
         if own_driver:
             driver.close()
     if initial_program is None:
-        if store is not None and shard is not None:
-            _record_shard_done(store, family, seed_chain, shard, search)
         raise SynthesisError(
             f"{spec.name}: sketch has no solution with up to "
             f"{config.max_components} components"
-            + (
-                f" in shard {shard[0]}/{shard[1]}'s rank ranges"
-                if shard is not None
-                else ""
-            )
         )
 
     initial_time = time.perf_counter() - start
     initial_cost = program_cost(initial_program, model)
-    if store is not None:
-        # the solve marker tells sibling shards to stop deepening, and
-        # --merge-shards which shard carried the canonical solution
-        store.record_marker(
-            marker_key(family, seed_chain), components_used, initial_cost
-        )
-        if shard is not None:
-            _record_shard_done(store, family, seed_chain, shard, search)
-        store.flush()
-    _fold_lemma_counters(stats, store)
     if checkpoint is not None:
         text = format_program(initial_program)
         checkpoint.save(CheckpointState(
@@ -598,22 +353,11 @@ def minimize_cost(
     config = config or SynthesisConfig()
     model = config.latency_model or default_latency_model(spec.params_name)
     options = config.search_options or SearchOptions()
-    shard = _validate_shard(config)
-    if shard is not None:
-        driver = None  # shard searches are serial by construction
-    store, family, seed_chain = _lemma_context(spec, sketch, config, options)
     start = time.perf_counter()
     optimize_deadline = start + config.optimize_timeout
     examples = list(initial.examples)
     best_box = {"program": initial.program, "cost": initial.final_cost}
     stats = SearchStats()
-    p2key = None
-    if store is not None:
-        p2key = chain_key(
-            family,
-            chain_fingerprint(spec.layout, examples),
-            initial.components,
-        )
 
     checkpoint: SynthesisCheckpoint | None = None
     if config.checkpoint_path is not None:
@@ -664,42 +408,13 @@ def minimize_cost(
                 best_text=format_program(program),
                 best_cost=cost,
                 proof_complete=True,
-                shard_index=None if shard is None else shard[0],
-                shard_count=None if shard is None else shard[1],
             ))
 
     # the phase-1 cost, or the checkpointed best: phase 2 searches for
     # strictly cheaper programs under this one bound
     entry_bound = best_box["cost"]
 
-    # lemma: a recorded full-range branch-and-bound proof under a bound
-    # no tighter than ours already names the cold run's result
-    shortcut_outcome = None
-    if store is not None and shard is None:
-        rec = store.phase2_full(p2key, entry_bound)
-        if rec is not None:
-            usable = True
-            if (
-                rec.get("best_text") is not None
-                and rec.get("best_cost", entry_bound) < entry_bound
-            ):
-                program = parse_program(rec["best_text"])
-                if spec.verify_program(program).equivalent:
-                    best_box["program"] = program
-                    best_box["cost"] = program_cost(program, model)
-                    save_progress(program, best_box["cost"])
-                else:
-                    usable = False  # stale record: run the real search
-            if usable:
-                store.skips += 1
-                shortcut_outcome = SearchOutcome(
-                    status="exhausted", nodes=0, candidates=0
-                )
-
-    if shortcut_outcome is not None:
-        outcome = shortcut_outcome
-        stats.record(outcome)
-    elif config.workers > 1 and initial.components > 1 and shard is None:
+    if config.workers > 1 and initial.components > 1:
         own_driver = driver is None
         if own_driver:
             driver = ParallelSynthesis(config.workers, options=options)
@@ -742,22 +457,6 @@ def minimize_cost(
             sketch, spec.layout, examples, model, initial.components,
             options=options,
         )
-        total_ranks = search.root_choice_count()
-        root_ranks = None
-        shard_lo = shard_hi = None
-        if shard is not None and initial.components >= 2:
-            shard_lo, shard_hi = _shard_bounds(shard, total_ranks)
-            root_ranks = frozenset(range(shard_lo, shard_hi))
-        elif store is not None and initial.components >= 2:
-            # lemma: ranges proven accept-free under a bound at least as
-            # tight contribute nothing — search only their complement
-            allowed = set(range(total_ranks))
-            for lo, hi in store.phase2_dead_ranges(p2key, entry_bound):
-                allowed.difference_update(range(lo, min(hi, total_ranks)))
-            removed = total_ranks - len(allowed)
-            if removed:
-                store.skips += removed
-                root_ranks = frozenset(allowed)
 
         def on_better(assignment):
             program = materialize_assignment(
@@ -774,28 +473,9 @@ def minimize_cost(
             return False, None  # matches examples but not the spec
 
         outcome = search.run(
-            on_better,
-            cost_bound=entry_bound,
-            deadline=optimize_deadline,
-            root_ranks=root_ranks,
+            on_better, cost_bound=entry_bound, deadline=optimize_deadline
         )
         stats.record(outcome)
-        if store is not None and outcome.status == "exhausted":
-            best_text = (
-                format_program(best_box["program"])
-                if best_box["cost"] < entry_bound
-                else None
-            )
-            store.record_phase2(
-                p2key,
-                bound=entry_bound,
-                start=0 if shard_lo is None else shard_lo,
-                end=None if shard_lo is None else shard_hi,
-                best_text=best_text,
-                best_cost=None if best_text is None else best_box["cost"],
-            )
-            store.flush()
-    _fold_lemma_counters(stats, store)
     if checkpoint is not None:
         checkpoint.save(CheckpointState(
             phase="done",
@@ -834,7 +514,7 @@ def synthesize(
     """
     config = config or SynthesisConfig()
     driver = None
-    if config.workers > 1 and config.shard is None:
+    if config.workers > 1:
         driver = ParallelSynthesis(
             config.workers,
             options=config.search_options or SearchOptions(),

@@ -53,7 +53,7 @@ import numpy as np
 from repro.spec.reference import Example
 
 #: bump when the checkpoint layout changes (old files become stale)
-CHECKPOINT_FORMAT = 2  # 2: shard descriptors (shard_index/shard_count)
+CHECKPOINT_FORMAT = 3  # 3: the rank-range split fields dropped
 
 
 # -- example / rng (de)serialization ----------------------------------------
@@ -130,11 +130,6 @@ class CheckpointState:
     best_text: str | None = None
     best_cost: float | None = None
     proof_complete: bool = False
-    # the shard descriptor of the run that wrote this checkpoint (None
-    # for non-shard runs); also part of the content key, so a shard
-    # never resumes from a sibling's file
-    shard_index: int | None = None
-    shard_count: int | None = None
 
     def to_json(self) -> dict:
         return {
@@ -149,8 +144,6 @@ class CheckpointState:
             "best_text": self.best_text,
             "best_cost": self.best_cost,
             "proof_complete": self.proof_complete,
-            "shard_index": self.shard_index,
-            "shard_count": self.shard_count,
         }
 
     @classmethod
@@ -169,8 +162,6 @@ class CheckpointState:
             best_text=payload.get("best_text"),
             best_cost=payload.get("best_cost"),
             proof_complete=bool(payload.get("proof_complete", False)),
-            shard_index=payload.get("shard_index"),
-            shard_count=payload.get("shard_count"),
         )
 
 
@@ -194,11 +185,6 @@ def checkpoint_key(spec, sketch, config) -> str:
         "spec": spec_fingerprint(spec),
         "sketch": sketch_fingerprint(sketch),
         "config": config_fingerprint(config),
-        # the shard descriptor is excluded from the compile-cache
-        # fingerprint (it cannot change the merged result) but is part
-        # of *checkpoint* identity: shard 1 of 4 must never resume from
-        # shard 0's file
-        "shard": list(config.shard) if getattr(config, "shard", None) else None,
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()

@@ -97,7 +97,7 @@ def _init_worker(cancel, bound, found_rank, chunk_next, results) -> None:
 
 
 @dataclass(frozen=True)
-class ShardTask:
+class SerialTask:
     """One in-process search over the whole root slot from ``start_rank``.
 
     The driver's serial fallback (tiny rank universes, ``workers=1``),
@@ -136,7 +136,7 @@ class ChunkTask:
     generation: int  # round id, echoed on every message
 
 
-def _new_search(task: ShardTask | ChunkTask) -> SketchSearch:
+def _new_search(task: SerialTask | ChunkTask) -> SketchSearch:
     return SketchSearch(
         task.sketch,
         task.layout,
@@ -147,7 +147,7 @@ def _new_search(task: ShardTask | ChunkTask) -> SketchSearch:
     )
 
 
-def _run_shard(task: ShardTask) -> tuple[SearchOutcome, list[tuple]]:
+def _run_serial(task: SerialTask) -> tuple[SearchOutcome, list[tuple]]:
     """Serial entry point: run one search, return candidates as text.
 
     ``first`` mode stops at the search's first example-matching candidate
@@ -460,8 +460,8 @@ class ParallelSynthesis:
     def _serial_task(
         self, sketch, layout, examples, model, length, mode, bound, deadline,
         name, start_rank,
-    ) -> ShardTask:
-        return ShardTask(
+    ) -> SerialTask:
+        return SerialTask(
             sketch=sketch,
             layout=layout,
             examples=tuple(examples),
@@ -528,7 +528,7 @@ class ParallelSynthesis:
         # a length-1 search is pure goal-directed final-slot enumeration
         # (no root ranks to split); tiny rank universes aren't worth forks
         if length < 2 or total - start_rank < 2 or self.workers < 2:
-            outcome, found = _run_shard(
+            outcome, found = _run_serial(
                 self._serial_task(
                     sketch, layout, examples, model, length, "first",
                     float("inf"), deadline, name, start_rank,
@@ -619,7 +619,7 @@ class ParallelSynthesis:
                             self._bound.value = cost
 
         if length < 2 or total < 2 or self.workers < 2:
-            outcome, found = _run_shard(
+            outcome, found = _run_serial(
                 self._serial_task(
                     sketch, layout, examples, model, length, "collect",
                     cost_bound, deadline, name, 0,

@@ -390,7 +390,6 @@ class PorcupineServer:
                     "shadow_verify": self.config.shadow_verify,
                 },
                 "executor": self.session.executor_stats().summary(),
-                "synthesis": self._synthesis_stats(),
                 "health": {
                     "pool_restarts": self.compile_pool.restarts,
                     "pool_degraded": self.compile_pool.degraded,
@@ -414,17 +413,6 @@ class PorcupineServer:
         return {"id": payload.get("id"), "ok": True, "stopping": True}
 
     # -- compilation and execution ----------------------------------------
-
-    def _synthesis_stats(self) -> dict:
-        """Lemma-store counters summed over hot kernels."""
-        keys = ("lemma_hits", "lemma_misses", "lemma_skips")
-        totals = dict.fromkeys(keys, 0)
-        for compiled in self._hot.values():
-            for metrics in (compiled.pass_metrics or {}).values():
-                if isinstance(metrics, dict):
-                    for key in keys:
-                        totals[key] += int(metrics.get(key, 0) or 0)
-        return totals
 
     async def _ensure_compiled(
         self,

@@ -74,7 +74,7 @@ pre-rotated value-block rows (each push fills its rotations with one
 gather through a cached source-index table), dedup is one vectorized
 hash pass, and the final slot's goal check compares flat output-column
 rows against the flattened goal.  The scalar engine survives only as the
-equivalence oracle in the tests.  Root-slot partitioning
+equivalence oracle in the tests.  Root-slot chunks
 (``run(root_ranks=...)``) plus mid-run bound polling
 (``run(bound_poll=...)``) support the work-stealing process-parallel
 driver in :mod:`repro.core.parallel`.

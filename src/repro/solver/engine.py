@@ -40,11 +40,11 @@ see the package docstring for the per-rule soundness arguments.
 
 For parallel search, the root slot's ``(component, operand1, rotation1)``
 branches are numbered in enumeration order ("root ranks");
-``run(root_ranks=...)`` restricts one engine to a subset of branches so a
-driver (:mod:`repro.core.parallel`) can partition the space across
-processes while preserving the global candidate order via
-``current_root_rank``, and ``run(bound_poll=...)`` lets that driver
-broadcast a tightened cost bound *mid-run* (work stealing with live
+``run(root_ranks=...)`` restricts one engine to one contiguous chunk of
+branches, so the work-stealing workers of :mod:`repro.core.parallel` can
+split the space across processes while preserving the global candidate
+order via ``current_root_rank``, and ``run(bound_poll=...)`` lets that
+driver broadcast a tightened cost bound *mid-run* (work stealing with live
 branch-and-bound, not just between rounds).
 """
 
@@ -96,7 +96,6 @@ class SearchOutcome(Counters):
     bound_updates: int = counter()  # mid-run tightenings taken from bound_poll
     steals: int = counter()  # chunk grabs beyond an even share (driver)
     chunks: int = counter()  # chunk tasks executed (driver)
-    lemma_skips: int = counter()  # candidates skipped via lemma-store records
 
 
 @dataclass
@@ -105,14 +104,14 @@ class SearchStats(Counters):
 
     Folds the per-run statistics of every :class:`SearchOutcome` a CEGIS
     run issued — counterexample rounds, length increments, parallel
-    shards — into one profile (nodes/sec in ``BENCH_synthesis.json``,
+    chunks — into one profile (nodes/sec in ``BENCH_synthesis.json``,
     the session's per-pass timing report, the CLI's ``--timings``).
     """
 
-    runs: int = counter(show="always")  # engine invocations (rounds x shards)
+    runs: int = counter(show="always")  # engine runs (one per round)
     nodes: int = counter(show="always")
     candidates: int = counter()
-    seconds: float = counter(default=0.0, digits=6)  # summed across shards
+    seconds: float = counter(default=0.0, digits=6)  # summed across runs
     nodes_per_sec = derived(
         _nodes_per_sec, digits=1, show="always", label="nodes/s",
         fmt="{:,.0f}",
@@ -126,9 +125,6 @@ class SearchStats(Counters):
     bound_updates: int = counter(show="detail")  # mid-run bound tightenings
     steals: int = counter(show="detail")  # chunk grabs beyond an even share
     chunks: int = counter(show="detail")  # chunk tasks of the parallel driver
-    lemma_hits: int = counter(show="nonzero")  # consults finding a record
-    lemma_misses: int = counter(show="nonzero")  # consults finding nothing
-    lemma_skips: int = counter(show="nonzero")  # work avoided via lemmas
 
     def record(self, outcome: SearchOutcome) -> None:
         """Fold in one :class:`SearchOutcome`."""
@@ -309,11 +305,6 @@ class SketchSearch:
         self.min_latency = min(c.latency for c in self.components)
         #: Root branch the engine is currently exploring (see run()).
         self.current_root_rank = -1
-        #: Optional :class:`~repro.core.lemmas.LemmaTap`, attached by the
-        #: CEGIS loop for one run at a time.  Not a constructor argument:
-        #: taps hold a live store handle and must never ride along when a
-        #: search is pickled to parallel workers.
-        self.lemma_tap = None
 
     def _compile_choice(self, index, choice, rots_with_identity) -> _Comp:
         model = self.latency_model
@@ -416,10 +407,11 @@ class SketchSearch:
         tightens branch-and-bound pruning (optimization mode).
 
         ``root_ranks`` restricts the search to the given root-slot
-        branches (see :meth:`root_choice_count`); ``None`` searches all
-        of them.  During enumeration ``self.current_root_rank`` names the
-        branch the current candidate descends from, letting a parallel
-        driver reconstruct the global canonical candidate order.
+        branches (see :meth:`root_choice_count`), one work-stealing chunk
+        of the parallel driver; ``None`` searches all of them.  During
+        enumeration ``self.current_root_rank`` names the branch the
+        current candidate descends from, letting the driver reconstruct
+        the global canonical candidate order.
 
         ``start_rank`` skips every root branch below it — the CEGIS
         cross-round frontier: branches exhausted without an example match
@@ -444,7 +436,6 @@ class SketchSearch:
         self._ranks_skipped = 0
         self._root_rank = -1
         self.current_root_rank = -1
-        self._lemma_skips = 0
         self._nodes = 0
         self._batches = 0
         self._candidates = 0
@@ -485,7 +476,6 @@ class SketchSearch:
             ranks_skipped=self._ranks_skipped,
             shift_cache_peak=self.store.shift_cache_peak,
             bound_updates=self._bound_updates,
-            lemma_skips=self._lemma_skips,
         )
 
     # -- bookkeeping helpers -----------------------------------------------
@@ -738,21 +728,6 @@ class SketchSearch:
         self, slot, comp, op1, r1, op2, r2, value, prev, prev_wire,
         key_hash=None,
     ) -> None:
-        # lemma tap: slot-0 ct-ct fills are single-instruction programs
-        # over the base wires — record their full value matrices *before*
-        # dedup, so a duplicate-valued distinct instruction is recorded
-        # too (the length-1 consult enumerates it as its own candidate).
-        # Slot 0 can only reference base wires, so its instruction set is
-        # length-invariant; tapping the length-2 run alone keeps the
-        # per-push overhead out of the big deeper searches
-        if (
-            slot == 0
-            and op2 is not None
-            and self.length == 2
-            and self.lemma_tap is not None
-        ):
-            tap = self.lemma_tap
-            tap.record_instr(tap.instr_id(comp, op1, r1, op2, r2), value)
         # canonical order for adjacent independent components (symmetry
         # breaking, paper 6.2): if this slot does not consume the previous
         # wire, require its encoding to exceed the previous slot's.
@@ -869,29 +844,9 @@ class SketchSearch:
                         if self._stopped:
                             return
                 continue
-            tap = self.lemma_tap
-            if tap is not None and self.length == 1 and tap.consult_instrs:
-                # length-1 searches are pure final-slot enumeration over
-                # single instructions; a sibling kernel's recorded values
-                # can rule a whole component out without evaluating it
-                cands, _ = self._final_ct_cands(unused, comp)
-                if cands and self._lemma_skip_component(tap, comp, cands):
-                    self._lemma_skips += len(cands)
-                    continue
             self._final_ct(unused, comp)
             if self._stopped:
                 return
-
-    def _lemma_skip_component(self, tap, comp, cands) -> bool:
-        """True when every candidate of ``comp`` has a recorded value
-        known not to match the goal (then none needs evaluating)."""
-        for op1, r1, op2, r2 in cands:
-            instr = tap.instr_id(comp, op1, r1, op2, r2)
-            if not tap.known_miss(instr, self.out_slots, self.goal):
-                return False
-        # skipping candidates makes this run's final-value sweep partial
-        tap.finals_valid = False
-        return True
 
     def _final_ct_cands(self, unused, comp) -> tuple[list, int]:
         """Final-slot ct-ct fills in canonical order, plus the skip count.
@@ -949,10 +904,6 @@ class SketchSearch:
         values = _apply(
             comp.opcode, store.gather_out(rows1), store.gather_out(rows2)
         )
-        if self.lemma_tap is not None:
-            self.lemma_tap.record_final_block(
-                values.reshape((len(cands),) + self.goal.shape)
-            )
         hits = (values == self.goal.reshape(-1)).all(axis=1)
         if not hits.any():
             return
@@ -991,8 +942,6 @@ class SketchSearch:
 
     def _check_goal(self, comp, op1, r1, op2, r2, value) -> None:
         out = value[:, self.out_slots]
-        if self.lemma_tap is not None:
-            self.lemma_tap.record_final(out)
         if not np.array_equal(out, self.goal):
             return
         self._record_candidate(comp, op1, r1, op2, r2)

@@ -57,29 +57,6 @@ def _hash_weights(count: int) -> np.ndarray:
     return weights | np.uint64(1)
 
 
-_SIGNATURE_WEIGHTS: dict[int, np.ndarray] = {}
-
-
-def signature_block(values: np.ndarray) -> np.ndarray:
-    """Store-independent 64-bit signatures for a ``(K, E, S)`` value stack.
-
-    The same multiplicative hash as :meth:`ValueStore.hash_block`, but
-    computed from the deterministic weight vector alone — no store
-    instance — so two searches in different processes (or for different
-    kernels) assign identical signatures to identical value matrices.
-    This is what the lemma store records as a length's reachable
-    final-value set; determinism across runs is what makes the recorded
-    set consultable at all.
-    """
-    k = values.shape[0]
-    flat = np.ascontiguousarray(values).view(np.uint64).reshape(k, -1)
-    weights = _SIGNATURE_WEIGHTS.get(flat.shape[1])
-    if weights is None:
-        weights = _hash_weights(flat.shape[1])
-        _SIGNATURE_WEIGHTS[flat.shape[1]] = weights
-    return (flat * weights).sum(axis=1, dtype=np.uint64)
-
-
 class ValueStore:
     """Stack of available ciphertext values with dedup and shift caching.
 

@@ -1,8 +1,12 @@
 """Compile cache: key stability, invalidation, and disk persistence."""
 
 import json
+from dataclasses import fields
+
+import pytest
 
 from repro.api import CacheEntry, CompileCache, Porcupine, compile_key
+from repro.api.cache import config_fingerprint
 from repro.core.cegis import SynthesisConfig
 from repro.core.sketches import default_sketch_for, explicit_rotation_variant
 from repro.spec import get_spec
@@ -32,6 +36,33 @@ def test_key_changes_with_config():
     assert _key(SynthesisConfig(seed=1)) != base
     assert _key(SynthesisConfig(max_components=7)) != base
     assert _key(SynthesisConfig(optimize=False)) != base
+
+
+# every operational (non-semantic) SynthesisConfig field: these steer
+# *how* a search runs, never *what* it synthesizes, so none of them may
+# appear in a compile-cache key.  Adding a field here requires the
+# byte-identity receipt that justifies the exclusion.
+OPERATIONAL_FIELDS = {
+    "workers": 4,
+    "checkpoint_path": "/elsewhere/run.ckpt",
+}
+
+
+@pytest.mark.parametrize("field,value", sorted(
+    OPERATIONAL_FIELDS.items(), key=lambda kv: kv[0]
+))
+def test_operational_fields_never_change_the_compile_key(field, value):
+    assert _key(SynthesisConfig(**{field: value})) == _key(SynthesisConfig()), (
+        f"{field} leaked into the compile-cache key"
+    )
+
+
+def test_cache_exclusion_list_is_exactly_the_operational_set():
+    """A new config field must be triaged: semantic (keyed) or listed."""
+    fingerprint = config_fingerprint(SynthesisConfig())
+    assert set(fingerprint) & set(OPERATIONAL_FIELDS) == set()
+    all_fields = {f.name for f in fields(SynthesisConfig)}
+    assert set(fingerprint) | set(OPERATIONAL_FIELDS) == all_fields
 
 
 def test_key_changes_with_sketch():

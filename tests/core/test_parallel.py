@@ -11,7 +11,7 @@ import pytest
 
 from repro.api import Porcupine
 from repro.core.cegis import SynthesisConfig, synthesize
-from repro.core.parallel import ParallelSynthesis, ShardTask, _run_shard
+from repro.core.parallel import ParallelSynthesis, SerialTask, _run_serial
 from repro.core.sketches import default_sketch_for
 from repro.quill.latency import default_latency_model
 from repro.quill.printer import format_program
@@ -81,7 +81,8 @@ def test_root_choice_count_matches_enumeration():
 
 
 def test_root_ranks_restrict_and_cover():
-    """Sharded searches together find exactly the unrestricted candidates."""
+    """Rank-restricted searches together find exactly the unrestricted
+    candidates."""
     spec = get_spec("box_blur")
     sketch = default_sketch_for(spec)
     rng = np.random.default_rng(1)
@@ -106,23 +107,23 @@ def test_root_ranks_restrict_and_cover():
         return search.root_choice_count(), found
 
     total, all_found = run(None)
-    shards = [frozenset(range(k, total, 3)) for k in range(3)]
-    sharded = []
-    for ranks in shards:
+    parts = [frozenset(range(k, total, 3)) for k in range(3)]
+    restricted = []
+    for ranks in parts:
         _, found = run(ranks)
         for rank, _ in found:
             assert rank in ranks
-        sharded.extend(found)
-    assert sorted(sharded) == sorted(all_found)
+        restricted.extend(found)
+    assert sorted(restricted) == sorted(all_found)
     assert len(all_found) > 0
 
 
-def test_run_shard_first_mode_reports_lowest_rank_match():
+def test_run_serial_first_mode_reports_lowest_rank_match():
     spec = get_spec("box_blur")
     sketch = default_sketch_for(spec)
     rng = np.random.default_rng(1)
     examples = tuple(spec.make_example(rng) for _ in range(2))
-    task = ShardTask(
+    task = SerialTask(
         sketch=sketch,
         layout=spec.layout,
         examples=examples,
@@ -134,7 +135,7 @@ def test_run_shard_first_mode_reports_lowest_rank_match():
         deadline=None,
         name="t",
     )
-    outcome, found = _run_shard(task)
+    outcome, found = _run_serial(task)
     assert outcome.status == "stopped"
     assert len(found) == 1
     rank, text = found[0]

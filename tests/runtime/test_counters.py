@@ -64,15 +64,12 @@ def _search() -> SearchStats:
         pruned={"dedup": 63, "commutative": 7, "adjacent": 0},
         ranks_skipped=2,
         shift_cache_peak=9, bound_updates=1, steals=3, chunks=5,
-        lemma_skips=6,
     ))
     stats.record(SearchOutcome(
         status="stopped", nodes=1000, candidates=1, seconds=0.25,
         batches=20, dedup_hits=5, pruned={"cost_bound": 11},
-        shift_cache_peak=4, chunks=2, lemma_skips=1,
+        shift_cache_peak=4, chunks=2,
     ))
-    stats.lemma_hits = 8
-    stats.lemma_misses = 21
     return stats
 
 
@@ -126,9 +123,6 @@ SEARCH_SUMMARY = {
     "bound_updates": 1,
     "steals": 3,
     "chunks": 7,
-    "lemma_hits": 8,
-    "lemma_misses": 21,
-    "lemma_skips": 7,
 }
 
 
@@ -212,16 +206,12 @@ def test_stats_op_key_sets():
     stats = asyncio.run(scenario())
     assert set(stats) == {
         "scheduler", "kernels", "tenants", "queue_depth", "id", "ok",
-        "uptime_s", "hot_kernels", "config", "executor", "synthesis",
-        "health",
+        "uptime_s", "hot_kernels", "config", "executor", "health",
     }
     assert list(stats["scheduler"]) == list(SCHEDULER_SUMMARY)
     assert list(stats["kernels"]["gx"]) == list(SCHEDULER_SUMMARY)
     assert list(stats["tenants"]["acme"]) == list(SCHEDULER_SUMMARY)
     assert list(stats["executor"]) == list(EXECUTOR_SUMMARY)
-    assert set(stats["synthesis"]) == {
-        "lemma_hits", "lemma_misses", "lemma_skips",
-    }
     assert set(stats["health"]) == {
         "pool_restarts", "pool_degraded", "executor_restarts",
     }
@@ -275,8 +265,8 @@ def test_synth_timings_numbers(capsys, monkeypatch, tmp_path):
     report = "\n".join(
         line for line in err.splitlines() if not line.startswith("#")
     )
-    # nodes, nodes/s, runs, dedup hits, lemma hits/misses/skips
-    assert _numbers(report) == sorted([1235567, 998314, 2, 68, 8, 21, 7])
+    # nodes, nodes/s, runs, dedup hits
+    assert _numbers(report) == sorted([1235567, 998314, 2, 68])
 
 
 def test_serve_timings_numbers():

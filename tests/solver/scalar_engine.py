@@ -6,9 +6,9 @@ operand, one ``_apply``, one dedup probe or goal comparison per node —
 instead of as one stacked numpy batch.  Its value store keeps no
 rotation block, so every rotated operand comes from ``shift_matrix``
 through the per-value shift cache.  Everything else (slot order,
-pruning rules, the lemma tap, candidate callbacks) is inherited, so the
-two engines must enumerate the same candidates in the same order, with
-the same node and per-rule prune counts.
+pruning rules, candidate callbacks) is inherited, so the two engines
+must enumerate the same candidates in the same order, with the same
+node and per-rule prune counts.
 """
 
 from __future__ import annotations

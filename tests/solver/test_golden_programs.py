@@ -6,10 +6,10 @@ text and the search counters of each synthesis pass (``nodes``,
 engine change that claims to enumerate the same candidates in the same
 order must leave all of them untouched.
 
-Every counter here is deterministic: the default configuration has no
-lemma store and both synthesis phases finish well inside their
-timeouts, so a cold compile does not depend on the machine or on the
-order kernels are compiled in.  After an intentional change to the
+Every counter here is deterministic: a synthesis keeps no memory of
+other kernels' searches and both synthesis phases finish well inside
+their timeouts, so a cold compile does not depend on the machine or on
+the order kernels are compiled in.  After an intentional change to the
 search, regenerate the file with::
 
     PYTHONPATH=src python tests/solver/test_golden_programs.py --write
