@@ -25,17 +25,19 @@ a matchless branch stays matchless.  The resumed enumeration visits
 exactly the candidates a full enumeration would still accept, so the
 frontier never changes the synthesized program.
 
-Both phases run the search either in-process (``workers=1``) or through
-:class:`~repro.core.parallel.ParallelSynthesis` (``workers>1``), a
-work-stealing pool with mid-round counterexample-frontier and cost-bound
-broadcast.  The merged candidate stream is replayed in canonical
-enumeration order, so the synthesized program is bit-identical either
-way.
+Both phases run every search round through one driver,
+:class:`~repro.core.parallel.ParallelSynthesis`.  With ``workers=1`` it
+runs each round in this process and forks nothing; with ``workers>1`` it
+runs a work-stealing pool with mid-round counterexample-frontier and
+cost-bound broadcast.  The pool's candidate stream is replayed in
+canonical enumeration order, so the synthesized program is bit-identical
+for any worker count.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,12 +55,7 @@ from repro.quill.ir import Program
 from repro.quill.latency import LatencyModel, default_latency_model
 from repro.quill.parser import parse_program
 from repro.quill.printer import format_program
-from repro.solver.engine import (
-    SearchOptions,
-    SearchStats,
-    SketchSearch,
-    materialize_assignment,
-)
+from repro.solver.engine import SearchOptions, SearchStats
 from repro.spec.reference import Example, Spec
 
 
@@ -122,6 +119,18 @@ def seed_examples(
     return [spec.make_example(rng) for _ in range(config.seed_examples)]
 
 
+def _driver_scope(
+    config: SynthesisConfig, driver: ParallelSynthesis | None
+) -> ParallelSynthesis | nullcontext:
+    """``driver`` as given, or a fresh one from ``config`` closed on exit."""
+    if driver is not None:
+        return nullcontext(driver)
+    return ParallelSynthesis(
+        max(1, config.workers),
+        options=config.search_options or SearchOptions(),
+    )
+
+
 def synthesize_initial(
     spec: Spec,
     sketch: Sketch,
@@ -133,12 +142,11 @@ def synthesize_initial(
 
     Returns a result whose final program *is* the initial program; run
     :func:`minimize_cost` on it for the paper's phase-2 cost search.
-    ``driver`` shares one parallel worker pool across phases (created on
-    demand from ``config.workers`` when omitted).
+    ``driver`` shares one search driver across phases (a fresh one from
+    ``config.workers`` when omitted).
     """
     config = config or SynthesisConfig()
     model = config.latency_model or default_latency_model(spec.params_name)
-    options = config.search_options or SearchOptions()
     rng = np.random.default_rng(config.seed)
     examples = seed_examples(spec, config, rng)
 
@@ -186,9 +194,6 @@ def synthesize_initial(
     stats = SearchStats()
     initial_program: Program | None = None
     components_used = 0
-    own_driver = driver is None and config.workers > 1
-    if own_driver:
-        driver = ParallelSynthesis(config.workers, options=options)
 
     def fail_timeout(length: int) -> SynthesisError:
         return SynthesisError(
@@ -197,7 +202,7 @@ def synthesize_initial(
             f"{time.perf_counter() - start:.1f}s ({stats.nodes} nodes)"
         )
 
-    try:
+    with _driver_scope(config, driver) as driver:
         for length in range(start_length, config.max_components + 1):
             found_at_this_length = False
             # cross-round frontier within this length (restored for the
@@ -216,85 +221,40 @@ def synthesize_initial(
                         examples=examples,
                         rng=rng_state(rng),
                     ))
-                if driver is not None:
-                    outcome, text = driver.find_first(
-                        sketch,
-                        spec.layout,
-                        examples,
-                        model,
-                        length,
-                        deadline=deadline,
-                        name=f"{spec.name}_synth",
-                        start_rank=resume_rank,
-                    )
-                    stats.record(outcome)
-                    if text is not None:
-                        program = parse_program(text)
-                        verdict = spec.verify_program(program)
-                        if verdict.equivalent:
-                            initial_program = program
-                            components_used = length
-                            found_at_this_length = True
-                            break
-                        if length >= 2 and driver.last_match_rank >= 0:
-                            # every branch below the failed match is
-                            # exhausted and matchless; adding an example
-                            # can only shrink the match set, so the next
-                            # round resumes at the match branch
-                            resume_rank = driver.last_match_rank
-                        examples.append(
-                            spec.example_from_witness(
-                                verdict.counterexample, rng
-                            )
-                        )
-                        continue
-                    if outcome.status == "timeout":
-                        raise fail_timeout(length)
-                    break  # exhausted: no program of this size exists
-                search = SketchSearch(
-                    sketch, spec.layout, examples, model, length,
-                    options=options,
-                )
-                state: dict = {}
-
-                def on_candidate(assignment):
-                    program = materialize_assignment(
-                        sketch,
-                        spec.layout,
-                        assignment,
-                        name=f"{spec.name}_synth",
-                    )
-                    verdict = spec.verify_program(program)
-                    if verdict.equivalent:
-                        state["program"] = program
-                    else:
-                        state["witness"] = verdict.counterexample
-                    return True, None  # stop either way: accept or add example
-
-                outcome = search.run(
-                    on_candidate, deadline=deadline, start_rank=resume_rank
+                outcome, text = driver.find_first(
+                    sketch,
+                    spec.layout,
+                    examples,
+                    model,
+                    length,
+                    deadline=deadline,
+                    name=f"{spec.name}_synth",
+                    start_rank=resume_rank,
                 )
                 stats.record(outcome)
-                if "program" in state:
-                    initial_program = state["program"]
-                    components_used = length
-                    found_at_this_length = True
-                    break
-                if "witness" in state:
+                if text is not None:
+                    program = parse_program(text)
+                    verdict = spec.verify_program(program)
+                    if verdict.equivalent:
+                        initial_program = program
+                        components_used = length
+                        found_at_this_length = True
+                        break
+                    if length >= 2 and driver.last_match_rank >= 0:
+                        # every branch below the failed match is
+                        # exhausted and matchless; adding an example can
+                        # only shrink the match set, so the next round
+                        # resumes at the match branch
+                        resume_rank = driver.last_match_rank
                     examples.append(
-                        spec.example_from_witness(state["witness"], rng)
+                        spec.example_from_witness(verdict.counterexample, rng)
                     )
-                    if length >= 2 and search.current_root_rank >= 0:
-                        resume_rank = search.current_root_rank
                     continue
                 if outcome.status == "timeout":
                     raise fail_timeout(length)
                 break  # exhausted: no program of this size exists
             if found_at_this_length:
                 break
-    finally:
-        if own_driver:
-            driver.close()
     if initial_program is None:
         raise SynthesisError(
             f"{spec.name}: sketch has no solution with up to "
@@ -352,11 +312,10 @@ def minimize_cost(
     """
     config = config or SynthesisConfig()
     model = config.latency_model or default_latency_model(spec.params_name)
-    options = config.search_options or SearchOptions()
     start = time.perf_counter()
     optimize_deadline = start + config.optimize_timeout
     examples = list(initial.examples)
-    best_box = {"program": initial.program, "cost": initial.final_cost}
+    best_program, best_cost = initial.program, initial.final_cost
     stats = SearchStats()
 
     checkpoint: SynthesisCheckpoint | None = None
@@ -392,90 +351,46 @@ def minimize_cost(
             # verified accepted programs form a strictly cost-decreasing
             # sequence in canonical order, so the tightened bound skips
             # exactly the candidates the lost run already rejected
-            best_box = {
-                "program": parse_program(restored.best_text),
-                "cost": float(restored.best_cost),
-            }
+            best_program = parse_program(restored.best_text)
+            best_cost = float(restored.best_cost)
 
-    def save_progress(program: Program, cost: float) -> None:
+    def verify(text: str) -> bool:
+        program = parse_program(text)
+        if not spec.verify_program(program).equivalent:
+            return False
         if checkpoint is not None:
+            # the driver verifies in canonical order and only under its
+            # current bound, so each accepted program is a strictly
+            # better checkpointed frontier
             checkpoint.save(CheckpointState(
                 phase="optimize",
                 examples=examples,
                 components=initial.components,
                 initial_text=format_program(initial.initial_program),
                 initial_cost=initial.initial_cost,
-                best_text=format_program(program),
-                best_cost=cost,
+                best_text=text,
+                best_cost=program_cost(program, model),
                 proof_complete=True,
             ))
+        return True
 
-    # the phase-1 cost, or the checkpointed best: phase 2 searches for
-    # strictly cheaper programs under this one bound
-    entry_bound = best_box["cost"]
-
-    if config.workers > 1 and initial.components > 1:
-        own_driver = driver is None
-        if own_driver:
-            driver = ParallelSynthesis(config.workers, options=options)
-        try:
-            saved = {"cost": best_box["cost"]}
-
-            def verify_text(text: str) -> bool:
-                program = parse_program(text)
-                if not spec.verify_program(program).equivalent:
-                    return False
-                cost = program_cost(program, model)
-                if cost < saved["cost"]:
-                    # parent-side verified tightening: the canonical
-                    # replay hands texts in accept order, so each save
-                    # is a strictly better checkpointed frontier
-                    saved["cost"] = cost
-                    save_progress(program, cost)
-                return True
-
-            outcome, best_text, best_cost = driver.minimize(
-                sketch,
-                spec.layout,
-                examples,
-                model,
-                initial.components,
-                cost_bound=entry_bound,
-                verify=verify_text,
-                deadline=optimize_deadline,
-                name=f"{spec.name}_synth",
-            )
-        finally:
-            if own_driver:
-                driver.close()
-        stats.record(outcome)
-        if best_text is not None:
-            best_box["program"] = parse_program(best_text)
-            best_box["cost"] = best_cost
-    else:
-        search = SketchSearch(
-            sketch, spec.layout, examples, model, initial.components,
-            options=options,
+    with _driver_scope(config, driver) as driver:
+        # the phase-1 cost, or the checkpointed best: phase 2 searches
+        # for strictly cheaper programs under this one bound
+        outcome, best_text, cost = driver.minimize(
+            sketch,
+            spec.layout,
+            examples,
+            model,
+            initial.components,
+            cost_bound=best_cost,
+            verify=verify,
+            deadline=optimize_deadline,
+            name=f"{spec.name}_synth",
         )
-
-        def on_better(assignment):
-            program = materialize_assignment(
-                sketch, spec.layout, assignment, name=f"{spec.name}_synth"
-            )
-            cost = program_cost(program, model)
-            if cost >= best_box["cost"]:
-                return False, None
-            if spec.verify_program(program).equivalent:
-                best_box["program"] = program
-                best_box["cost"] = cost
-                save_progress(program, cost)
-                return False, cost
-            return False, None  # matches examples but not the spec
-
-        outcome = search.run(
-            on_better, cost_bound=entry_bound, deadline=optimize_deadline
-        )
-        stats.record(outcome)
+    stats.record(outcome)
+    if best_text is not None:
+        best_program, best_cost = parse_program(best_text), cost
     if checkpoint is not None:
         checkpoint.save(CheckpointState(
             phase="done",
@@ -483,12 +398,12 @@ def minimize_cost(
             components=initial.components,
             initial_text=format_program(initial.initial_program),
             initial_cost=initial.initial_cost,
-            best_text=format_program(best_box["program"]),
-            best_cost=best_box["cost"],
+            best_text=format_program(best_program),
+            best_cost=best_cost,
             proof_complete=outcome.status == "exhausted",
         ))
     return SynthesisResult(
-        program=best_box["program"],
+        program=best_program,
         initial_program=initial.initial_program,
         spec_name=initial.spec_name,
         components=initial.components,
@@ -496,7 +411,7 @@ def minimize_cost(
         initial_time=initial.initial_time,
         total_time=initial.total_time + (time.perf_counter() - start),
         initial_cost=initial.initial_cost,
-        final_cost=best_box["cost"],
+        final_cost=best_cost,
         proof_complete=outcome.status == "exhausted",
         nodes=initial.nodes + outcome.nodes,
         examples=examples,
@@ -509,21 +424,12 @@ def synthesize(
 ) -> SynthesisResult:
     """Compile a specification to a verified, optimized Quill kernel.
 
-    With ``workers > 1`` one parallel driver (and its forked worker pool)
-    serves both phases.
+    One search driver serves both phases, so with ``workers > 1`` its
+    worker pool forks once per run.
     """
     config = config or SynthesisConfig()
-    driver = None
-    if config.workers > 1:
-        driver = ParallelSynthesis(
-            config.workers,
-            options=config.search_options or SearchOptions(),
-        )
-    try:
+    with _driver_scope(config, None) as driver:
         result = synthesize_initial(spec, sketch, config, driver=driver)
         if config.optimize:
             result = minimize_cost(spec, sketch, result, config, driver=driver)
-    finally:
-        if driver is not None:
-            driver.close()
     return result

@@ -1,4 +1,13 @@
-"""Work-stealing process-parallel sketch search.
+"""The search driver: every CEGIS search round, for any worker count.
+
+:class:`ParallelSynthesis` runs one round either as a single
+:class:`~repro.solver.engine.SketchSearch` in this process or across a
+work-stealing pool of worker processes.  A round runs in process when the
+driver has one worker, the sketch length is 1, or the root-rank universe
+has fewer than two ranks: phase 1 stops at the first example match, and
+phase 2 verifies each candidate under the current bound and tightens it
+as it goes.  The pool and its shared state are created by the first
+pooled round, so ``workers=1`` forks nothing.
 
 The engine's enumeration tree fans out at the root slot into independent
 ``(component, operand1, rotation1)`` branches ("root ranks", numbered in
@@ -22,10 +31,10 @@ are broadcast *mid-round*, not just between rounds:
   when the round is decided (``Future.cancel()`` cannot stop a running
   task).
 
-Determinism is preserved exactly as before: the parent consumes chunk
-results strictly in chunk order and replays each chunk's candidate
-stream with serial semantics, so ``workers=N`` stays bit-identical to
-serial.  Mid-round bounds only ever come from parent-verified programs in
+Determinism: the parent consumes chunk results strictly in chunk order
+and replays each chunk's candidate stream with serial semantics, so
+``workers=N`` stays bit-identical to the in-process search.  Mid-round
+bounds only ever come from parent-verified programs in
 already-replayed (lower) chunks — a worker sees a bound no tighter than
 the one a serial search would hold at the same point, so workers emit a
 superset of the serial candidate stream and the ordered replay filters
@@ -97,28 +106,6 @@ def _init_worker(cancel, bound, found_rank, chunk_next, results) -> None:
 
 
 @dataclass(frozen=True)
-class SerialTask:
-    """One in-process search over the whole root slot from ``start_rank``.
-
-    The driver's serial fallback (tiny rank universes, ``workers=1``),
-    run in the parent process; pool workers run :class:`ChunkTask`
-    rounds instead.
-    """
-
-    sketch: object
-    layout: Layout
-    examples: tuple[Example, ...]
-    model: LatencyModel
-    length: int
-    options: SearchOptions
-    mode: str  # "first" | "collect"
-    cost_bound: float
-    deadline: float | None  # absolute time.perf_counter() deadline
-    name: str
-    start_rank: int = 0  # cross-round frontier: skip ranks below this
-
-
-@dataclass(frozen=True)
 class ChunkTask:
     """One worker's view of a whole work-stealing round."""
 
@@ -136,7 +123,7 @@ class ChunkTask:
     generation: int  # round id, echoed on every message
 
 
-def _new_search(task: SerialTask | ChunkTask) -> SketchSearch:
+def _new_search(task: ChunkTask) -> SketchSearch:
     return SketchSearch(
         task.sketch,
         task.layout,
@@ -145,56 +132,6 @@ def _new_search(task: SerialTask | ChunkTask) -> SketchSearch:
         task.length,
         options=task.options,
     )
-
-
-def _run_serial(task: SerialTask) -> tuple[SearchOutcome, list[tuple]]:
-    """Serial entry point: run one search, return candidates as text.
-
-    ``first`` mode stops at the search's first example-matching candidate
-    and reports ``(root_rank, program_text)``.  ``collect`` mode
-    enumerates every candidate cheaper than ``cost_bound`` and reports
-    ``(root_rank, sequence, cost, program_text)``; the sequence number
-    preserves the within-branch enumeration order.
-    """
-    search = _new_search(task)
-    found: list[tuple] = []
-    if task.mode == "first":
-
-        def on_candidate(assignment):
-            program = materialize_assignment(
-                task.sketch, task.layout, assignment, name=task.name
-            )
-            found.append((search.current_root_rank, format_program(program)))
-            return True, None
-
-    else:
-        sequence = 0
-
-        def on_candidate(assignment):
-            nonlocal sequence
-            program = materialize_assignment(
-                task.sketch, task.layout, assignment, name=task.name
-            )
-            cost = program_cost(program, task.model)
-            if cost < task.cost_bound:
-                found.append(
-                    (
-                        search.current_root_rank,
-                        sequence,
-                        cost,
-                        format_program(program),
-                    )
-                )
-            sequence += 1
-            return False, None
-
-    outcome = search.run(
-        on_candidate,
-        cost_bound=task.cost_bound,
-        deadline=task.deadline,
-        start_rank=task.start_rank,
-    )
-    return outcome, found
 
 
 def _worker_round(task: ChunkTask) -> dict:
@@ -278,13 +215,13 @@ def _worker_round(task: ChunkTask) -> dict:
 
 
 class ParallelSynthesis:
-    """A reusable work-stealing pool of search workers with deterministic
-    merging.
+    """The search driver: in-process rounds, or a reusable work-stealing
+    pool with deterministic merging.
 
     One driver serves every round of a CEGIS run (both phases): the pool
-    forks once, and each :meth:`find_first`/:meth:`minimize` call streams
-    chunk results in canonical order.  Use as a context manager (or call
-    :meth:`close`) to release the pool.
+    forks at most once, and each pooled :meth:`find_first`/:meth:`minimize`
+    call streams chunk results in canonical order.  Use as a context
+    manager (or call :meth:`close`) to release the pool.
     """
 
     def __init__(
@@ -294,12 +231,10 @@ class ParallelSynthesis:
     ):
         self.workers = max(1, workers or os.cpu_count() or 1)
         self.options = options or SearchOptions()
+        # the pool and its shared round state (cancel event, bound, match
+        # frontier, chunk cursor, result queue) are created by the first
+        # pooled round, so an in-process-only driver forks nothing
         self._pool: ProcessPoolExecutor | None = None
-        self._cancel = multiprocessing.Event()
-        self._bound = multiprocessing.Value("d", float("inf"))
-        self._found_rank = multiprocessing.Value("q", _NO_RANK)
-        self._chunk_next = multiprocessing.Value("q", 0)
-        self._results: multiprocessing.Queue = multiprocessing.Queue()
         self._generation = 0
         self._rank_counts: dict[tuple[int, int], int] = {}
         self._round_summaries: list[dict] = []
@@ -310,6 +245,11 @@ class ParallelSynthesis:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
+            self._cancel = multiprocessing.Event()
+            self._bound = multiprocessing.Value("d", float("inf"))
+            self._found_rank = multiprocessing.Value("q", _NO_RANK)
+            self._chunk_next = multiprocessing.Value("q", 0)
+            self._results = multiprocessing.Queue()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
@@ -457,28 +397,11 @@ class ParallelSynthesis:
             ranks_skipped=ranks_skipped + total.ranks_skipped,
         )
 
-    def _serial_task(
-        self, sketch, layout, examples, model, length, mode, bound, deadline,
-        name, start_rank,
-    ) -> SerialTask:
-        return SerialTask(
-            sketch=sketch,
-            layout=layout,
-            examples=tuple(examples),
-            model=model,
-            length=length,
-            options=self.options,
-            mode=mode,
-            cost_bound=bound,
-            deadline=deadline,
-            name=name,
-            start_rank=start_rank,
-        )
-
     def _chunk_task(
         self, sketch, layout, examples, model, length, mode, bound, deadline,
-        name, start_rank, total,
+        name, start_rank,
     ) -> ChunkTask:
+        total = self.rank_count(sketch, layout, examples, model, length)
         self._generation += 1
         return ChunkTask(
             sketch=sketch,
@@ -496,6 +419,23 @@ class ParallelSynthesis:
         )
 
     # -- search rounds ----------------------------------------------------
+
+    def _in_process(
+        self, sketch, layout, examples, model, length, start_rank
+    ) -> bool:
+        """Whether a round runs as one search in this process.
+
+        One worker has nothing to fork for, a length-1 search is pure
+        goal-directed final-slot enumeration (no root ranks to split),
+        and a universe under two ranks is not worth a fork.  Checked
+        before the rank probe, so a one-worker driver never builds one.
+        """
+        return (
+            self.workers < 2
+            or length < 2
+            or self.rank_count(sketch, layout, examples, model, length)
+            - start_rank < 2
+        )
 
     def find_first(
         self,
@@ -522,31 +462,32 @@ class ParallelSynthesis:
         is exhausted, or on timeout); ``self.last_match_rank`` records
         the match branch for the caller's next resume.
         """
-        started = time.perf_counter()
-        total = self.rank_count(sketch, layout, examples, model, length)
         self.last_match_rank = -1
-        # a length-1 search is pure goal-directed final-slot enumeration
-        # (no root ranks to split); tiny rank universes aren't worth forks
-        if length < 2 or total - start_rank < 2 or self.workers < 2:
-            outcome, found = _run_serial(
-                self._serial_task(
-                    sketch, layout, examples, model, length, "first",
-                    float("inf"), deadline, name, start_rank,
-                )
+        if self._in_process(
+            sketch, layout, examples, model, length, start_rank
+        ):
+            search = SketchSearch(
+                sketch, layout, examples, model, length, options=self.options
             )
-            text = found[0][1] if found else None
-            if found:
-                self.last_match_rank = found[0][0]
-            status = "stopped" if text is not None else outcome.status
-            self._round_summaries = []
-            return (
-                self._merge([outcome], status, time.perf_counter() - started),
-                text,
-            )
+            found: list[str] = []
 
+            def on_candidate(assignment):
+                program = materialize_assignment(
+                    sketch, layout, assignment, name=name
+                )
+                self.last_match_rank = search.current_root_rank
+                found.append(format_program(program))
+                return True, None
+
+            outcome = search.run(
+                on_candidate, deadline=deadline, start_rank=start_rank
+            )
+            return outcome, found[0] if found else None
+
+        started = time.perf_counter()
         task = self._chunk_task(
             sketch, layout, examples, model, length, "first", float("inf"),
-            deadline, name, start_rank, total,
+            deadline, name, start_rank,
         )
         outcomes: list[SearchOutcome] = []
         best_text: str | None = None
@@ -591,55 +532,53 @@ class ParallelSynthesis:
     ) -> tuple[SearchOutcome, str | None, float]:
         """One phase-2 round: the cheapest verified program under the bound.
 
-        Chunk results are replayed in canonical order with serial
-        branch-and-bound semantics; every *verified* tightening is
-        broadcast to the shared bound that running engines poll mid-round
+        Every candidate cheaper than the current bound goes to
+        ``verify`` in canonical order, and each verified one tightens
+        the bound.  In process, the tightening is the callback's
+        ``(False, cost)`` return; in the pool, chunk results are replayed
+        in chunk order and every verified tightening is broadcast to the
+        shared bound that running engines poll mid-round
         (``bound_poll``), so a cheap program verified in an early chunk
-        prunes every subtree still being searched.  Returns the merged
-        outcome, the best program's text (``None`` when nothing beat
+        prunes every subtree still being searched.  Returns the outcome,
+        the best program's text (``None`` when nothing beat
         ``cost_bound``), and its cost.
         """
-        started = time.perf_counter()
-        total = self.rank_count(sketch, layout, examples, model, length)
-        bound_box = {"bound": cost_bound}
-        best_text: str | None = None
-        status = "exhausted"
+        best: dict = {"text": None, "cost": cost_bound}
 
-        def replay(found: list[tuple]) -> None:
-            nonlocal best_text
-            for _, _, cost, text in found:
-                if cost >= bound_box["bound"]:
-                    continue
-                if verify(text):
-                    bound_box["bound"] = cost
-                    best_text = text
-                    # mid-round broadcast: parent-verified bounds only
-                    with self._bound.get_lock():
-                        if cost < self._bound.value:
-                            self._bound.value = cost
+        def accept(cost: float, text: str) -> bool:
+            if not verify(text):
+                return False  # matches the examples but not the spec
+            best.update(text=text, cost=cost)
+            return True
 
-        if length < 2 or total < 2 or self.workers < 2:
-            outcome, found = _run_serial(
-                self._serial_task(
-                    sketch, layout, examples, model, length, "collect",
-                    cost_bound, deadline, name, 0,
+        if self._in_process(sketch, layout, examples, model, length, 0):
+            search = SketchSearch(
+                sketch, layout, examples, model, length, options=self.options
+            )
+
+            def on_candidate(assignment):
+                program = materialize_assignment(
+                    sketch, layout, assignment, name=name
                 )
-            )
-            replay(found)
-            self._round_summaries = []
-            return (
-                self._merge(
-                    [outcome], outcome.status, time.perf_counter() - started
-                ),
-                best_text,
-                bound_box["bound"],
-            )
+                cost = program_cost(program, model)
+                if cost < best["cost"] and accept(
+                    cost, format_program(program)
+                ):
+                    return False, cost
+                return False, None
 
+            outcome = search.run(
+                on_candidate, cost_bound=cost_bound, deadline=deadline
+            )
+            return outcome, best["text"], best["cost"]
+
+        started = time.perf_counter()
         task = self._chunk_task(
             sketch, layout, examples, model, length, "collect", cost_bound,
-            deadline, name, 0, total,
+            deadline, name, 0,
         )
         outcomes: list[SearchOutcome] = []
+        status = "exhausted"
         stream = self._stream_chunks(task)
         try:
             for _, outcome, found in stream:
@@ -648,7 +587,12 @@ class ParallelSynthesis:
                 outcomes.append(outcome)
                 # candidates this chunk emitted before any deadline are
                 # exactly the ones a serial search would have reached
-                replay(found)
+                for _, _, cost, text in found:
+                    if cost < best["cost"] and accept(cost, text):
+                        # mid-round broadcast: parent-verified bounds only
+                        with self._bound.get_lock():
+                            if cost < self._bound.value:
+                                self._bound.value = cost
                 if outcome.status == "timeout":
                     status = "timeout"
                     break
@@ -656,6 +600,6 @@ class ParallelSynthesis:
             stream.close()
         return (
             self._merge(outcomes, status, time.perf_counter() - started),
-            best_text,
-            bound_box["bound"],
+            best["text"],
+            best["cost"],
         )

@@ -9,18 +9,25 @@ and replays the merged candidate stream in canonical enumeration order.
 import numpy as np
 import pytest
 
+import repro.core.parallel as parallel
 from repro.api import Porcupine
-from repro.core.cegis import SynthesisConfig, synthesize
-from repro.core.parallel import ParallelSynthesis, SerialTask, _run_serial
-from repro.core.sketches import default_sketch_for
-from repro.quill.latency import default_latency_model
-from repro.quill.printer import format_program
-from repro.solver.engine import (
-    SearchOptions,
-    SketchSearch,
-    materialize_assignment,
+from repro.core.cegis import (
+    SynthesisConfig,
+    minimize_cost,
+    synthesize,
+    synthesize_initial,
 )
+from repro.core.parallel import ParallelSynthesis
+from repro.core.sketch import ComponentChoice, CtHole, CtRotHole, Sketch
+from repro.core.sketches import default_sketch_for
+from repro.quill.ir import Opcode
+from repro.quill.latency import default_latency_model
+from repro.quill.parser import parse_program
+from repro.quill.printer import format_program
+from repro.solver.engine import SketchSearch, materialize_assignment
 from repro.spec import box_blur_spec, dot_product_spec, get_spec
+from repro.spec.layout import vector_layout
+from repro.spec.reference import Spec
 
 MODEL = default_latency_model()
 
@@ -46,8 +53,6 @@ def test_parallel_minimize_matches_serial_best():
     sketch = default_sketch_for(spec)
     config = dict(max_components=5, optimize=False)
     initial = synthesize(spec, sketch, SynthesisConfig(**config, workers=1))
-    from repro.core.cegis import minimize_cost
-
     serial = minimize_cost(
         spec, sketch, initial,
         SynthesisConfig(**config, optimize_timeout=20.0, workers=1),
@@ -122,24 +127,100 @@ def test_run_serial_first_mode_reports_lowest_rank_match():
     spec = get_spec("box_blur")
     sketch = default_sketch_for(spec)
     rng = np.random.default_rng(1)
-    examples = tuple(spec.make_example(rng) for _ in range(2))
-    task = SerialTask(
-        sketch=sketch,
-        layout=spec.layout,
-        examples=examples,
-        model=MODEL,
-        length=2,
-        options=SearchOptions(),
-        mode="first",
-        cost_bound=float("inf"),
-        deadline=None,
-        name="t",
+    examples = [spec.make_example(rng) for _ in range(2)]
+    driver = ParallelSynthesis(workers=1)
+    outcome, text = driver.find_first(
+        sketch, spec.layout, examples, MODEL, 2, name="t"
     )
-    outcome, found = _run_serial(task)
     assert outcome.status == "stopped"
-    assert len(found) == 1
-    rank, text = found[0]
-    assert rank >= 0 and "add" in text
+    assert driver.last_match_rank >= 0 and "add" in text
+
+    # the match is the first one a full in-process enumeration reaches
+    search = SketchSearch(sketch, spec.layout, examples, MODEL, 2)
+    first = []
+
+    def stop_on_first(assignment):
+        first.append((search.current_root_rank, format_program(
+            materialize_assignment(sketch, spec.layout, assignment, name="t")
+        )))
+        return True, None
+
+    search.run(stop_on_first)
+    assert first == [(driver.last_match_rank, text)]
+
+
+def test_single_worker_driver_forks_nothing(monkeypatch):
+    """workers=1 runs every round in process: a full synthesis creates no
+    pool and no shared state."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("workers=1 must not create shared state")
+
+    for factory in ("Event", "Value", "Queue"):
+        monkeypatch.setattr(parallel.multiprocessing, factory, forbidden)
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", forbidden)
+    spec = get_spec("dot_product")
+    sketch = default_sketch_for(spec)
+    config = SynthesisConfig(seed=5, optimize_timeout=20.0)  # multi-round
+    with ParallelSynthesis(workers=1) as driver:
+        initial = synthesize_initial(spec, sketch, config, driver=driver)
+        result = minimize_cost(spec, sketch, initial, config, driver=driver)
+        assert driver._pool is None
+        assert not hasattr(driver, "_results")
+    assert result.examples_used >= 2 and result.proof_complete
+    reference = synthesize(spec, sketch, config)
+    assert format_program(result.program) == format_program(reference.program)
+    assert result.final_cost == reference.final_cost
+    assert result.nodes == reference.nodes
+
+
+def _power_query(power: int, length: int):
+    """An elementwise ``x**power`` spec and a multiply sketch searched at
+    ``length``: length 1 with local rotations, or a single root rank."""
+    layout = vector_layout([("x", "ct", 4)], output_slots=[4, 5, 6, 7])
+    spec = Spec(
+        name=f"pow{power}",
+        layout=layout,
+        reference=lambda x: [v**power for v in np.asarray(x).reshape(-1)],
+    )
+    if length == 1:
+        choices = tuple(
+            ComponentChoice(op, CtRotHole(), CtRotHole())
+            for op in (Opcode.MUL_CC, Opcode.ADD_CC)
+        )
+        sketch = Sketch(name="pow", choices=choices, rotations=(1,))
+    else:
+        choices = (ComponentChoice(Opcode.MUL_CC, CtHole(), CtHole()),)
+        sketch = Sketch(name="pow", choices=choices, rotations=())
+    examples = [spec.make_example(np.random.default_rng(0))]
+    return spec, sketch, examples
+
+
+@pytest.mark.parametrize("power,length", [(2, 1), (4, 2)])
+def test_in_process_minimize_same_for_any_worker_count(power, length):
+    """A length-1 or single-rank phase-2 query runs in process whatever
+    the worker count: same program, cost and node count."""
+    spec, sketch, examples = _power_query(power, length)
+
+    def verify(text):
+        return spec.verify_program(parse_program(text)).equivalent
+
+    results = []
+    for workers in (1, 2):
+        with ParallelSynthesis(workers=workers) as driver:
+            if length == 2:
+                assert driver.rank_count(
+                    sketch, spec.layout, examples, MODEL, length
+                ) == 1
+            outcome, text, cost = driver.minimize(
+                sketch, spec.layout, examples, MODEL, length,
+                cost_bound=float("inf"), verify=verify,
+            )
+            assert driver._pool is None
+        results.append((text, cost, outcome.nodes, outcome.status))
+    assert results[0] == results[1]
+    text, cost, nodes, status = results[0]
+    assert text is not None and status == "exhausted" and nodes > 0
 
 
 @pytest.mark.parametrize("spec_factory", [box_blur_spec, dot_product_spec])
