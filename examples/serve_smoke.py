@@ -27,7 +27,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import Porcupine  # noqa: E402
 from repro.serve import ServeClient  # noqa: E402
-from repro.serve.protocol import random_inputs  # noqa: E402
 
 BOOT_TIMEOUT_S = 120.0
 
@@ -88,7 +87,7 @@ def main() -> int:
             # mixed-kernel workload: explicit inputs must round-trip
             # bit-identically to a direct library run
             for kernel in ("gx", "box_blur", "dot_product"):
-                env = random_inputs(session.spec(kernel), seed=11)
+                env = session.spec(kernel).random_backend_inputs(11)
                 response = client.run(kernel, env)
                 assert response["ok"], response.get("error")
                 direct = session.run(kernel, env, backend="interpreter")

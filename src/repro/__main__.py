@@ -9,21 +9,22 @@ Commands:
 * ``serve``                    — long-lived multi-tenant compile-and-run
   service (JSON over TCP; one admission queue, fair-share across
   tenants, see :mod:`repro.serve`)
-* ``synth <kernel>``           — checkpointed synthesis: search state is
-  persisted atomically every round; ``--resume`` restarts a killed run
-  from its last boundary with a byte-identical result
 * ``profile``                  — measure per-instruction latencies
 
 ``list``, ``compile``, and ``run`` accept ``--json`` for
 machine-readable output (instruction counts, depths, synthesis times,
 cache hit/miss).  All compilation goes through the
-:class:`repro.api.Porcupine` session; ``--cache-dir`` persists compiled
-kernels across invocations; ``--dump-ir`` prints the Quill IR after
-each program-changing optimizer pass and ``--timings`` includes the optimizer's
-op-count deltas and the displacement check.  ``--no-prune`` /
-``--prune-rules=a,b,...`` thread pruning-rule ablations to the search
-engine (programs are identical either way; only the searched-node count
-changes).
+:class:`repro.api.Porcupine` session, under the library's
+:class:`~repro.core.cegis.SynthesisConfig` defaults unless a flag
+overrides one; ``--cache-dir`` persists compiled kernels across
+invocations; ``compile --checkpoint FILE`` persists the search state
+at every round boundary, and rerunning the same command resumes a
+killed run with a byte-identical result; ``--dump-ir`` prints the Quill
+IR after each program-changing optimizer pass and ``--timings``
+includes the optimizer's op-count deltas and the displacement check.
+``--prune-rules=a,b,...`` enables just those search pruning rules
+(``--prune-rules ""`` enables none; programs are identical either way,
+only the searched-node count changes).
 """
 
 from __future__ import annotations
@@ -43,15 +44,12 @@ def _session(args):
         defaults["optimize_timeout"] = args.opt_timeout
     if getattr(args, "no_optimize", False):
         defaults["optimize"] = False
-    if getattr(args, "no_prune", False) or getattr(args, "prune_rules", None):
+    if getattr(args, "prune_rules", None) is not None:
         from repro.solver import SearchOptions
 
-        if getattr(args, "no_prune", False):
-            defaults["search_options"] = SearchOptions.no_prune()
-        else:
-            defaults["search_options"] = SearchOptions.from_rules(
-                args.prune_rules
-            )
+        defaults["search_options"] = SearchOptions.from_rules(args.prune_rules)
+    if getattr(args, "checkpoint", None) is not None:
+        defaults["checkpoint_path"] = args.checkpoint
     return Porcupine(
         cache_dir=getattr(args, "cache_dir", None),
         seed=getattr(args, "seed", None),
@@ -91,6 +89,16 @@ def _cmd_list(args) -> int:
 
 def _cmd_compile(args) -> int:
     session = _session(args)
+    definition = session.definition(args.kernel)
+    if args.checkpoint is not None and definition.is_composed:
+        print(
+            f"{args.kernel!r} is a composed kernel; its components "
+            "synthesize separately and would clobber one checkpoint "
+            "file — compile each component instead "
+            f"(e.g. {', '.join(session.registry.direct_names())})",
+            file=sys.stderr,
+        )
+        return 2
     result = session.compile(args.kernel)
     if args.timings:
         print(result.timing_report(), file=sys.stderr)
@@ -168,11 +176,7 @@ def _cmd_run(args) -> int:
     session = _session(args)
     spec = session.spec(args.kernel)
     compiled = session.compile(args.kernel)
-    rng = np.random.default_rng(args.seed)
-    logical = {
-        p.name: rng.integers(0, spec.backend_bound + 1, p.shape)
-        for p in spec.layout.inputs
-    }
+    logical = spec.random_backend_inputs(args.seed)
     options = _exec_options(args, escalate=not args.no_escalate)
     report = session.run(
         args.kernel, logical, backend=args.backend, seed=args.seed,
@@ -219,90 +223,6 @@ def _cmd_run(args) -> int:
     else:
         print(f"evaluation time: {report.wall_time:.4f}s on {report.backend}")
     return 0 if report.matches_reference else 1
-
-
-def _cmd_synth(args) -> int:
-    """``porcupine synth``: checkpointed synthesis with kill-safe resume.
-
-    Runs the CEGIS loop directly (no compile cache, no optimizer
-    pipeline) with an on-disk checkpoint: the search state is persisted
-    atomically at every round boundary, and ``--resume`` restarts a
-    killed run from its last boundary, producing a byte-identical
-    program to an uninterrupted run.
-    """
-    from pathlib import Path
-
-    from repro.core.cegis import synthesize
-    from repro.quill.printer import format_program
-
-    session = _session(args)
-    if args.kernel not in session.kernels():
-        print(
-            f"unknown kernel {args.kernel!r}; "
-            f"available: {', '.join(session.kernels())}",
-            file=sys.stderr,
-        )
-        return 2
-    definition = session.definition(args.kernel)
-    if definition.is_composed:
-        print(
-            f"{args.kernel!r} is a composed kernel; its components "
-            "synthesize separately and would clobber one checkpoint "
-            "file — synth each component instead "
-            f"(e.g. {', '.join(session.registry.direct_names())})",
-            file=sys.stderr,
-        )
-        return 2
-
-    if args.checkpoint is None:
-        print("synth needs --checkpoint FILE", file=sys.stderr)
-        return 2
-
-    spec = session.spec(args.kernel)
-    sketch = definition.sketch(spec)
-    config = session.config_for(definition, checkpoint_path=args.checkpoint)
-
-    checkpoint = Path(args.checkpoint)
-    if checkpoint.exists() and not args.resume:
-        checkpoint.unlink()  # fresh run unless --resume asked to continue
-        print(f"# discarded existing checkpoint {checkpoint}",
-              file=sys.stderr)
-    elif args.resume and not checkpoint.exists():
-        print(f"# no checkpoint at {checkpoint}; starting fresh",
-              file=sys.stderr)
-    elif args.resume:
-        print(f"# resuming from {checkpoint}", file=sys.stderr)
-
-    result = synthesize(spec, sketch, config)
-    text = format_program(result.program)
-    if args.timings and result.search_stats is not None:
-        print(result.search_stats.report("search stats"), file=sys.stderr)
-    if args.json:
-        print(json.dumps({
-            "kernel": args.kernel,
-            "components": result.components,
-            "examples_used": result.examples_used,
-            "initial_cost": result.initial_cost,
-            "final_cost": result.final_cost,
-            "proof_complete": result.proof_complete,
-            "checkpoint": args.checkpoint,
-            "search_stats": (
-                result.search_stats.summary()
-                if result.search_stats is not None
-                else None
-            ),
-            "quill": text,
-        }, indent=2))
-    else:
-        print(
-            f"# {result.program.instruction_count()} instructions, "
-            f"cost {result.final_cost:.1f} "
-            f"({'optimal' if result.proof_complete else 'best-effort'}); "
-            f"checkpoint at {args.checkpoint}",
-            file=sys.stderr,
-        )
-        print(text)
-    return 0
 
 
 def _cmd_serve(args) -> int:
@@ -388,8 +308,9 @@ def main(argv: list[str] | None = None) -> int:
     ):
         cmd = sub.add_parser(verb, help=helptext)
         cmd.add_argument("kernel")
-        cmd.add_argument("--opt-timeout", type=float, default=30.0,
-                         help="cost-minimization budget in seconds")
+        cmd.add_argument("--opt-timeout", type=float, default=None,
+                         help="cost-minimization budget in seconds "
+                              "(default: the library's, 120)")
         cmd.add_argument("--no-optimize", action="store_true",
                          help="stop after the initial solution")
         cmd.add_argument("--seed", type=int, default=0,
@@ -397,13 +318,10 @@ def main(argv: list[str] | None = None) -> int:
         cmd.add_argument("--workers", type=int, default=None, metavar="N",
                          help="parallel search processes (results are "
                               "bit-identical to --workers 1)")
-        cmd.add_argument("--no-prune", action="store_true",
-                         help="disable every search pruning rule (the "
-                              "ablation baseline; identical programs, "
-                              "much larger search)")
         cmd.add_argument("--prune-rules", metavar="RULES",
                          help="enable exactly this comma-separated subset "
-                              "of pruning rules for ablation runs; "
+                              "of pruning rules for ablation runs (\"\" "
+                              "enables none: the ablation baseline); "
                               "available: dedup, commutative, adjacent, "
                               "dead_value, rotation_collapse, zero_elide, "
                               "cost_bound")
@@ -417,6 +335,11 @@ def main(argv: list[str] | None = None) -> int:
         if verb == "compile":
             cmd.add_argument("--seal", metavar="FILE",
                              help="write SEAL C++ here instead of stdout")
+            cmd.add_argument("--checkpoint", metavar="FILE",
+                             help="crash-safe search checkpoint, written "
+                                  "at every round boundary; a rerun with "
+                                  "the same settings resumes from it "
+                                  "(direct kernels only)")
             cmd.add_argument("--timings", action="store_true",
                              help="print the per-pass timing report "
                                   "(includes the optimizer's op-count "
@@ -511,42 +434,13 @@ def main(argv: list[str] | None = None) -> int:
                             "are withheld as NOISE_BUDGET errors "
                             "(deterministic sampling; 0 disables)")
 
-    synth = sub.add_parser(
-        "synth",
-        help="checkpointed synthesis: kill-safe, --resume restores the "
-             "search and yields a byte-identical program",
-    )
-    synth.add_argument("kernel")
-    synth.add_argument("--checkpoint", metavar="FILE",
-                       help="atomic on-disk checkpoint file (written at "
-                            "every search round boundary)")
-    synth.add_argument("--resume", action="store_true",
-                       help="resume from the checkpoint instead of "
-                            "starting fresh")
-    synth.add_argument("--timings", action="store_true",
-                       help="print the search-stats table (runs, nodes, "
-                            "nodes/s, dedup hits) to stderr")
-    synth.add_argument("--seed", type=int, default=0,
-                       help="synthesis/example seed (reproducible runs)")
-    synth.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="parallel search processes (results are "
-                            "bit-identical to --workers 1)")
-    synth.add_argument("--opt-timeout", type=float, default=30.0,
-                       help="cost-minimization budget in seconds")
-    synth.add_argument("--no-optimize", action="store_true",
-                       help="stop after the initial solution")
-    synth.add_argument("--json", action="store_true",
-                       help="machine-readable output")
-
     profile = sub.add_parser("profile", help="profile instruction latencies")
     profile.add_argument("--preset", choices=("toy", "small", "large"),
                          default="toy")
     profile.add_argument("--repeats", type=int, default=3)
 
     args = parser.parse_args(argv)
-    if getattr(args, "no_prune", False) and getattr(args, "prune_rules", None):
-        parser.error("--no-prune and --prune-rules are mutually exclusive")
-    if getattr(args, "prune_rules", None):
+    if getattr(args, "prune_rules", None) is not None:
         from repro.solver import SearchOptions
 
         try:
@@ -559,7 +453,6 @@ def main(argv: list[str] | None = None) -> int:
         "baseline": _cmd_baseline,
         "run": _cmd_run,
         "serve": _cmd_serve,
-        "synth": _cmd_synth,
         "profile": _cmd_profile,
     }
     return handlers[args.command](args)

@@ -49,6 +49,7 @@ from repro.core.cegis import (
 )
 from repro.core.codegen import generate_seal_code
 from repro.core.multistep import compose
+from repro.core.parallel import ParallelSynthesis
 from repro.core.sketch import Sketch
 from repro.quill.ir import Program
 from repro.quill.rewrite import default_pass_manager
@@ -80,6 +81,9 @@ class PassContext:
     spec: Spec
     config: SynthesisConfig
     sketch: Sketch | None = None
+    #: the search driver both synthesis phases share (None: each phase
+    #: opens its own from ``config``)
+    driver: ParallelSynthesis | None = None
     synthesis: SynthesisResult | None = None
     program: Program | None = None
     seal_code: str | None = None
@@ -123,7 +127,9 @@ def synthesize_pass(ctx: PassContext) -> None:
                 "composition graph"
             )
         ctx.sketch = ctx.definition.sketch(ctx.spec)
-    ctx.synthesis = synthesize_initial(ctx.spec, ctx.sketch, ctx.config)
+    ctx.synthesis = synthesize_initial(
+        ctx.spec, ctx.sketch, ctx.config, driver=ctx.driver
+    )
     ctx.program = ctx.synthesis.program
     if ctx.synthesis.search_stats is not None:
         ctx.metrics["synthesize"] = ctx.synthesis.search_stats.summary()
@@ -135,7 +141,7 @@ def optimize_pass(ctx: PassContext) -> None:
     assert ctx.synthesis is not None and ctx.sketch is not None
     before = ctx.synthesis.search_stats
     ctx.synthesis = minimize_cost(
-        ctx.spec, ctx.sketch, ctx.synthesis, ctx.config
+        ctx.spec, ctx.sketch, ctx.synthesis, ctx.config, driver=ctx.driver
     )
     ctx.program = ctx.synthesis.program
     after = ctx.synthesis.search_stats
@@ -242,9 +248,6 @@ class PassPipeline:
         raise KeyError(
             f"no pass named {name!r}; pipeline has {self.pass_names}"
         )
-
-    def insert_before(self, name: str, new_pass: Pass) -> None:
-        self._passes.insert(self._index_of(name), new_pass)
 
     def insert_after(self, name: str, new_pass: Pass) -> None:
         self._passes.insert(self._index_of(name) + 1, new_pass)

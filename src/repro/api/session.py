@@ -25,7 +25,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from repro.api.cache import (
 )
 from repro.api.passes import PassContext, PassPipeline, PassTiming
 from repro.api.registry import KernelDefinition, KernelRegistry
-from repro.core.cegis import SynthesisConfig, SynthesisResult
+from repro.core.cegis import SynthesisConfig, SynthesisResult, driver_scope
 from repro.core.sketch import Sketch
 from repro.quill.ir import Program
 from repro.quill.noise import multiplicative_depth
@@ -354,14 +354,18 @@ class Porcupine:
                         cache_key=key,
                         composed_from=tuple(entry.composed_from or ()),
                     )
-            ctx = PassContext(
-                session=self,
-                definition=definition,
-                spec=spec,
-                config=config,
-                sketch=sketch,
-            )
-            self.pipeline.run(ctx)
+            # one search driver for both synthesis phases: with
+            # workers > 1 a compile forks one pool, not one per phase
+            with driver_scope(config) as driver:
+                ctx = PassContext(
+                    session=self,
+                    definition=definition,
+                    spec=spec,
+                    config=config,
+                    sketch=sketch,
+                    driver=driver,
+                )
+                self.pipeline.run(ctx)
             program = ctx.require_program("compile")
             seal_code = ctx.seal_code or ""
             composed_from = tuple(sorted(ctx.components))
@@ -465,7 +469,7 @@ class Porcupine:
         compiled = self.compile(kernel, **compile_kwargs)
         spec = self._resolve(kernel).spec()
         if inputs is None:
-            inputs = self._random_inputs(spec, seed)
+            inputs = spec.random_backend_inputs(seed)
         return self.execute(
             compiled, inputs, backend=backend, seed=seed, spec=spec,
             options=options,
@@ -548,28 +552,6 @@ class Porcupine:
             if stats_fn is not None:
                 merged = merged.merge(stats_fn())
         return merged
-
-    def _random_inputs(self, spec: Spec, seed: int) -> dict[str, np.ndarray]:
-        rng = np.random.default_rng(seed)
-        return {
-            p.name: rng.integers(
-                0, spec.backend_bound + 1, p.shape, dtype=np.int64
-            )
-            for p in spec.layout.inputs
-        }
-
-    def run_all(
-        self,
-        kernels: Iterable[str] | None = None,
-        *,
-        backend: str | None = None,
-        seed: int = 0,
-    ) -> dict[str, BackendResult]:
-        """Execute every (or the given) kernel once; keyed by name."""
-        names = list(kernels) if kernels is not None else self.kernels()
-        return {
-            name: self.run(name, backend=backend, seed=seed) for name in names
-        }
 
     def __repr__(self) -> str:
         return (

@@ -78,9 +78,11 @@ class SynthesisConfig:
     workers: int = 1  # search processes; results are identical for any value
     #: pruning/evaluation toggles threaded to the engine (None = defaults)
     search_options: SearchOptions | None = None
-    #: crash-safe checkpoint file: search state is persisted atomically
-    #: at every round boundary and a rerun with the same config resumes
-    #: from it, producing a byte-identical program (None: no checkpoint)
+    #: crash-safe checkpoint file (the CLI's ``compile --checkpoint``):
+    #: search state is persisted atomically at every round boundary and a
+    #: rerun with the same config resumes from it, producing a
+    #: byte-identical program; a stale or corrupt file is ignored
+    #: (None: no checkpoint)
     checkpoint_path: str | None = None
 
 
@@ -119,8 +121,8 @@ def seed_examples(
     return [spec.make_example(rng) for _ in range(config.seed_examples)]
 
 
-def _driver_scope(
-    config: SynthesisConfig, driver: ParallelSynthesis | None
+def driver_scope(
+    config: SynthesisConfig, driver: ParallelSynthesis | None = None
 ) -> ParallelSynthesis | nullcontext:
     """``driver`` as given, or a fresh one from ``config`` closed on exit."""
     if driver is not None:
@@ -202,7 +204,7 @@ def synthesize_initial(
             f"{time.perf_counter() - start:.1f}s ({stats.nodes} nodes)"
         )
 
-    with _driver_scope(config, driver) as driver:
+    with driver_scope(config, driver) as driver:
         for length in range(start_length, config.max_components + 1):
             found_at_this_length = False
             # cross-round frontier within this length (restored for the
@@ -374,7 +376,7 @@ def minimize_cost(
             ))
         return True
 
-    with _driver_scope(config, driver) as driver:
+    with driver_scope(config, driver) as driver:
         # the phase-1 cost, or the checkpointed best: phase 2 searches
         # for strictly cheaper programs under this one bound
         outcome, best_text, cost = driver.minimize(
@@ -428,7 +430,7 @@ def synthesize(
     worker pool forks once per run.
     """
     config = config or SynthesisConfig()
-    with _driver_scope(config, None) as driver:
+    with driver_scope(config) as driver:
         result = synthesize_initial(spec, sketch, config, driver=driver)
         if config.optimize:
             result = minimize_cost(spec, sketch, result, config, driver=driver)

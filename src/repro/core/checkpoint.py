@@ -34,11 +34,6 @@ content key over the spec, sketch, and synthesis config fingerprints
 change results).  A key mismatch means the checkpoint is stale and is
 silently ignored — resuming against edited specs must never replay the
 wrong search.
-
-The ``PORCUPINE_CHECKPOINT_CRASH_AFTER`` environment variable (set to
-``n``) hard-kills the process (``os._exit(137)``) immediately after the
-``n``-th successful checkpoint write — the deterministic "power cut" the
-kill-and-resume regression tests are built on.
 """
 
 from __future__ import annotations
@@ -196,7 +191,6 @@ class SynthesisCheckpoint:
     def __init__(self, path: str | Path, key: str):
         self.path = Path(path)
         self.key = key
-        self.saves = 0  # successful writes this process
 
     @classmethod
     def for_run(
@@ -235,12 +229,6 @@ class SynthesisCheckpoint:
         tmp = self.path.with_suffix(f".tmp.{os.getpid()}")
         tmp.write_text(json.dumps(payload, separators=(",", ":")))
         os.replace(tmp, self.path)
-        self.saves += 1
-        crash_after = os.environ.get("PORCUPINE_CHECKPOINT_CRASH_AFTER")
-        if crash_after is not None and self.saves == int(crash_after):
-            # the deterministic power cut: no cleanup, no atexit, no
-            # flushing — exactly what SIGKILL at this instant looks like
-            os._exit(137)
 
     def clear(self) -> None:
         try:

@@ -120,11 +120,6 @@ def current_arena() -> ScratchArena | None:
     return getattr(_scope, "arena", None)
 
 
-def current_counters() -> ExecCounters | None:
-    """The counters of the innermost active scope on this thread, if any."""
-    return getattr(_scope, "counters", None)
-
-
 def count_ntt_rows(rows: int) -> None:
     """Record ``rows`` length-``n`` transforms against the active scope."""
     counters = getattr(_scope, "counters", None)

@@ -52,9 +52,6 @@ class RingContext:
             raise ValueError(f"expected {self.n} coefficients")
         return RingElement(self, self.basis.decompose(coeffs))
 
-    def from_residues(self, residues: np.ndarray) -> "RingElement":
-        return RingElement(self, residues % self._primes_col)
-
     def from_eval(self, eval_rows: np.ndarray) -> "RingElement":
         """Build an element already in the NTT (evaluation) domain."""
         return RingElement(self, eval_rows=eval_rows % self._primes_col)
@@ -189,14 +186,6 @@ class RingElement:
                 self._coeff, assume_reduced=True
             )
         return self._eval
-
-    @property
-    def has_eval(self) -> bool:
-        return self._eval is not None
-
-    @property
-    def has_coeff(self) -> bool:
-        return self._coeff is not None
 
     def copy(self) -> "RingElement":
         return RingElement(

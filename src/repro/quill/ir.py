@@ -44,10 +44,6 @@ class Opcode(enum.Enum):
         return self is Opcode.ROTATE
 
     @property
-    def is_relin(self) -> bool:
-        return self is Opcode.RELIN
-
-    @property
     def is_arithmetic(self) -> bool:
         return self not in (Opcode.ROTATE, Opcode.RELIN)
 

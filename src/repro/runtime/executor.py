@@ -41,7 +41,6 @@ from repro.quill.ir import (
     Ref,
     Wire,
 )
-from repro.quill.noise import multiplicative_depth
 from repro.runtime.options import ExecOptions, NoiseGuardPolicy
 from repro.runtime.planner import DomainPlan, plan_tape
 from repro.runtime.profiler import ExecutorStats
@@ -382,10 +381,6 @@ class HEExecutor:
         """Allow a previously pinned program's tape to be evicted again."""
         self._pinned.discard(id(program))
 
-    def prepare(self, program: Program) -> None:
-        """Generate the Galois keys the program needs (outside timing)."""
-        self.compile(program)
-
     # ------------------------------------------------------------------
     # Runtime fault injection (chaos testing only)
     # ------------------------------------------------------------------
@@ -687,16 +682,3 @@ class HEExecutor:
             cached.lift(self.ctx.ring, self.ctx.t).eval_rows()
             self._plaintext_cache[key] = cached
         return cached
-
-    def sanity_check(self, program: Program, seed: int = 0) -> ExecutionReport:
-        """One end-to-end encrypted run on random in-range inputs."""
-        rng = np.random.default_rng(seed)
-        logical = {}
-        for packed in self.spec.layout.inputs:
-            logical[packed.name] = rng.integers(
-                0, self.spec.backend_bound + 1, packed.shape, dtype=np.int64
-            )
-        report = self.run(program, logical)
-        if multiplicative_depth(program) > 0 and report.output_noise_budget <= 0:
-            raise RuntimeError("noise budget exhausted during sanity check")
-        return report

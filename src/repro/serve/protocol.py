@@ -133,14 +133,3 @@ def decode_inputs(
             )
         env[name] = array
     return env
-
-
-def random_inputs(spec: Spec, seed: int) -> dict[str, np.ndarray]:
-    """Server-side random in-range inputs (the load generator's friend)."""
-    rng = np.random.default_rng(seed)
-    return {
-        p.name: rng.integers(
-            0, spec.backend_bound + 1, p.shape, dtype=np.int64
-        )
-        for p in spec.layout.inputs
-    }

@@ -53,7 +53,6 @@ from repro.serve.protocol import (
     decode_message,
     encode_message,
     error_response,
-    random_inputs,
 )
 
 
@@ -307,7 +306,7 @@ class PorcupineServer:
             )
         spec = self.session.spec(kernel)
         if payload.get("inputs") is None:
-            env = random_inputs(spec, int(payload.get("seed", 0)))
+            env = spec.random_backend_inputs(int(payload.get("seed", 0)))
         else:
             env = decode_inputs(spec, payload.get("inputs"))
         try:

@@ -11,7 +11,7 @@ two roles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -71,6 +71,20 @@ class Spec:
                 -bound, bound + 1, packed.shape, dtype=np.int64
             )
         return env
+
+    def random_backend_inputs(self, seed: int) -> dict[str, np.ndarray]:
+        """In-range inputs for a backend run, drawn from ``seed``.
+
+        Values lie in ``[0, backend_bound]``, so nothing overflows the
+        plaintext modulus; equal seeds give bit-identical int64 arrays.
+        """
+        rng = np.random.default_rng(seed)
+        return {
+            packed.name: rng.integers(
+                0, self.backend_bound + 1, packed.shape, dtype=np.int64
+            )
+            for packed in self.layout.inputs
+        }
 
     def reference_output(self, logical_env: dict[str, np.ndarray]) -> list:
         return list(self.reference(**logical_env))

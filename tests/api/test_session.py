@@ -186,3 +186,23 @@ def test_cache_hits_share_one_parsed_program(session):
     assert first.cache_hit and second.cache_hit
     # the entry memoizes the parse; repeated hits reuse the same Program
     assert first.program is second.program
+
+
+@pytest.mark.parametrize("kernel", ["dot_product", "box_blur"])
+def test_parallel_compile_forks_one_pool(monkeypatch, kernel):
+    """Both synthesis phases of one compile share one search driver, so
+    ``workers=2`` forks one worker pool per compile, not one per phase."""
+    from repro.core import parallel
+
+    pools = []
+
+    class CountingPool(parallel.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+    compiled = Porcupine(workers=2).compile(kernel)
+    assert len(pools) == 1
+    serial = Porcupine(workers=1).compile(kernel)
+    assert str(compiled.program) == str(serial.program)

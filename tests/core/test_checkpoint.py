@@ -1,9 +1,9 @@
 """Crash-safe synthesis checkpoints: kill, resume, byte-identical.
 
-The headline regression (tentpole acceptance): a synthesis run killed
-mid-search — via the deterministic ``PORCUPINE_CHECKPOINT_CRASH_AFTER``
-power cut, which ``os._exit(137)``s the process right after a checkpoint
-write with no cleanup — and resumed from its checkpoint produces a
+The headline regression: a synthesis run killed mid-search — via a
+deterministic power cut, a wrapped ``SynthesisCheckpoint.save`` that
+``os._exit(137)``s the process right after its n-th checkpoint write
+with no cleanup — and resumed from its checkpoint produces a
 program byte-identical to an uninterrupted run.  Exercised end-to-end in
 subprocesses on two registry kernels, including a multi-round CEGIS
 search (dot_product @ seed 5 provably adds counterexamples, so the rng
@@ -37,13 +37,28 @@ from repro.spec.reference import Example
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 _RUNNER = """
+import os
 import sys
 from repro.core.cegis import SynthesisConfig, synthesize
+from repro.core.checkpoint import SynthesisCheckpoint
 from repro.core.sketches import default_sketch_for
 from repro.quill.printer import format_program
 from repro.spec import get_spec
 
 name, seed, ckpt = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+crash_after = int(sys.argv[4])
+if crash_after:
+    real_save = SynthesisCheckpoint.save
+
+    def save(self, state):
+        real_save(self, state)
+        self.saves = getattr(self, "saves", 0) + 1
+        if self.saves == crash_after:
+            # the deterministic power cut: no cleanup, no atexit, no
+            # flushing: exactly what SIGKILL at this instant looks like
+            os._exit(137)
+
+    SynthesisCheckpoint.save = save
 spec = get_spec(name)
 config = SynthesisConfig(
     seed=seed, optimize_timeout=10.0, checkpoint_path=ckpt or None
@@ -54,13 +69,10 @@ sys.stdout.write(format_program(result.program))
 
 
 def _run_child(kernel, seed, checkpoint, crash_after=None):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    env.pop("PORCUPINE_CHECKPOINT_CRASH_AFTER", None)
-    if crash_after is not None:
-        env["PORCUPINE_CHECKPOINT_CRASH_AFTER"] = str(crash_after)
     return subprocess.run(
-        [sys.executable, "-c", _RUNNER, kernel, str(seed), checkpoint],
-        env=env,
+        [sys.executable, "-c", _RUNNER, kernel, str(seed), checkpoint,
+         str(crash_after or 0)],
+        env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
         timeout=300,

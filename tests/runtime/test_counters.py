@@ -6,7 +6,7 @@ identical: the exact ``summary()`` dict (keys in order, values, rounding)
 of a populated :class:`SchedulerStats`, :class:`ExecutorStats` and
 :class:`SearchStats`, the key sets of the serve ``stats`` op and of
 ``CompiledKernel.summary()``, and every number that ``porcupine run``,
-``synth`` and ``serve --timings`` print.  Labels and layout of the text
+``compile`` (its search lines) and ``serve --timings`` print.  Labels and layout of the text
 may change; its numbers may not.
 """
 
@@ -245,28 +245,31 @@ def test_run_timings_numbers(capsys, budget):
     assert _numbers(capsys.readouterr().err) == sorted(expected)
 
 
-def test_synth_timings_numbers(capsys, monkeypatch, tmp_path):
-    import repro.core.cegis as cegis
+def test_synth_timings_numbers(capsys, monkeypatch):
+    """The search-stats lines of ``porcupine compile --timings``."""
+    import repro.api.passes as passes
 
-    real = cegis.synthesize
+    real = passes.synthesize_initial
 
-    def synthesize(*args, **kwargs):
+    def synthesize_initial(*args, **kwargs):
         result = real(*args, **kwargs)
         result.search_stats = _search()
         return result
 
-    monkeypatch.setattr(cegis, "synthesize", synthesize)
-    checkpoint = tmp_path / "ck.json"
+    monkeypatch.setattr(passes, "synthesize_initial", synthesize_initial)
     assert main(
-        ["synth", "dot_product", "--timings", "--checkpoint", str(checkpoint)]
+        ["compile", "dot_product", "--timings", "--no-optimize", "--json"]
     ) == 0
     err = capsys.readouterr().err
-    # lines starting with "#" are the CLI's own notes (cost, checkpoint)
+    # the synthesize pass's search lines are the ones indented under it
     report = "\n".join(
-        line for line in err.splitlines() if not line.startswith("#")
+        line for line in err.splitlines() if line.startswith("    ")
     )
-    # nodes, nodes/s, runs, dedup hits
-    assert _numbers(report) == sorted([1235567, 998314, 2, 68])
+    # runs, nodes, nodes/s, dedup hits, pruned (commutative, cost_bound,
+    # dedup), ranks skipped, shift cache peak, bound updates, steals, chunks
+    assert _numbers(report) == sorted(
+        [2, 1235567, 998314, 68, 7, 11, 63, 2, 9, 1, 3, 7]
+    )
 
 
 def test_serve_timings_numbers():

@@ -72,8 +72,13 @@ def test_report_contains_model_window():
 
 
 def test_sanity_check(dot_executor):
-    report = dot_executor.sanity_check(baseline_for("dot_product"))
+    """One encrypted run on random in-range inputs."""
+    program = baseline_for("dot_product")
+    report = dot_executor.run(
+        program, dot_executor.spec.random_backend_inputs(0)
+    )
     assert report.matches_reference
+    assert report.output_noise_budget > 0
 
 
 def test_multi_output_program_decrypts_extras(dot_executor):

@@ -39,7 +39,6 @@ from repro.serve.errors import (
     error_from_response,
 )
 from repro.serve.faults import FaultInjector, apply_fault
-from repro.serve.protocol import random_inputs
 from repro.serve.server import SupervisedExecutor
 
 RETRY = RetryPolicy(attempts=4, base_s=0.01, max_backoff_s=0.05, seed=0)
@@ -143,7 +142,7 @@ def test_worker_kill_surfaces_typed_then_server_recovers(session):
         cache_dir=str(session.cache.path),
     )
     spec = session.spec("box_blur")
-    env = random_inputs(spec, seed=3)
+    env = spec.random_backend_inputs(3)
     request = {
         "op": "run",
         "kernel": "box_blur",
@@ -206,7 +205,7 @@ def test_slow_execute_hits_deadline_then_serves_identically(session):
     faults.arm("execute:gx", ("sleep", 0.5))
     config = ServeConfig(backend="interpreter", precompile=("gx",))
     spec = session.spec("gx")
-    env = random_inputs(spec, seed=11)
+    env = spec.random_backend_inputs(11)
     request = {
         "op": "run",
         "kernel": "gx",
@@ -239,7 +238,7 @@ def test_backlog_overflow_is_typed_overloaded(session):
         backend="interpreter", precompile=("gx",), max_backlog=1,
     )
     spec = session.spec("gx")
-    envs = [random_inputs(spec, seed=s) for s in range(4)]
+    envs = [spec.random_backend_inputs(s) for s in range(4)]
 
     async def body(server):
         return await asyncio.gather(
@@ -500,7 +499,7 @@ def test_request_storm_under_chaos_is_bit_identical_to_serial(session):
     faults.arm("execute:gx", ("sleep", 0.05), times=1)
     config = ServeConfig(backend="interpreter", precompile=("gx",))
     spec = session.spec("gx")
-    envs = [random_inputs(spec, seed=s) for s in range(8)]
+    envs = [spec.random_backend_inputs(s) for s in range(8)]
 
     async def body(server):
         host, port = await server.start()
@@ -615,7 +614,7 @@ def test_runtime_bitflip_is_typed_noise_budget_then_retry_succeeds(session):
     assert "noise budget" in flipped["error"]
     assert retry["ok"] is True
     assert retry["matches_reference"] is True
-    env = random_inputs(session.spec("gx"), seed=5)
+    env = session.spec("gx").random_backend_inputs(5)
     direct = session.run("gx", env, backend="interpreter")
     assert _output(retry).tobytes() == direct.logical_output.tobytes()
     assert faults.tripped("runtime:gx") == 1
@@ -643,7 +642,7 @@ def test_runtime_bitflip_recovers_transparently_via_escalation(session):
     )
     assert response["ok"] is True
     assert response["matches_reference"] is True
-    env = random_inputs(session.spec("gx"), seed=5)
+    env = session.spec("gx").random_backend_inputs(5)
     direct = session.run("gx", env, backend="interpreter")
     assert _output(response).tobytes() == direct.logical_output.tobytes()
     assert stats["scheduler"]["noise_escalations"] == 1
@@ -732,7 +731,7 @@ def test_poison_fault_never_returns_wrong_plaintext(session):
     from repro.serve.errors import NOISE_BUDGET
 
     request = {"op": "run", "kernel": "gx", "seed": 5}
-    env = random_inputs(session.spec("gx"), seed=5)
+    env = session.spec("gx").random_backend_inputs(5)
     expected = session.run("gx", env, backend="interpreter").logical_output
 
     for escalate in (False, True):

@@ -10,7 +10,6 @@ from repro.serve.protocol import (
     decode_message,
     encode_message,
     error_response,
-    random_inputs,
 )
 from repro.spec import get_spec
 
@@ -51,7 +50,7 @@ def test_error_response_shape():
 
 def test_decode_inputs_accepts_exact_match():
     spec = get_spec("gx")
-    env = random_inputs(spec, seed=0)
+    env = spec.random_backend_inputs(0)
     decoded = decode_inputs(
         spec, {name: value.tolist() for name, value in env.items()}
     )
@@ -65,7 +64,7 @@ def test_decode_inputs_reports_missing_and_extra_names():
     with pytest.raises(ProtocolError, match="missing input"):
         decode_inputs(spec, {})
     env = {name: value.tolist()
-           for name, value in random_inputs(spec, 0).items()}
+           for name, value in spec.random_backend_inputs(0).items()}
     env["bogus"] = [1]
     with pytest.raises(ProtocolError, match="unexpected input.*bogus"):
         decode_inputs(spec, env)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from repro.api import Porcupine
 from repro.api.backends import HEBackend
 from repro.serve import AsyncServeClient, PorcupineServer, ServeConfig
-from repro.serve.protocol import random_inputs
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +43,7 @@ async def _with_server(session, config, body):
 def test_run_matches_direct_session_run(session):
     config = ServeConfig(backend="interpreter", precompile=("gx",))
     spec = session.spec("gx")
-    env = random_inputs(spec, seed=7)
+    env = spec.random_backend_inputs(7)
 
     async def body(server):
         return await server.handle_request(
@@ -121,7 +120,7 @@ def test_stats_op_reports_scheduler_counters(session):
 def test_tcp_round_trip_with_pipelined_client(session):
     config = ServeConfig(backend="interpreter", precompile=("gx",))
     spec = session.spec("gx")
-    envs = [random_inputs(spec, seed=s) for s in range(4)]
+    envs = [spec.random_backend_inputs(s) for s in range(4)]
 
     async def scenario():
         server = PorcupineServer(session, config)
@@ -160,7 +159,7 @@ def test_property_any_interleaving_matches_serial(seeds, stagger):
     """k concurrent requests ≡ k serial runs, byte-for-byte."""
     session = Porcupine()
     spec = session.spec("gx")
-    envs = [random_inputs(spec, seed=s) for s in seeds]
+    envs = [spec.random_backend_inputs(s) for s in seeds]
     config = ServeConfig(backend="interpreter", precompile=("gx",))
 
     async def body(server):
@@ -196,7 +195,7 @@ def test_he_batched_results_bit_identical_to_serial(session, kernel):
         backend="he", params="toy", seed=0, precompile=(kernel,),
     )
     spec = session.spec(kernel)
-    envs = [random_inputs(spec, seed=s) for s in range(4)]
+    envs = [spec.random_backend_inputs(s) for s in range(4)]
 
     async def scenario():
         server = PorcupineServer(session, config)

@@ -186,3 +186,20 @@ def test_verify_program_rejects_wrong_vector_size():
     program = b.build(b.add(x, x))
     with pytest.raises(ValueError):
         spec.verify_program(program)
+
+
+@pytest.mark.parametrize("name", ["box_blur", "dot_product", "harris"])
+def test_random_backend_inputs_are_pinned(name):
+    """One generator per seed, one in-range int64 draw per input in layout
+    order: the draw every random backend run (CLI, library, server) uses."""
+    spec = get_spec(name)
+    rng = np.random.default_rng(7)
+    expected = [
+        rng.integers(0, spec.backend_bound + 1, packed.shape, dtype=np.int64)
+        for packed in spec.layout.inputs
+    ]
+    drawn = spec.random_backend_inputs(7)
+    assert list(drawn) == [packed.name for packed in spec.layout.inputs]
+    for value, want in zip(drawn.values(), expected):
+        assert value.dtype == np.int64
+        assert np.array_equal(value, want)

@@ -61,9 +61,10 @@ def test_compile_timings_flag(capsys):
 
 
 def test_compile_no_prune_flag(capsys):
-    """Ablation baseline: identical program, every rule counter zero."""
+    """Ablation baseline (``--prune-rules ""``, no rule enabled):
+    identical program, every rule counter zero."""
     assert main(
-        ["compile", "box_blur", "--opt-timeout", "5", "--no-prune",
+        ["compile", "box_blur", "--opt-timeout", "5", "--prune-rules", "",
          "--timings"]
     ) == 0
     captured = capsys.readouterr()
@@ -87,12 +88,6 @@ def test_prune_rules_rejects_unknown_rule(capsys):
     with pytest.raises(SystemExit):
         main(["compile", "box_blur", "--prune-rules", "bogus"])
     assert "unknown pruning rule" in capsys.readouterr().err
-
-
-def test_no_prune_and_prune_rules_conflict(capsys):
-    with pytest.raises(SystemExit):
-        main(["compile", "box_blur", "--no-prune", "--prune-rules", "dedup"])
-    assert "mutually exclusive" in capsys.readouterr().err
 
 
 def test_profile_command(capsys):
@@ -163,3 +158,36 @@ def test_run_interpreter_plaintext_output(capsys):
     out = capsys.readouterr().out
     assert "matches reference: True" in out
     assert "interpreter" in out
+
+
+def test_cli_warmed_cache_is_a_library_hit(tmp_path, capsys):
+    """The CLI compiles under the library's synthesis defaults, so a cache
+    it warms serves ``Porcupine(cache_dir=...)`` (and ``serve``)."""
+    from repro.api import Porcupine
+
+    cache = str(tmp_path / "cache")
+    assert main(["compile", "box_blur", "--cache-dir", cache]) == 0
+    capsys.readouterr()
+    assert Porcupine(cache_dir=cache).compile("box_blur").cache_hit is True
+
+
+def test_compile_checkpoint_resumes_to_the_same_program(tmp_path, capsys):
+    import json
+
+    args = ["compile", "box_blur", "--json",
+            "--checkpoint", str(tmp_path / "box_blur.ckpt")]
+    assert main(args) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert first["synthesis"]["nodes"] > 0
+    assert main(args) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert second["synthesis"]["nodes"] == 0  # resumed from the checkpoint
+    assert second["quill"] == first["quill"]
+    assert second["cache"]["key"] == first["cache"]["key"]
+
+
+def test_compile_checkpoint_rejects_composed_kernels(tmp_path, capsys):
+    checkpoint = tmp_path / "sobel.ckpt"
+    assert main(["compile", "sobel", "--checkpoint", str(checkpoint)]) == 2
+    assert "composed kernel" in capsys.readouterr().err
+    assert not checkpoint.exists()
