@@ -156,8 +156,9 @@ def compose_pass(ctx: PassContext) -> None:
         return
     for kernel_name in graph.kernels:
         if kernel_name not in ctx.components:
-            ctx.components[kernel_name] = ctx.session.compile(
-                kernel_name
+            # components search on this compile's driver (one pool)
+            ctx.components[kernel_name] = ctx.session._compile(
+                kernel_name, driver=ctx.driver
             ).program
     program = compose(graph, ctx.components)
     verdict = ctx.spec.verify_program(program)

@@ -43,7 +43,13 @@ from repro.api.cache import (
 )
 from repro.api.passes import PassContext, PassPipeline, PassTiming
 from repro.api.registry import KernelDefinition, KernelRegistry
-from repro.core.cegis import SynthesisConfig, SynthesisResult, driver_scope
+from repro.core.cegis import (
+    SynthesisConfig,
+    SynthesisResult,
+    driver_fits,
+    driver_scope,
+)
+from repro.core.parallel import ParallelSynthesis
 from repro.core.sketch import Sketch
 from repro.quill.ir import Program
 from repro.quill.noise import multiplicative_depth
@@ -321,6 +327,31 @@ class Porcupine:
                 back, refreshing the entry).
             use_cache: disable both lookup and store for this call.
         """
+        return self._compile(
+            kernel,
+            sketch=sketch,
+            config=config,
+            seed=seed,
+            force=force,
+            use_cache=use_cache,
+        )
+
+    def _compile(
+        self,
+        kernel: str | Spec | KernelDefinition,
+        *,
+        sketch: Sketch | None = None,
+        config: SynthesisConfig | None = None,
+        seed: int | None = None,
+        force: bool = False,
+        use_cache: bool = True,
+        driver: ParallelSynthesis | None = None,
+    ) -> CompiledKernel:
+        """:meth:`compile`, reusing ``driver`` where its settings fit.
+
+        A composed kernel compiles its components through here with its
+        own search driver, so one compile forks at most one pool.
+        """
         definition = self._resolve(kernel)
         spec = definition.spec()
         if definition.is_composed and (
@@ -354,9 +385,12 @@ class Porcupine:
                         cache_key=key,
                         composed_from=tuple(entry.composed_from or ()),
                     )
-            # one search driver for both synthesis phases: with
-            # workers > 1 a compile forks one pool, not one per phase
-            with driver_scope(config) as driver:
+            # one search driver for both synthesis phases (and for every
+            # component of a composed kernel): with workers > 1 a compile
+            # forks one pool, not one per phase or component
+            if driver is not None and not driver_fits(driver, config):
+                driver = None
+            with driver_scope(config, driver) as driver:
                 ctx = PassContext(
                     session=self,
                     definition=definition,

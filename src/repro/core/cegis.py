@@ -121,16 +121,23 @@ def seed_examples(
     return [spec.make_example(rng) for _ in range(config.seed_examples)]
 
 
+def _driver_settings(config: SynthesisConfig) -> tuple[int, SearchOptions]:
+    return max(1, config.workers), config.search_options or SearchOptions()
+
+
 def driver_scope(
     config: SynthesisConfig, driver: ParallelSynthesis | None = None
 ) -> ParallelSynthesis | nullcontext:
     """``driver`` as given, or a fresh one from ``config`` closed on exit."""
     if driver is not None:
         return nullcontext(driver)
-    return ParallelSynthesis(
-        max(1, config.workers),
-        options=config.search_options or SearchOptions(),
-    )
+    workers, options = _driver_settings(config)
+    return ParallelSynthesis(workers, options=options)
+
+
+def driver_fits(driver: ParallelSynthesis, config: SynthesisConfig) -> bool:
+    """Whether ``driver`` searches as a fresh one from ``config`` would."""
+    return (driver.workers, driver.options) == _driver_settings(config)
 
 
 def synthesize_initial(

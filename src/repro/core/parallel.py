@@ -236,7 +236,7 @@ class ParallelSynthesis:
         # pooled round, so an in-process-only driver forks nothing
         self._pool: ProcessPoolExecutor | None = None
         self._generation = 0
-        self._rank_counts: dict[tuple[int, int], int] = {}
+        self._rank_counts: dict[tuple, tuple[object, int]] = {}
         self._round_summaries: list[dict] = []
         #: rank of the last find_first example match (cross-round frontier)
         self.last_match_rank = -1
@@ -287,13 +287,16 @@ class ParallelSynthesis:
     ) -> int:
         """The root-rank universe size (cached: invariant across rounds)."""
         key = (id(sketch), length)
-        total = self._rank_counts.get(key)
-        if total is None:
+        cached = self._rank_counts.get(key)
+        if cached is None:
             probe = SketchSearch(
                 sketch, layout, examples, model, length, options=self.options
             )
-            total = self._rank_counts[key] = probe.root_choice_count()
-        return total
+            # the entry holds its sketch, so the id stays unique while
+            # the driver serves other kernels' sketches (composed compiles)
+            cached = (sketch, probe.root_choice_count())
+            self._rank_counts[key] = cached
+        return cached[1]
 
     def _chunk_ranges(
         self, start_rank: int, total: int

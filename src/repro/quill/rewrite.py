@@ -536,7 +536,7 @@ def _all_outputs_equivalent(before: Program, after: Program) -> bool:
     programs additionally pin each output of the rewritten program to
     the corresponding output of its predecessor, slot by slot.
     """
-    from repro.symbolic.symvec import evaluate_symbolic, symbolic_vector
+    from repro.symbolic.symvec import evaluate_outputs, symbolic_vector
 
     ct_env = {
         name: symbolic_vector(name, before.vector_size)
@@ -546,27 +546,9 @@ def _all_outputs_equivalent(before: Program, after: Program) -> bool:
         name: symbolic_vector(f"${name}", before.vector_size)
         for name in before.pt_inputs
     }
-
-    def outputs_of(program: Program) -> list:
-        wires = evaluate_symbolic(program, ct_env, pt_env, all_wires=True)
-
-        def fetch(ref):
-            from repro.quill.ir import CtInput, PtConst, PtInput, Wire
-
-            if isinstance(ref, Wire):
-                return wires[ref.index]
-            if isinstance(ref, CtInput):
-                return ct_env[ref.name]
-            if isinstance(ref, PtInput):
-                return pt_env[ref.name]
-            assert isinstance(ref, PtConst)
-            from repro.symbolic.polynomial import Poly
-
-            return [Poly.const(v) for v in program.constant_vector(ref.name)]
-
-        return [fetch(out) for out in program.outputs]
-
-    return outputs_of(before) == outputs_of(after)
+    return evaluate_outputs(before, ct_env, pt_env) == evaluate_outputs(
+        after, ct_env, pt_env
+    )
 
 
 class PassManager:

@@ -12,6 +12,7 @@ two roles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -115,6 +116,16 @@ class Spec:
     # -- symbolic side --------------------------------------------------------
 
     def symbolic_env(self) -> tuple[dict[str, list[Poly]], dict[str, list[Poly]]]:
+        ct_env, pt_env = self._symbolic_env
+        return (
+            {name: list(vec) for name, vec in ct_env.items()},
+            {name: list(vec) for name, vec in pt_env.items()},
+        )
+
+    @cached_property
+    def _symbolic_env(
+        self,
+    ) -> tuple[dict[str, list[Poly]], dict[str, list[Poly]]]:
         ct_env, pt_env = {}, {}
         for packed in self.layout.inputs:
             vec = self.layout.pack_symbolic(packed.name)
@@ -133,24 +144,40 @@ class Spec:
 
     def expected_symbolic(self) -> list[Poly]:
         """The reference lifted to polynomials, one per output slot."""
+        return list(self._expected_symbolic)
+
+    @cached_property
+    def _expected_symbolic(self) -> tuple[Poly, ...]:
+        # computed once per Spec: the reference is the costliest part of
+        # a verification after the program's own output cone
         outputs = self.reference(**self.symbolic_logical_inputs())
-        return [o if isinstance(o, Poly) else Poly.const(int(o)) for o in outputs]
+        return tuple(
+            o if isinstance(o, Poly) else Poly.const(int(o)) for o in outputs
+        )
+
+    @cached_property
+    def _expected_vector(self) -> list[Poly]:
+        expected = [Poly.zero()] * self.layout.vector_size
+        slots = self.layout.output_slots
+        for slot, poly in zip(slots, self._expected_symbolic):
+            expected[slot] = poly
+        return expected
 
     def verify_program(self, program: Program) -> VerificationResult:
-        """Exact equivalence of a Quill program against this specification."""
+        """Exact equivalence of a Quill program against this specification.
+
+        Only the program's output cone is evaluated: the slots that
+        ``layout.output_slots`` depend on, wire by wire.
+        """
         if program.vector_size != self.layout.vector_size:
             raise ValueError(
                 f"program vector size {program.vector_size} != "
                 f"layout vector size {self.layout.vector_size}"
             )
-        ct_env, pt_env = self.symbolic_env()
-        actual = evaluate_symbolic(program, ct_env, pt_env)
-        expected_flat = self.expected_symbolic()
-        expected = [Poly.zero()] * self.layout.vector_size
+        ct_env, pt_env = self._symbolic_env
         slots = list(self.layout.output_slots)
-        for slot, poly in zip(slots, expected_flat):
-            expected[slot] = poly
-        return check_equivalence(actual, expected, slots=slots)
+        actual = evaluate_symbolic(program, ct_env, pt_env, slots=slots)
+        return check_equivalence(actual, self._expected_vector, slots=slots)
 
     def example_from_witness(
         self, witness: dict[str, int], rng: np.random.Generator

@@ -1,19 +1,110 @@
 """Sparse multivariate polynomials with exact integer coefficients.
 
-The representation is a mapping from monomials to coefficients, where a
-monomial is a sorted tuple of ``(variable, exponent)`` pairs (the empty
-tuple is the constant term).  Instances are immutable and hashable, and
-arithmetic promotes Python ints, so plaintext reference kernels written
-with ordinary ``+ - *`` lift to symbolic form simply by being called on
-arrays of :class:`Poly` (this substitutes for Rosette's symbolic
-execution).
+A polynomial is a mapping from monomials to non-zero coefficients.  A
+monomial is stored as one packed integer: every variable name gets a
+process-wide index the first time it is seen (registration takes a
+lock), and the exponent of variable ``i`` occupies bits
+``[i * FIELD_BITS, (i + 1) * FIELD_BITS)``.  The constant monomial is
+``0``, and the product of two monomials is one integer addition.
+
+The top bit of every field is a guard: exponents are at most
+:data:`MAX_EXPONENT`, so two of them add without carrying into the
+next variable's field, and a product that reaches a guard bit raises
+:class:`ExponentOverflowError` instead of producing a monomial that
+aliases another.
+
+The packing is private to the process.  The public API speaks variable
+names: ``Poly(terms)`` takes monomials as sorted tuples of
+``(variable, exponent)`` pairs (the empty tuple is the constant term),
+:attr:`Poly.terms` returns them in that form, and a pickled ``Poly``
+carries names, so it loads in any process.  Instances are immutable and
+hashable, and arithmetic promotes Python ints, so plaintext reference
+kernels written with ordinary ``+ - *`` lift to symbolic form simply by
+being called on arrays of :class:`Poly` (this substitutes for Rosette's
+symbolic execution).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import operator
+import threading
+from functools import lru_cache
+from typing import Mapping
 
 Monomial = tuple[tuple[str, int], ...]
+
+#: bits per variable in a packed monomial, guard bit included
+FIELD_BITS = 8
+#: the largest exponent a monomial may carry
+MAX_EXPONENT = (1 << (FIELD_BITS - 1)) - 1
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+
+
+class ExponentOverflowError(ArithmeticError):
+    """An exponent exceeds :data:`MAX_EXPONENT`."""
+
+
+# The process-wide variable index.  Readers take no lock: an index is
+# published in ``_INDEX`` only after its name and guard bit are in place.
+_NAMES: list[str] = []
+_INDEX: dict[str, int] = {}
+_GUARD = 0  # the guard bit of every registered variable's field
+_REGISTER = threading.Lock()
+
+
+def _variable_index(name: str) -> int:
+    index = _INDEX.get(name)
+    if index is None:
+        global _GUARD
+        with _REGISTER:
+            index = _INDEX.get(name)
+            if index is None:
+                index = len(_NAMES)
+                _NAMES.append(name)
+                _GUARD |= 1 << (index * FIELD_BITS + FIELD_BITS - 1)
+                _INDEX[name] = index
+    return index
+
+
+def _pack(monomial: Monomial) -> int:
+    packed = 0
+    for name, exp in monomial:
+        exp = operator.index(exp)
+        if exp < 0:
+            raise ValueError(f"exponent of {name!r} must be a non-negative int")
+        if exp > MAX_EXPONENT:
+            raise ExponentOverflowError(
+                f"exponent {exp} of {name!r} exceeds {MAX_EXPONENT}"
+            )
+        shift = _variable_index(name) * FIELD_BITS
+        packed += exp << shift
+        if (packed >> shift) & _FIELD_MASK > MAX_EXPONENT:
+            raise ExponentOverflowError(
+                f"repeated variable {name!r} exceeds exponent {MAX_EXPONENT}"
+            )
+    return packed
+
+
+@lru_cache(maxsize=1 << 14)
+def _unpack(packed: int) -> Monomial:
+    """The ``(variable, exponent)`` pairs of a packed monomial, by name."""
+    pairs = []
+    while packed:
+        index = ((packed & -packed).bit_length() - 1) // FIELD_BITS
+        shift = index * FIELD_BITS
+        exp = (packed >> shift) & _FIELD_MASK
+        pairs.append((_NAMES[index], exp))
+        packed -= exp << shift
+    return tuple(sorted(pairs))
+
+
+def _check_headroom(terms: dict[int, int]) -> None:
+    guard = _GUARD
+    for mono in terms:
+        if mono & guard:
+            raise ExponentOverflowError(
+                f"a product exceeds exponent {MAX_EXPONENT}"
+            )
 
 
 class Poly:
@@ -22,11 +113,16 @@ class Poly:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        cleaned = {}
+        cleaned: dict[int, int] = {}
         if terms:
             for mono, coeff in terms.items():
                 if coeff:
-                    cleaned[mono] = coeff
+                    packed = _pack(mono)
+                    new = cleaned.get(packed, 0) + coeff
+                    if new:
+                        cleaned[packed] = new
+                    else:
+                        del cleaned[packed]
         self._terms = cleaned
         self._hash: int | None = None
 
@@ -36,11 +132,11 @@ class Poly:
     def const(value: int) -> "Poly":
         if value == 0:
             return _ZERO
-        return Poly({(): value})
+        return _wrap({0: value})
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return Poly({((name, 1),): 1})
+        return _wrap({1 << (_variable_index(name) * FIELD_BITS): 1})
 
     @staticmethod
     def zero() -> "Poly":
@@ -50,32 +146,31 @@ class Poly:
 
     @property
     def terms(self) -> dict[Monomial, int]:
-        return dict(self._terms)
+        return {_unpack(mono): coeff for mono, coeff in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return all(mono == () for mono in self._terms)
+        return all(mono == 0 for mono in self._terms)
 
     def constant_value(self) -> int:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self._terms.get((), 0)
+        return self._terms.get(0, 0)
 
     def degree(self) -> int:
-        if not self._terms:
-            return 0
         return max(
-            (sum(exp for _, exp in mono) for mono in self._terms), default=0
+            (sum(exp for _, exp in _unpack(mono)) for mono in self._terms),
+            default=0,
         )
 
     def variables(self) -> set[str]:
-        names: set[str] = set()
+        union = 0
         for mono in self._terms:
-            for name, _ in mono:
-                names.add(name)
-        return names
+            union |= mono
+        # an OR of fields is non-zero exactly where some exponent is
+        return {name for name, _ in _unpack(union)}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -83,14 +178,7 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self._terms)
-        for mono, coeff in other._terms.items():
-            new = terms.get(mono, 0) + coeff
-            if new:
-                terms[mono] = new
-            else:
-                terms.pop(mono, None)
-        return _wrap(terms)
+        return _combine(self._terms, other._terms, 1)
 
     __radd__ = __add__
 
@@ -101,7 +189,7 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return _combine(self._terms, other._terms, -1)
 
     def __rsub__(self, other: "Poly | int") -> "Poly":
         other = _coerce(other)
@@ -115,15 +203,18 @@ class Poly:
             return NotImplemented
         if not self._terms or not other._terms:
             return _ZERO
-        terms: dict[Monomial, int] = {}
+        terms: dict[int, int] = {}
+        get = terms.get
+        right = other._terms.items()
         for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _merge_monomials(m1, m2)
-                new = terms.get(mono, 0) + c1 * c2
-                if new:
-                    terms[mono] = new
-                else:
-                    del terms[mono]
+            for m2, c2 in right:
+                mono = m1 + m2
+                terms[mono] = get(mono, 0) + c1 * c2
+        # two in-range exponents never carry, so a field past the limit
+        # shows as its guard bit (checked before cancelled terms go)
+        _check_headroom(terms)
+        if 0 in terms.values():
+            terms = {mono: coeff for mono, coeff in terms.items() if coeff}
         return _wrap(terms)
 
     __rmul__ = __mul__
@@ -136,8 +227,9 @@ class Poly:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     # -- evaluation -----------------------------------------------------------
@@ -147,7 +239,7 @@ class Poly:
         total = 0
         for mono, coeff in self._terms.items():
             value = coeff
-            for name, exp in mono:
+            for name, exp in _unpack(mono):
                 value *= env[name] ** exp
             total += value
         return total
@@ -157,7 +249,7 @@ class Poly:
         total = _ZERO
         for mono, coeff in self._terms.items():
             value = Poly.const(coeff)
-            for name, exp in mono:
+            for name, exp in _unpack(mono):
                 replacement = env.get(name)
                 if replacement is None:
                     factor = Poly({((name, exp),): 1})
@@ -178,14 +270,17 @@ class Poly:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash(frozenset(self.terms.items()))
         return self._hash
+
+    def __reduce__(self):
+        return (Poly, (self.terms,))
 
     def __repr__(self) -> str:
         if not self._terms:
             return "0"
         parts = []
-        for mono, coeff in sorted(self._terms.items()):
+        for mono, coeff in sorted(self.terms.items()):
             factors = [
                 name if exp == 1 else f"{name}^{exp}" for name, exp in mono
             ]
@@ -216,18 +311,20 @@ def _coerce(value) -> "Poly":
     return NotImplemented
 
 
-def _merge_monomials(m1: Monomial, m2: Monomial) -> Monomial:
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps: dict[str, int] = dict(m1)
-    for name, exp in m2:
-        exps[name] = exps.get(name, 0) + exp
-    return tuple(sorted(exps.items()))
+def _combine(left: dict[int, int], right: dict[int, int], sign: int) -> Poly:
+    """``left + sign * right``."""
+    terms = dict(left)
+    get = terms.get
+    for mono, coeff in right.items():
+        new = get(mono, 0) + sign * coeff
+        if new:
+            terms[mono] = new
+        else:
+            del terms[mono]
+    return _wrap(terms)
 
 
-def _wrap(terms: dict[Monomial, int]) -> Poly:
+def _wrap(terms: dict[int, int]) -> Poly:
     poly = Poly.__new__(Poly)
     poly._terms = terms
     poly._hash = None

@@ -188,10 +188,12 @@ def test_cache_hits_share_one_parsed_program(session):
     assert first.program is second.program
 
 
-@pytest.mark.parametrize("kernel", ["dot_product", "box_blur"])
+@pytest.mark.parametrize("kernel", ["dot_product", "box_blur", "sobel"])
 def test_parallel_compile_forks_one_pool(monkeypatch, kernel):
-    """Both synthesis phases of one compile share one search driver, so
-    ``workers=2`` forks one worker pool per compile, not one per phase."""
+    """Both synthesis phases of one compile, and every component of a
+    composed one (sobel: gx, gy), share one search driver, so
+    ``workers=2`` forks one worker pool per compile, not one per phase
+    or component."""
     from repro.core import parallel
 
     pools = []
@@ -206,3 +208,20 @@ def test_parallel_compile_forks_one_pool(monkeypatch, kernel):
     assert len(pools) == 1
     serial = Porcupine(workers=1).compile(kernel)
     assert str(compiled.program) == str(serial.program)
+
+
+
+def test_a_driver_fits_only_configs_with_its_settings():
+    """Components reuse the composed compile's driver only when a fresh
+    one from their own config would search the same way."""
+    from repro.core.cegis import driver_fits
+    from repro.core.parallel import ParallelSynthesis
+    from repro.solver.engine import SearchOptions
+
+    driver = ParallelSynthesis(2)
+    assert driver_fits(driver, SynthesisConfig(workers=2))
+    assert not driver_fits(driver, SynthesisConfig(workers=1))
+    other = SearchOptions().without("dedup")
+    assert not driver_fits(
+        driver, SynthesisConfig(workers=2, search_options=other)
+    )

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.quill.builder import ProgramBuilder
 from repro.quill.interpreter import evaluate
 from repro.symbolic.polynomial import Poly
 from repro.symbolic.symvec import (
+    evaluate_outputs,
     evaluate_symbolic,
-    shift_symbolic,
     symbolic_vector,
     zeros_vector,
 )
@@ -18,7 +19,11 @@ from repro.symbolic.verify import (
     find_counterexample,
 )
 
-from tests.strategies import quill_programs, random_env
+from tests.strategies import (
+    explicit_relin_programs,
+    quill_programs,
+    random_env,
+)
 
 
 def test_symbolic_vector_and_zeros():
@@ -27,12 +32,18 @@ def test_symbolic_vector_and_zeros():
     assert all(p.is_zero() for p in zeros_vector(4))
 
 
+def _shift(vec, amount):
+    b = ProgramBuilder(vector_size=len(vec), name="shift")
+    program = b.build(b.rotate(b.ct_input("x"), amount))
+    return evaluate_symbolic(program, {"x": vec})
+
+
 def test_shift_symbolic_matches_concrete_semantics():
     vec = symbolic_vector("x", 4)
-    left = shift_symbolic(vec, 1)
+    left = _shift(vec, 1)
     assert left[0] == Poly.var("x[1]")
     assert left[3].is_zero()
-    right = shift_symbolic(vec, -2)
+    right = _shift(vec, -2)
     assert right[0].is_zero() and right[1].is_zero()
     assert right[2] == Poly.var("x[0]")
 
@@ -150,3 +161,83 @@ def test_reference_lifting_through_numpy():
         + Poly.var("img[3]") + Poly.var("img[4]")
     )
     assert out[0, 0] == expected
+
+
+def _symbolic_env(program):
+    n = program.vector_size
+    ct_env = {name: symbolic_vector(name, n) for name in program.ct_inputs}
+    pt_env = {name: symbolic_vector(name, n) for name in program.pt_inputs}
+    return ct_env, pt_env
+
+
+@st.composite
+def _programs_and_slots(draw):
+    program = draw(
+        st.one_of(
+            quill_programs(max_instructions=7, multi_output=True),
+            explicit_relin_programs(max_instructions=5, multi_output=True),
+        )
+    )
+    slots = draw(
+        st.lists(st.integers(0, program.vector_size - 1), unique=True)
+    )
+    return program, slots
+
+
+@settings(max_examples=80, deadline=None)
+@given(_programs_and_slots())
+def test_sliced_evaluation_equals_full_on_requested_slots(case):
+    """The output cone computes exactly what a full evaluation does on
+    the requested slots, for every output of multi-output programs."""
+    program, slots = case
+    ct_env, pt_env = _symbolic_env(program)
+    full = evaluate_outputs(program, ct_env, pt_env)
+    sliced = evaluate_outputs(program, ct_env, pt_env, slots=slots)
+    assert len(sliced) == len(full) == len(program.outputs)
+    for whole, cone in zip(full, sliced):
+        assert all(p is not None for p in whole)
+        assert [cone[s] for s in slots] == [whole[s] for s in slots]
+    primary = evaluate_symbolic(program, ct_env, pt_env, slots=slots)
+    assert [primary[s] for s in slots] == [full[0][s] for s in slots]
+
+
+def test_slicing_skips_slots_outside_the_cone():
+    program = _dot_product_program()  # slot 0 reads every product
+    ct_env = {"x": symbolic_vector("x", 4)}
+    pt_env = {"w": symbolic_vector("w", 4)}
+    out = evaluate_symbolic(program, ct_env, pt_env, slots=[3])
+    assert out[3] == Poly.var("x[3]") * Poly.var("w[3]")
+    assert out[:3] == [None, None, None]
+
+
+def test_slot_outside_the_vector_is_rejected():
+    program = _dot_product_program()
+    ct_env = {"x": symbolic_vector("x", 4)}
+    pt_env = {"w": symbolic_vector("w", 4)}
+    with pytest.raises(ValueError):
+        evaluate_symbolic(program, ct_env, pt_env, slots=[4])
+
+
+def test_reference_runs_once_per_spec():
+    """The spec's polynomials are computed once, however many programs
+    it verifies."""
+    from dataclasses import replace
+
+    from repro.baselines.handwritten import baseline_for
+    from repro.spec.kernels import get_spec
+
+    calls = []
+    base = get_spec("gx")
+
+    def reference(**inputs):
+        calls.append(1)
+        return base.reference(**inputs)
+
+    spec = replace(base, reference=reference)
+    program = baseline_for("gx")
+    for _ in range(3):
+        assert spec.verify_program(program).equivalent
+    assert len(calls) == 1
+    spec.expected_symbolic()
+    spec.symbolic_env()
+    assert len(calls) == 1
